@@ -98,7 +98,6 @@ from .states import (
     is_valid_density,
     is_valid_measurement_operator,
     is_valid_state_p,
-    measurement_from_r,
     mix,
     normalization,
     p_from_density,

@@ -13,16 +13,12 @@ import numpy as np
 
 from .bloch import build_general_d
 from .errors import GptError, MonotonicityError, NoSignatureError
-from .frames import FiducialFrame, canonical_labels, label_support
+from .frames import FiducialFrame, canonical_labels, label_support, table_n_max
 from .states import Theory
 
 
 def _validate_table(table: dict[int, int]) -> int:
-    if not table:
-        raise NoSignatureError("empty degrees-of-freedom table")
-    n_max = max(table)
-    if set(table) != set(range(1, n_max + 1)):
-        raise NoSignatureError("table must cover consecutive dimensions 1..N_max")
+    n_max = table_n_max(table)
     for n, k in table.items():
         if int(k) != k or k < 1:
             raise NoSignatureError(f"K({n}) = {k} is not a positive integer")

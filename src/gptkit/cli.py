@@ -3,6 +3,10 @@
 Exit codes: 0 on success, 1 when a requested check fails, 2 for usage or
 input errors. Reports are JSON; matrix/count tables can be written as CSV
 by giving an output path ending in ``.csv``.
+
+The bloch, transform, composite, verify and simulate subcommands are thin
+wrappers: their flags become the parameters of the harness pipeline that a
+``gpt report`` section of the same kind runs, and they print its details.
 """
 
 from __future__ import annotations
@@ -12,69 +16,36 @@ import csv
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import Callable
 
 from . import serialize
-from .bloch import (
-    D2Params,
-    a_matrix,
-    c_bounds,
-    classify_surface,
-    d2_assemble,
-    frame_from_phases,
-    recover_phases,
-)
-from .composite import composite_from_density, dof_count_check, local_transform
-from .dynamics import (
-    KrausSet,
-    is_completely_positive,
-    is_reversible,
-    is_trace_nonincreasing,
-    is_trace_preserving,
-    kraus_to_superoperator,
-    z_from_kraus,
-    z_from_unitary,
-)
 from .errors import GptError
 from .frames import build_canonical_frame, gram_matrix
-from .harness import build_experiment, haar_unitary, run_axiom_suite, run_report, simulate
-from .states import (
-    classical_theory,
-    density_from_r,
-    p_from_density,
-    quantum_theory,
-    r_from_p,
-)
+from .harness import OK_STATUSES, PIPELINES, load_experiment, run_report
+from .states import classical_theory, density_from_r, p_from_density, quantum_theory, r_from_p
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _emit(payload: dict, out: str | None, rows: list[list] | None = None) -> None:
+    """Print ``payload``, or write it to ``out``: as the CSV ``rows`` when
+    they are given and ``out`` ends in .csv, otherwise as JSON."""
     if out is None:
-        print(text)
-    else:
-        Path(out).write_text(text + "\n")
-
-
-def _emit_table(rows: list[list], payload: dict, out: str | None) -> None:
-    if out is not None and out.endswith(".csv"):
+        sys.stdout.write(serialize.dumps(payload))
+    elif rows is not None and out.endswith(".csv"):
         with open(out, "w", newline="") as handle:
             csv.writer(handle).writerows(rows)
     else:
-        _emit_json(payload, out)
+        serialize.write_json(out, payload)
 
 
 def _cmd_frame(args: argparse.Namespace) -> int:
     frame = build_canonical_frame(args.n)
-    _emit_json(serialize.frame_to_dict(frame), args.out)
+    _emit(serialize.frame_to_dict(frame), args.out)
     return 0
 
 
 def _cmd_dmatrix(args: argparse.Namespace) -> int:
-    frame = build_canonical_frame(args.n)
-    d = gram_matrix(frame)
-    payload = serialize.dmatrix_to_dict(d, args.n)
-    _emit_table([list(row) for row in d], payload, args.out)
+    d = gram_matrix(build_canonical_frame(args.n))
+    _emit(serialize.dmatrix_to_dict(d, args.n), args.out, [list(row) for row in d])
     return 0
 
 
@@ -83,6 +54,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     if args.src == "rho":
         rho = serialize.operator_from_dict(payload)
         theory = quantum_theory(rho.shape[0])
+        p = p_from_density(rho, theory.frame)
     else:
         values, n, _, kind = serialize.vector_from_dict(payload)
         if kind != args.src:
@@ -90,149 +62,55 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         theory = classical_theory(n) if args.theory == "classical" else quantum_theory(n)
         if values.shape[0] != theory.k:
             raise GptError(f"vector length {values.shape[0]} does not match K = {theory.k}")
-
-    if args.src == "rho":
-        p = p_from_density(rho, theory.frame)
-        r = r_from_p(p, theory.d)
-    elif args.src == "p":
-        p = values
-        r = r_from_p(p, theory.d)
-    else:
-        r = values
-        p = theory.d @ r
+        p = theory.d @ values if args.src == "r" else values
+    r = values if args.src == "r" else r_from_p(p, theory.d)
 
     if args.dst == "rho":
         if theory.frame is None:
             raise GptError("classical theory has no operator representation")
-        rho_out = density_from_r(r, theory.frame)
-        _emit_json(serialize.operator_to_dict(rho_out), args.out)
-    elif args.dst == "p":
-        _emit_json(serialize.vector_to_dict(p, theory.dimension, "state", "p"), args.out)
+        _emit(serialize.operator_to_dict(density_from_r(r, theory.frame)), args.out)
     else:
-        _emit_json(serialize.vector_to_dict(r, theory.dimension, "state", "r"), args.out)
+        vector = p if args.dst == "p" else r
+        _emit(serialize.vector_to_dict(vector, theory.dimension, "state", args.dst), args.out)
     return 0
+
+
+def _params(args: argparse.Namespace, *names: str) -> dict:
+    """The given flags as pipeline parameters, leaving out unset ones."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _run(kind: str, args: argparse.Namespace, params: dict, base: Path = Path(),
+         rows: Callable[[dict], list[list]] | None = None) -> int:
+    """Run the harness pipeline ``kind`` and emit its details (CSV ``rows(details)``
+    when given); exit code 0 for a passing status, 1 otherwise."""
+    outcome = PIPELINES[kind](params, getattr(args, "seed", 0), base, base)
+    details = outcome["details"]
+    _emit(details, args.out, rows(details) if rows else None)
+    return 0 if outcome["status"] in OK_STATUSES else 1
 
 
 def _cmd_bloch(args: argparse.Namespace) -> int:
-    params = D2Params(a=args.a, b=args.b, c=args.c)
-    lo, hi = c_bounds(params.a, params.b)
-    surface = classify_surface(a_matrix(params))
-    payload = {
-        "a": params.a,
-        "b": params.b,
-        "c": params.c,
-        "c_minus": lo,
-        "c_plus": hi,
-        "inside_bounds": lo < params.c < hi,
-        "classification": surface.kind.value,
-        "eigenvalues": list(surface.eigenvalues),
-        "det_d": float(np.linalg.det(d2_assemble(params))),
-    }
-    if args.projectors:
-        rec = recover_phases(d2_assemble(params))
-        frame = frame_from_phases(rec)
-        payload["phases"] = {"phi3": rec.phi3, "phi4": rec.phi4}
-        payload["projectors"] = serialize.complex_to_json(frame.projectors)
-    _emit_json(payload, args.out)
-    return 0
+    return _run("bloch", args, _params(args, "a", "b", "c", "projectors"))
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    if args.unitary:
-        u = serialize.operator_from_dict(serialize.read_json(args.unitary))
-        kraus = KrausSet(u[np.newaxis])
-    else:
-        kraus = KrausSet(serialize.kraus_from_dict(serialize.read_json(args.kraus)))
-    n = kraus.dimension
-    theory = quantum_theory(n)
-    z = (
-        z_from_unitary(kraus.operators[0], theory.frame, theory.d)
-        if args.unitary
-        else z_from_kraus(kraus, theory.frame, theory.d)
-    )
-    witnesses = [theory.basis_p[i] for i in range(n)]
-    witnesses.append(p_from_density(np.eye(n, dtype=complex) / n, theory.frame))
-    cp = is_completely_positive(kraus_to_superoperator(kraus), n)
-    nonincreasing = is_trace_nonincreasing(kraus)
-    payload = {
-        "dimension": n,
-        "provenance": z.provenance,
-        "z": z.z.tolist(),
-        "trace_nonincreasing": nonincreasing,
-        "trace_preserving": is_trace_preserving(kraus),
-        "completely_positive": cp,
-        "reversible": is_reversible(z, witnesses, theory.frame, theory.d, theory.r_identity),
-    }
-    _emit_json(payload, args.out)
-    return 0 if (cp and nonincreasing) else 1
+    return _run("transform", args, _params(args, "unitary", "kraus"))
 
 
 def _cmd_composite(args: argparse.Namespace) -> int:
-    rho = serialize.operator_from_dict(serialize.read_json(args.rho))
-    ta, tb = quantum_theory(args.na), quantum_theory(args.nb)
-    if rho.shape[0] != args.na * args.nb:
-        raise GptError(
-            f"operator side {rho.shape[0]} does not equal {args.na} * {args.nb}"
-        )
-    pt = composite_from_density(rho, ta.frame, tb.frame)
-
-    rng = np.random.default_rng(args.seed)
-    law_dev = 0.0
-    for _ in range(args.law_samples):
-        ua, ub = haar_unitary(rng, args.na), haar_unitary(rng, args.nb)
-        za = z_from_unitary(ua, ta.frame, ta.d)
-        zb = z_from_unitary(ub, tb.frame, tb.d)
-        vector_side = local_transform(pt, za, zb)
-        u = np.kron(ua, ub)
-        operator_side = composite_from_density(u @ rho @ u.conj().T, ta.frame, tb.frame)
-        law_dev = max(law_dev, float(np.abs(vector_side - operator_side).max()))
-
-    rank = dof_count_check(ta.d, tb.d)
-    ok = rank == ta.k * tb.k and law_dev <= 1e-10
-    payload = {
-        "p_tilde": serialize.composite_to_dict(pt),
-        "joint_normalization": float(ta.r_identity @ pt @ tb.r_identity),
-        "transform_law_deviation": law_dev,
-        "dof_rank": rank,
-        "dof_expected": ta.k * tb.k,
-    }
-    _emit_json(payload, args.out)
-    return 0 if ok else 1
+    return _run("composite", args, _params(args, "rho", "na", "nb", "law_samples"))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = run_axiom_suite(
-        args.theory,
-        args.n,
-        seed=args.seed,
-        trials=args.trials,
-        pairs=args.pairs,
-        steps=args.steps,
-    )
-    _emit_json(report.to_json(), args.out)
-    return 0 if report.passed else 1
+    return _run("verify", args, _params(args, "theory", "n", "trials", "pairs", "steps"))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config_path = Path(args.config)
-    text = config_path.read_text()
-    if text.lstrip().startswith("{"):
-        params = json.loads(text)
-    else:
-        import configparser
-
-        parser = configparser.ConfigParser()
-        parser.read_string(text)
-        if not parser.has_section("experiment"):
-            raise GptError("simulate config needs an [experiment] section")
-        params = dict(parser.items("experiment"))
-    params.pop("seed", None)  # the command-line seed is authoritative
-    exp, _ = build_experiment(params, args.seed, config_path.parent)
-    counts = simulate(exp)
-    payload = serialize.counts_to_dict(counts.counts, counts.shots, counts.seed)
-    rows = [["outcome", "count"]] + [[i, int(c)] for i, c in enumerate(counts.counts)]
-    _emit_table(rows, payload, args.out)
-    return 0
+    # --seed and --out take the place of the config's own seed and out keys
+    params = {k: v for k, v in load_experiment(args.config).items() if k not in ("seed", "out")}
+    return _run("simulate", args, params, Path(args.config).parent,
+                lambda counts: [["outcome", "count"]] + list(enumerate(counts["counts"])))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -248,63 +126,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_frame = sub.add_parser("frame", help="build the canonical projector frame")
+    def command(name: str, func: Callable, help: str, out: str | None = None):
+        """A subcommand with the --out option that every one but report has."""
+        cmd = sub.add_parser(name, help=help)
+        cmd.add_argument("--out", default=None, help=out)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    csv_out = "write JSON, or CSV if the path ends in .csv"
+    p_frame = command("frame", _cmd_frame, "build the canonical projector frame")
     p_frame.add_argument("--n", type=int, required=True)
-    p_frame.add_argument("--out", default=None)
-    p_frame.set_defaults(func=_cmd_frame)
 
-    p_dmat = sub.add_parser("dmatrix", help="Gram matrix of the canonical frame")
+    p_dmat = command("dmatrix", _cmd_dmatrix, "Gram matrix of the canonical frame", csv_out)
     p_dmat.add_argument("--n", type=int, required=True)
-    p_dmat.add_argument("--out", default=None, help="write JSON, or CSV if the path ends in .csv")
-    p_dmat.set_defaults(func=_cmd_dmatrix)
 
-    p_conv = sub.add_parser("convert", help="convert between rho, p and r representations")
+    p_conv = command("convert", _cmd_convert, "convert between rho, p and r representations")
     p_conv.add_argument("--in", dest="infile", required=True)
     p_conv.add_argument("--from", dest="src", choices=["rho", "p", "r"], required=True)
     p_conv.add_argument("--to", dest="dst", choices=["rho", "p", "r"], required=True)
     p_conv.add_argument("--theory", choices=["quantum", "classical"], default="quantum")
-    p_conv.add_argument("--out", default=None)
-    p_conv.set_defaults(func=_cmd_convert)
 
-    p_bloch = sub.add_parser("bloch", help="classify the N=2 D-matrix family at (a, b, c)")
+    p_bloch = command("bloch", _cmd_bloch, "classify the N=2 D-matrix family at (a, b, c)")
     p_bloch.add_argument("--a", type=float, required=True)
     p_bloch.add_argument("--b", type=float, required=True)
     p_bloch.add_argument("--c", type=float, required=True)
     p_bloch.add_argument("--projectors", action="store_true", help="recover projectors as JSON")
-    p_bloch.add_argument("--out", default=None)
-    p_bloch.set_defaults(func=_cmd_bloch)
 
-    p_tr = sub.add_parser("transform", help="convert an operator map to Z and run checks")
+    p_tr = command("transform", _cmd_transform, "convert an operator map to Z and run checks")
     group = p_tr.add_mutually_exclusive_group(required=True)
     group.add_argument("--kraus", default=None)
     group.add_argument("--unitary", default=None)
-    p_tr.add_argument("--out", default=None)
-    p_tr.set_defaults(func=_cmd_transform)
 
-    p_comp = sub.add_parser("composite", help="joint fiducial probabilities of a bipartite state")
+    p_comp = command("composite", _cmd_composite, "joint fiducial probabilities of a bipartite state")
     p_comp.add_argument("--rho", required=True)
     p_comp.add_argument("--na", type=int, required=True)
     p_comp.add_argument("--nb", type=int, required=True)
     p_comp.add_argument("--law-samples", type=int, default=10)
     p_comp.add_argument("--seed", type=int, default=0)
-    p_comp.add_argument("--out", default=None)
-    p_comp.set_defaults(func=_cmd_composite)
 
-    p_ver = sub.add_parser("verify", help="run the axiom suite against a theory instance")
+    p_ver = command("verify", _cmd_verify, "run the axiom suite against a theory instance")
     p_ver.add_argument("--theory", choices=["quantum", "classical"], required=True)
     p_ver.add_argument("--n", type=int, required=True)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--trials", type=int, default=8)
     p_ver.add_argument("--pairs", type=int, default=5)
     p_ver.add_argument("--steps", type=int, default=100)
-    p_ver.add_argument("--out", default=None)
-    p_ver.set_defaults(func=_cmd_verify)
 
-    p_sim = sub.add_parser("simulate", help="sample an experiment described by a config file")
+    p_sim = command("simulate", _cmd_simulate, "sample an experiment described by a config file", csv_out)
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--out", default=None, help="write JSON, or CSV if the path ends in .csv")
-    p_sim.set_defaults(func=_cmd_simulate)
 
     p_rep = sub.add_parser("report", help="run the pipelines in a config file and write reports")
     p_rep.add_argument("--config", required=True)

@@ -167,6 +167,17 @@ class Signature:
         return sum(comb(n, j + 1) * x for j, x in enumerate(self.counts))
 
 
+def table_n_max(k_table: dict[int, int]) -> int:
+    """N_max of a degrees-of-freedom table, which must map consecutive
+    dimensions 1..N_max to K values."""
+    if not k_table:
+        raise NoSignatureError("empty degrees-of-freedom table")
+    n_max = max(k_table)
+    if set(k_table) != set(range(1, n_max + 1)):
+        raise NoSignatureError("table must cover consecutive dimensions 1..N_max")
+    return n_max
+
+
 def signature_from_table(k_table: dict[int, int]) -> Signature:
     """Solve for the signature reproducing a degrees-of-freedom table.
 
@@ -175,11 +186,7 @@ def signature_from_table(k_table: dict[int, int]) -> Signature:
     it is solved exactly in rational arithmetic; a negative or non-integer
     component means no theory has that table.
     """
-    if not k_table:
-        raise NoSignatureError("empty table")
-    n_max = max(k_table)
-    if set(k_table) != set(range(1, n_max + 1)):
-        raise NoSignatureError("table must cover consecutive dimensions 1..N_max")
+    n_max = table_n_max(k_table)
     xs: list[Fraction] = []
     for n in range(1, n_max + 1):
         residual = Fraction(k_table[n]) - sum(

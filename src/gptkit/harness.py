@@ -1,9 +1,13 @@
-"""Stochastic measurement simulator and the report layer.
+"""Stochastic measurement simulator, axiom suite, and the workflow pipelines.
 
 An experiment is the preparation -> transformation -> measurement
 pipeline: a p-vector, an optional Z, and a partition of the identity
 measurement into outcome r-vectors. Shot sampling is vectorized and
 deterministic given the experiment seed.
+
+``PIPELINES`` holds the one implementation of each workflow (frame,
+verify, bloch, transform, composite, simulate); the ``gpt`` subcommands
+and the sections of a ``gpt report`` config both run it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -27,8 +31,17 @@ from .axioms import (
     fit_power_law,
     is_completely_multiplicative,
 )
-from .bloch import SurfaceKind, D2Params, a_matrix, c_bounds, classify_surface, d2_assemble
-from .composite import composite_from_density, dof_count_check, local_transform
+from .bloch import (
+    D2Params,
+    SurfaceKind,
+    a_matrix,
+    c_bounds,
+    classify_surface,
+    d2_assemble,
+    frame_from_phases,
+    recover_phases,
+)
+from .composite import composite_from_density, dof_count_check, joint_normalization, local_transform
 from .dynamics import (
     KrausSet,
     TransformMatrix,
@@ -54,6 +67,7 @@ from .states import (
 )
 
 ATOL = 1e-12
+OK_STATUSES = ("pass", "expected-fail")  # statuses that count as passing
 FREQUENCY_SCALES = (1_000, 10_000, 100_000, 1_000_000)
 
 
@@ -160,7 +174,7 @@ class CheckResult:
 
     @property
     def ok(self) -> bool:
-        return self.status in ("pass", "expected-fail")
+        return self.status in OK_STATUSES
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -410,13 +424,27 @@ def run_axiom_suite(
 # ---------------------------------------------------------------------------
 
 
-def _parse_ini(text: str) -> tuple[int | None, list[dict[str, Any]]]:
+def _read_config(path: str | Path) -> dict[str, Any] | configparser.ConfigParser:
+    """A config file's JSON object, or its INI-style sections."""
+    text = Path(path).read_text()
+    if text.lstrip().startswith("{"):
+        return json.loads(text)
     parser = configparser.ConfigParser()
     parser.read_string(text)
-    seed = None
-    pipelines = []
-    for section in parser.sections():
-        params = dict(parser.items(section))
+    return parser
+
+
+def load_config(path: str | Path) -> tuple[int | None, list[dict[str, Any]]]:
+    """Load a pipeline config; JSON and INI-style key-value are accepted."""
+    config = _read_config(path)
+    if isinstance(config, dict):
+        seed = config.get("seed")
+        pipelines = [{"name": entry.get("kind", f"pipeline{idx}"), **entry}
+                     for idx, entry in enumerate(config.get("pipelines", []))]
+        return (int(seed) if seed is not None else None), pipelines
+    seed, pipelines = None, []
+    for section in config.sections():
+        params = dict(config.items(section))
         tokens = section.split(None, 1)
         kind = tokens[0].lower()
         if kind == "report":
@@ -428,20 +456,15 @@ def _parse_ini(text: str) -> tuple[int | None, list[dict[str, Any]]]:
     return seed, pipelines
 
 
-def load_config(path: str | Path) -> tuple[int | None, list[dict[str, Any]]]:
-    """Load a pipeline config; JSON and INI-style key-value are accepted."""
-    text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        payload = json.loads(text)
-        seed = payload.get("seed")
-        pipelines = []
-        for idx, entry in enumerate(payload.get("pipelines", [])):
-            entry = dict(entry)
-            entry.setdefault("name", entry.get("kind", f"pipeline{idx}"))
-            pipelines.append(entry)
-        return (int(seed) if seed is not None else None), pipelines
-    return _parse_ini(text)
+def load_experiment(path: str | Path) -> dict[str, Any]:
+    """Parameters of a single-experiment config: its ``[experiment]``
+    section, or a flat JSON object."""
+    config = _read_config(path)
+    if isinstance(config, dict):
+        return config
+    if not config.has_section("experiment"):
+        raise GptError("simulate config needs an [experiment] section")
+    return dict(config.items("experiment"))
 
 
 def _resolve_preparation(spec: str, theory: Theory, base: Path) -> np.ndarray:
@@ -511,13 +534,21 @@ def build_experiment(params: dict[str, Any], seed: int, base: Path) -> tuple[Exp
         partition=partition,
         r_identity=theory.r_identity,
         shots=int(params.get("shots", 10_000)),
-        seed=int(params["seed"]) if "seed" in params else seed,
+        seed=seed,
         transform=transform,
     )
     return exp, theory
 
 
-def _run_frame_pipeline(params: dict[str, Any], out_dir: Path) -> dict[str, Any]:
+def _flag(params: dict[str, Any], key: str) -> bool:
+    """A boolean parameter: a bool, or an INI word such as ``yes`` or ``off``."""
+    word = str(params.get(key, False)).lower()
+    if word not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise GptError(f"{key} = {params[key]!r} is not a boolean")
+    return configparser.ConfigParser.BOOLEAN_STATES[word]
+
+
+def _run_frame_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: Path) -> dict[str, Any]:
     n = int(params["n"])
     frame = build_canonical_frame(n)
     d = gram_matrix(frame)
@@ -531,11 +562,11 @@ def _run_frame_pipeline(params: dict[str, Any], out_dir: Path) -> dict[str, Any]
     return {"status": "pass", "max_deviation": 0.0, "details": details}
 
 
-def _run_verify_pipeline(params: dict[str, Any], seed: int) -> dict[str, Any]:
+def _run_verify_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: Path) -> dict[str, Any]:
     report = run_axiom_suite(
         str(params.get("theory", "quantum")),
         int(params.get("n", 2)),
-        seed=int(params["seed"]) if "seed" in params else seed,
+        seed=seed,
         trials=int(params.get("trials", 8)),
         pairs=int(params.get("pairs", 5)),
         steps=int(params.get("steps", 100)),
@@ -548,31 +579,32 @@ def _run_verify_pipeline(params: dict[str, Any], seed: int) -> dict[str, Any]:
     }
 
 
-def _run_bloch_pipeline(params: dict[str, Any]) -> dict[str, Any]:
+def _run_bloch_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: Path) -> dict[str, Any]:
     p = D2Params(a=float(params["a"]), b=float(params["b"]), c=float(params["c"]))
     lo, hi = c_bounds(p.a, p.b)
     surface = classify_surface(a_matrix(p))
     inside = lo < p.c < hi
-    det = float(np.linalg.det(d2_assemble(p)))
-    consistent = inside == (surface.kind is SurfaceKind.ELLIPSOID)
-    return {
-        "status": "pass" if consistent else "fail",
-        "max_deviation": 0.0,
-        "details": {
-            "a": p.a,
-            "b": p.b,
-            "c": p.c,
-            "c_minus": lo,
-            "c_plus": hi,
-            "classification": surface.kind.value,
-            "eigenvalues": list(surface.eigenvalues),
-            "det_d": det,
-            "inside_bounds": inside,
-        },
+    d = d2_assemble(p)
+    details: dict[str, Any] = {
+        "a": p.a,
+        "b": p.b,
+        "c": p.c,
+        "c_minus": lo,
+        "c_plus": hi,
+        "classification": surface.kind.value,
+        "eigenvalues": list(surface.eigenvalues),
+        "det_d": float(np.linalg.det(d)),
+        "inside_bounds": inside,
     }
+    if _flag(params, "projectors"):
+        rec = recover_phases(d)
+        details["phases"] = {"phi3": rec.phi3, "phi4": rec.phi4}
+        details["projectors"] = serialize.complex_to_json(frame_from_phases(rec).projectors)
+    consistent = inside == (surface.kind is SurfaceKind.ELLIPSOID)
+    return {"status": "pass" if consistent else "fail", "max_deviation": 0.0, "details": details}
 
 
-def _run_transform_pipeline(params: dict[str, Any], base: Path) -> dict[str, Any]:
+def _run_transform_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: Path) -> dict[str, Any]:
     if "unitary" in params:
         u = serialize.operator_from_dict(serialize.read_json(base / params["unitary"]))
         kraus = KrausSet(u[np.newaxis])
@@ -589,9 +621,7 @@ def _run_transform_pipeline(params: dict[str, Any], base: Path) -> dict[str, Any
         else z_from_kraus(kraus, theory.frame, theory.d)
     )
     witnesses = [theory.basis_p[i] for i in range(n)]
-    witnesses.append(
-        p_from_density(np.eye(n, dtype=complex) / n, theory.frame)
-    )
+    witnesses.append(p_from_density(np.eye(n, dtype=complex) / n, theory.frame))
     cp = is_completely_positive(kraus_to_superoperator(kraus), n)
     nonincreasing = is_trace_nonincreasing(kraus)
     details = {
@@ -610,7 +640,7 @@ def _run_transform_pipeline(params: dict[str, Any], base: Path) -> dict[str, Any
     }
 
 
-def _run_composite_pipeline(params: dict[str, Any], base: Path, seed: int) -> dict[str, Any]:
+def _run_composite_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: Path) -> dict[str, Any]:
     rho = serialize.operator_from_dict(serialize.read_json(base / params["rho"]))
     na, nb = int(params["na"]), int(params["nb"])
     ta, tb = quantum_theory(na), quantum_theory(nb)
@@ -620,13 +650,12 @@ def _run_composite_pipeline(params: dict[str, Any], base: Path, seed: int) -> di
     rng = np.random.default_rng(derive_seed(seed, 7))
     worst = 0.0
     for _ in range(int(params.get("law_samples", 10))):
-        ua = haar_unitary(rng, na)
-        ub = haar_unitary(rng, nb)
+        ua, ub = haar_unitary(rng, na), haar_unitary(rng, nb)
         za = z_from_unitary(ua, ta.frame, ta.d)
         zb = z_from_unitary(ub, tb.frame, tb.d)
         left = local_transform(pt, za, zb)
-        evolved = np.kron(ua, ub) @ rho @ np.kron(ua, ub).conj().T
-        right = composite_from_density(evolved, ta.frame, tb.frame)
+        u = np.kron(ua, ub)
+        right = composite_from_density(u @ rho @ u.conj().T, ta.frame, tb.frame)
         worst = max(worst, float(np.abs(left - right).max()))
     rank = dof_count_check(ta.d, tb.d)
     ok = worst <= 1e-10 and rank == ta.k * tb.k
@@ -635,6 +664,7 @@ def _run_composite_pipeline(params: dict[str, Any], base: Path, seed: int) -> di
         "max_deviation": worst,
         "details": {
             "p_tilde": serialize.composite_to_dict(pt),
+            "joint_normalization": joint_normalization(pt, ta.r_identity, tb.r_identity),
             "transform_law_deviation": worst,
             "dof_rank": rank,
             "dof_expected": ta.k * tb.k,
@@ -651,13 +681,28 @@ def _run_simulate_pipeline(params: dict[str, Any], seed: int, base: Path, out_di
     return {"status": "pass", "max_deviation": 0.0, "details": payload}
 
 
+# Every workflow, keyed by its section kind. Each maps (params, seed, base,
+# out_dir) to {"status", "max_deviation", "details"}: input files are read
+# relative to ``base`` and output files are written into ``out_dir``. The
+# CLI subcommands and the sections of ``gpt report`` both run these.
+PIPELINES: dict[str, Callable[[dict[str, Any], int, Path, Path], dict[str, Any]]] = {
+    "frame": _run_frame_pipeline,
+    "verify": _run_verify_pipeline,
+    "bloch": _run_bloch_pipeline,
+    "transform": _run_transform_pipeline,
+    "composite": _run_composite_pipeline,
+    "simulate": _run_simulate_pipeline,
+}
+
+
 def run_report(config_path: str | Path, out_dir: str | Path, seed: int | None = None) -> tuple[int, dict]:
     """Execute the pipelines named in a config file and write report files.
 
     Writes ``report.json`` and ``report.csv`` into ``out_dir``. Returns
     (exit_code, report): exit code 0 iff every pipeline passed (an
     expected failure, e.g. the classical continuity probe, counts as a
-    pass).
+    pass). A section's ``seed`` key overrides the seed derived for it from
+    the root seed.
     """
     config_path = Path(config_path)
     out_dir = Path(out_dir)
@@ -671,27 +716,15 @@ def run_report(config_path: str | Path, out_dir: str | Path, seed: int | None = 
     for index, pipeline in enumerate(pipelines):
         kind = str(pipeline.get("kind", "")).lower()
         name = str(pipeline.get("name", kind))
-        params = {k: v for k, v in pipeline.items() if k not in ("kind", "name")}
-        derived = derive_seed(root_seed, 100, index)
+        params = {k: v for k, v in pipeline.items() if k not in ("kind", "name", "seed")}
+        section_seed = int(pipeline.get("seed", derive_seed(root_seed, 100, index)))
         try:
-            if kind == "frame":
-                outcome = _run_frame_pipeline(params, out_dir)
-            elif kind == "verify":
-                outcome = _run_verify_pipeline(params, derived)
-            elif kind == "bloch":
-                outcome = _run_bloch_pipeline(params)
-            elif kind == "transform":
-                outcome = _run_transform_pipeline(params, base)
-            elif kind == "composite":
-                outcome = _run_composite_pipeline(params, base, derived)
-            elif kind == "simulate":
-                outcome = _run_simulate_pipeline(params, derived, base, out_dir)
-            else:
+            if kind not in PIPELINES:
                 raise GptError(f"unknown pipeline kind {kind!r}")
+            outcome = PIPELINES[kind](params, section_seed, base, out_dir)
         except GptError as exc:
-            outcome = {"status": "error", "max_deviation": float("nan"), "details": {"error": str(exc)}}
-        ok = outcome["status"] in ("pass", "expected-fail")
-        all_ok = all_ok and ok
+            outcome = {"status": "error", "max_deviation": None, "details": {"error": str(exc)}}
+        all_ok = all_ok and outcome["status"] in OK_STATUSES
         results.append({"kind": kind, "name": name, **outcome})
 
     report = {"seed": root_seed, "pipelines": results}
@@ -701,7 +734,8 @@ def run_report(config_path: str | Path, out_dir: str | Path, seed: int | None = 
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["kind", "name", "status", "max_deviation"])
     for row in results:
-        writer.writerow([row["kind"], row["name"], row["status"], repr(row["max_deviation"])])
+        deviation = "" if row["max_deviation"] is None else repr(row["max_deviation"])
+        writer.writerow([row["kind"], row["name"], row["status"], deviation])
     (out_dir / "report.csv").write_text(buffer.getvalue())
 
     return (0 if all_ok else 1), report

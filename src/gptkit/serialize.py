@@ -33,8 +33,13 @@ def complex_from_json(data: Any) -> np.ndarray:
     return paired[..., 0] + 1j * paired[..., 1]
 
 
+def dumps(payload: dict) -> str:
+    """The JSON text of every file and printout: indented, keys sorted."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(dumps(payload))
 
 
 def read_json(path: str | Path) -> dict:

@@ -47,16 +47,12 @@ def p_from_r(r: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def density_from_r(r: np.ndarray, frame: FiducialFrame) -> np.ndarray:
-    """Reconstruct the operator sum_k r[k] P_k (Hermitian for real r)."""
+    """Reconstruct the operator sum_k r[k] P_k of a state or a measurement
+    (Hermitian for real r)."""
     r = np.asarray(r, dtype=float)
     if r.shape != (frame.k,):
         raise DimensionError(f"r has length {r.shape}, frame has K = {frame.k}")
     return np.einsum("k,kij->ij", r, frame.projectors)
-
-
-def measurement_from_r(r: np.ndarray, frame: FiducialFrame) -> np.ndarray:
-    """Reconstruct the measurement operator r . P (same expansion as states)."""
-    return density_from_r(r, frame)
 
 
 def probability(r_m: np.ndarray, d: np.ndarray, r_s: np.ndarray) -> float:

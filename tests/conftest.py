@@ -9,18 +9,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gptkit.harness import haar_unitary  # noqa: F401  (re-exported to the tests)
+
 
 def haar_state(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-random pure state vector from normalized complex Gaussians."""
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return psi / np.linalg.norm(psi)
-
-
-def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def random_density(rng: np.random.Generator, n: int, trace: float = 1.0) -> np.ndarray:

@@ -151,6 +151,7 @@ class TestComposite:
         assert code == 0
         payload = json.loads(out)
         assert payload["dof_rank"] == 16
+        assert payload["joint_normalization"] == pytest.approx(1.0)
         assert payload["transform_law_deviation"] <= 1e-10
         assert payload["p_tilde"]["rows"][0][0] == pytest.approx(0.5)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,20 @@ class TestRunReport:
         code, report = run_report(config, tmp_path / "out")
         assert code == 1
         assert report["pipelines"][0]["status"] == "error"
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not valid JSON")
+
+        text = (tmp_path / "out" / "report.json").read_text()
+        assert json.loads(text, parse_constant=reject)["pipelines"][0]["max_deviation"] is None
+        assert (tmp_path / "out" / "report.csv").read_text().splitlines()[1] == "warp,w,error,"
+
+    def test_bad_boolean_is_a_pipeline_error(self, tmp_path):
+        config = tmp_path / "b.cfg"
+        config.write_text("[bloch s]\na = 0.5\nb = 0.5\nc = 0.5\nprojectors = maybe\n")
+        code, report = run_report(config, tmp_path / "out")
+        assert code == 1
+        assert "projectors" in report["pipelines"][0]["details"]["error"]
 
     def test_json_config_accepted(self, tmp_path):
         config = tmp_path / "suite.json"

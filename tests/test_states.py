@@ -11,7 +11,6 @@ from gptkit import (
     is_pure,
     is_valid_density,
     is_valid_state_p,
-    measurement_from_r,
     mix,
     normalization,
     p_from_density,
@@ -67,7 +66,7 @@ class TestOperatorReconstruction:
         assert_allclose(density_from_r(np.zeros(4), QT2.frame), np.zeros((2, 2)))
 
     def test_identity_measurement_reconstructs_identity(self):
-        op = measurement_from_r(np.array([1.0, 1.0, 0.0, 0.0]), QT2.frame)
+        op = density_from_r(np.array([1.0, 1.0, 0.0, 0.0]), QT2.frame)
         assert_allclose(op, np.eye(2), atol=1e-15)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
