@@ -105,6 +105,7 @@ from .states import (
     probability,
     quantum_theory,
     r_from_p,
+    theory_by_name,
 )
 
 __version__ = "0.1.0"

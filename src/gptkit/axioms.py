@@ -13,7 +13,7 @@ import numpy as np
 
 from .bloch import build_general_d
 from .errors import GptError, MonotonicityError, NoSignatureError
-from .frames import FiducialFrame, canonical_labels, label_support, table_n_max
+from .frames import canonical_labels, label_support, table_n_max
 from .states import Theory
 
 
@@ -90,12 +90,7 @@ class SubspaceReport:
         return not self.violations
 
 
-def check_subspace_axiom(
-    frame: FiducialFrame,
-    d: np.ndarray,
-    subset: set[int],
-    atol: float = 1e-12,
-) -> SubspaceReport:
+def check_subspace_axiom(theory: Theory, subset: set[int], atol: float = 1e-12) -> SubspaceReport:
     """Verify that a basis subset behaves as a lower-dimensional system.
 
     The fiducials supported inside W, taken in canonical order of the
@@ -104,6 +99,7 @@ def check_subspace_axiom(
     every state supported in W (witnessed by the fiducial states of W,
     i.e. the corresponding columns of D).
     """
+    frame = theory.frame
     n = frame.dimension
     w = tuple(sorted(subset))
     if not w or any(not 0 <= i < n for i in w):
@@ -113,7 +109,7 @@ def check_subspace_axiom(
     inside = [i for i, lab in enumerate(labels) if label_support(lab) <= wset]
     disjoint = [i for i, lab in enumerate(labels) if not (label_support(lab) & wset)]
 
-    d = np.asarray(d, dtype=float)
+    d = np.asarray(theory.d, dtype=float)
     sub = d[np.ix_(inside, inside)]
     sub_dev = float(np.abs(sub - build_general_d(len(w))).max())
 

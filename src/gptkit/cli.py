@@ -22,7 +22,7 @@ from . import serialize
 from .errors import GptError
 from .frames import build_canonical_frame, gram_matrix
 from .harness import OK_STATUSES, PIPELINES, load_experiment, run_report
-from .states import classical_theory, density_from_r, p_from_density, quantum_theory, r_from_p
+from .states import density_from_r, p_from_density, quantum_theory, r_from_p, theory_by_name
 
 
 def _emit(payload: dict, out: str | None, rows: list[list] | None = None) -> None:
@@ -59,7 +59,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         values, n, _, kind = serialize.vector_from_dict(payload)
         if kind != args.src:
             raise GptError(f"file holds a {kind!r} vector but --from says {args.src!r}")
-        theory = classical_theory(n) if args.theory == "classical" else quantum_theory(n)
+        theory = theory_by_name(args.theory, n)
         if values.shape[0] != theory.k:
             raise GptError(f"vector length {values.shape[0]} does not match K = {theory.k}")
         p = theory.d @ values if args.src == "r" else values

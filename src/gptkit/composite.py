@@ -12,6 +12,7 @@ import scipy.linalg
 from .dynamics import TransformMatrix
 from .errors import DimensionError
 from .frames import FiducialFrame
+from .states import Theory
 
 
 def product_state(p_a: np.ndarray, p_b: np.ndarray) -> np.ndarray:
@@ -81,17 +82,11 @@ def r_tilde_from_p_tilde(pt: np.ndarray, d_a: np.ndarray, d_b: np.ndarray) -> np
     return scipy.linalg.solve(np.asarray(d_b, dtype=float), half.T, assume_a="sym").T
 
 
-def density_from_composite(
-    pt: np.ndarray,
-    frame_a: FiducialFrame,
-    frame_b: FiducialFrame,
-    d_a: np.ndarray,
-    d_b: np.ndarray,
-) -> np.ndarray:
+def density_from_composite(pt: np.ndarray, theory_a: Theory, theory_b: Theory) -> np.ndarray:
     """Reconstruct the composite operator sum_ij r_tilde[i, j] P_i (x) P_j."""
-    rt = r_tilde_from_p_tilde(pt, d_a, d_b)
-    na, nb = frame_a.dimension, frame_b.dimension
-    rho4 = np.einsum("ij,iac,jbd->abcd", rt, frame_a.projectors, frame_b.projectors)
+    rt = r_tilde_from_p_tilde(pt, theory_a.d, theory_b.d)
+    na, nb = theory_a.dimension, theory_b.dimension
+    rho4 = np.einsum("ij,iac,jbd->abcd", rt, theory_a.frame.projectors, theory_b.frame.projectors)
     return rho4.reshape(na * nb, na * nb)
 
 

@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .errors import DimensionError, GptError
 from .frames import FiducialFrame
-from .states import density_from_r, p_from_density, p_from_r, r_from_p
+from .states import Theory, density_from_r, p_from_density, p_from_r, r_from_p
 
 PSD_TOL = 1e-10
 COND_CUTOFF = 1e9
@@ -73,30 +73,31 @@ class TransformMatrix:
         return self.z.shape[0]
 
 
-def z_from_kraus(kraus: KrausSet, frame: FiducialFrame, d: np.ndarray) -> TransformMatrix:
+def z_from_kraus(kraus: KrausSet, theory: Theory) -> TransformMatrix:
     """Vector-level transformation Z with Z p(rho) = p(sum M rho M^dag).
 
     Z = tr(P $(P)^T) D^{-1}, evaluated as a factorized solve.
     """
+    frame = theory.frame
     if kraus.dimension != frame.dimension:
         raise DimensionError(
             f"Kraus dimension {kraus.dimension} does not match frame dimension {frame.dimension}"
         )
     mapped = np.stack([kraus.apply(p) for p in frame.projectors])
     m = np.einsum("iab,jba->ij", frame.projectors, mapped).real
-    z = scipy.linalg.solve(np.asarray(d, dtype=float), m.T, assume_a="sym").T
+    z = scipy.linalg.solve(np.asarray(theory.d, dtype=float), m.T, assume_a="sym").T
     return TransformMatrix(z=z, dimension=frame.dimension, provenance="from-kraus")
 
 
-def z_from_unitary(u: np.ndarray, frame: FiducialFrame, d: np.ndarray, atol: float = 1e-10) -> TransformMatrix:
+def z_from_unitary(u: np.ndarray, theory: Theory, atol: float = 1e-10) -> TransformMatrix:
     """Z for unitary conjugation rho -> U rho U^dag."""
     u = np.asarray(u, dtype=complex)
-    n = frame.dimension
+    n = theory.dimension
     if u.shape != (n, n):
         raise DimensionError(f"unitary shape {u.shape} does not match dimension {n}")
     if np.abs(u.conj().T @ u - np.eye(n)).max() > atol:
         raise GptError("matrix is not unitary")
-    base = z_from_kraus(KrausSet(operators=u[np.newaxis]), frame, d)
+    base = z_from_kraus(KrausSet(operators=u[np.newaxis]), theory)
     return TransformMatrix(z=base.z, dimension=n, provenance="from-unitary")
 
 
@@ -177,9 +178,7 @@ def is_completely_positive(
 def is_reversible(
     z: TransformMatrix,
     witnesses: list[np.ndarray],
-    frame: FiducialFrame,
-    d: np.ndarray,
-    r_identity: np.ndarray,
+    theory: Theory,
     tol: float = 1e-9,
 ) -> bool:
     """True iff Z is invertible and Z^{-1} maps witness states to valid states.
@@ -190,7 +189,7 @@ def is_reversible(
     svals = np.linalg.svd(z.z, compute_uv=False)
     if svals[-1] * COND_CUTOFF <= svals[0]:
         return False
-    r_identity = np.asarray(r_identity, dtype=float)
+    r_identity = np.asarray(theory.r_identity, dtype=float)
     for p in witnesses:
         pre = np.linalg.solve(z.z, np.asarray(p, dtype=float))
         if pre.min() < -tol or pre.max() > 1.0 + tol:
@@ -198,7 +197,7 @@ def is_reversible(
         mu = float(r_identity @ pre)
         if not -tol <= mu <= 1.0 + tol:
             return False
-        rho = density_from_r(r_from_p(pre, d), frame)
+        rho = density_from_r(r_from_p(pre, theory.d), theory.frame)
         if np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min() < -tol:
             return False
     return True
@@ -226,9 +225,7 @@ class MeasurementUpdateReport:
 
 def check_measurement_update(
     branches: list[tuple[KrausSet, np.ndarray]],
-    frame: FiducialFrame,
-    d: np.ndarray,
-    r_identity: np.ndarray,
+    theory: Theory,
     witnesses: list[np.ndarray],
     atol: float = 1e-10,
 ) -> MeasurementUpdateReport:
@@ -242,8 +239,8 @@ def check_measurement_update(
     """
     if not branches:
         raise GptError("no measurement branches given")
-    r_identity = np.asarray(r_identity, dtype=float)
-    zs = [z_from_kraus(kraus, frame, d) for kraus, _ in branches]
+    r_identity = np.asarray(theory.r_identity, dtype=float)
+    zs = [z_from_kraus(kraus, theory) for kraus, _ in branches]
 
     dev_norm = 0.0
     for (kraus, r_l), z in zip(branches, zs):
@@ -256,7 +253,7 @@ def check_measurement_update(
     z_total = sum(z.z for z in zs)
     dev_identity = float(np.abs(z_total.T @ r_identity - r_identity).max())
 
-    n = frame.dimension
+    n = theory.dimension
     pooled = np.concatenate([kraus.operators for kraus, _ in branches])
     dev_kraus = float(np.abs(KrausSet(pooled).completeness_defect()).max())
 
@@ -297,7 +294,7 @@ class PathReport:
         return self.max_deviation <= self.tolerance
 
 
-def _pure_state_vector(r: np.ndarray, frame: FiducialFrame, d: np.ndarray, tol: float) -> np.ndarray:
+def _pure_state_vector(r: np.ndarray, frame: FiducialFrame, tol: float) -> np.ndarray:
     rho = density_from_r(np.asarray(r, dtype=float), frame)
     eigvals, eigvecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
     if abs(eigvals[-1] - 1.0) > tol or np.abs(eigvals[:-1]).max(initial=0.0) > tol:
@@ -324,28 +321,27 @@ def _complete_basis(psi: np.ndarray) -> np.ndarray:
 
 
 def continuity_probe(
+    theory: Theory,
     r_a: np.ndarray,
     r_b: np.ndarray,
     steps: int,
-    frame: FiducialFrame | None = None,
-    d: np.ndarray | None = None,
-    theory: str = "quantum",
     tol: float = 1e-9,
 ) -> PathReport:
     """Probe for a continuous path of pure states from r_a to r_b.
 
-    Quantum mode follows the one-parameter unitary family
-    U(t) = exp(t log U_ab) built from the principal logarithm of the
-    basis-completed unitary taking the first state vector to the second,
-    and reports the worst purity deviation along the way. Classical mode
-    walks the straight segment between two basis states, where every
-    interior point is a proper mixture, so the report shows the failure.
+    For a theory with an operator frame (quantum) the probe follows the
+    one-parameter unitary family U(t) = exp(t log U_ab) built from the
+    principal logarithm of the basis-completed unitary taking the first
+    state vector to the second, and reports the worst purity deviation
+    along the way. Without a frame (classical) it walks the straight
+    segment between two basis states, where every interior point is a
+    proper mixture, so the report shows the failure.
     """
     if steps < 2:
         raise GptError("need at least two path samples")
     ts = np.linspace(0.0, 1.0, steps)
 
-    if theory == "classical":
+    if theory.frame is None:
         r_a = np.asarray(r_a, dtype=float)
         r_b = np.asarray(r_b, dtype=float)
         for r in (r_a, r_b):
@@ -357,21 +353,16 @@ def continuity_probe(
         mus = path.sum(axis=1)
         mid = (1.0 - 0.5) * r_a + 0.5 * r_b
         midpoint_purity = float(mid @ mid)
-    elif theory == "quantum":
-        if frame is None or d is None:
-            raise GptError("quantum probe requires frame and d")
-        d = np.asarray(d, dtype=float)
-        psi_a = _pure_state_vector(r_a, frame, d, tol)
-        psi_b = _pure_state_vector(r_b, frame, d, tol)
+    else:
+        frame, d, r_identity = theory.frame, theory.d, theory.r_identity
+        psi_a = _pure_state_vector(r_a, frame, tol)
+        psi_b = _pure_state_vector(r_b, frame, tol)
         u_ab = _complete_basis(psi_b) @ _complete_basis(psi_a).conj().T
         gen = scipy.linalg.logm(u_ab)
         ham = 1j * gen
         ham = (ham + ham.conj().T) / 2.0
         freqs, modes = np.linalg.eigh(ham)
         rho_a = density_from_r(np.asarray(r_a, dtype=float), frame)
-        n = frame.dimension
-        r_identity = np.zeros(frame.k)
-        r_identity[:n] = 1.0
         purities = np.empty(steps)
         mus = np.empty(steps)
         mid_index = None
@@ -388,11 +379,9 @@ def continuity_probe(
             u_t = (modes * np.exp(-0.5j * freqs)) @ modes.conj().T
             r_t = r_from_p(p_from_density(u_t @ rho_a @ u_t.conj().T, frame), d)
             midpoint_purity = float(r_t @ d @ r_t)
-    else:
-        raise GptError(f"unknown theory {theory!r}")
 
     return PathReport(
-        theory=theory,
+        theory=theory.name,
         steps=steps,
         purities=purities,
         midpoint_purity=midpoint_purity,

@@ -57,14 +57,7 @@ from .dynamics import (
 )
 from .errors import GptError, InvalidExperimentError
 from .frames import build_canonical_frame, gram_matrix
-from .states import (
-    Theory,
-    classical_theory,
-    mix,
-    p_from_density,
-    quantum_theory,
-    r_from_p,
-)
+from .states import Theory, mix, p_from_density, quantum_theory, r_from_p, theory_by_name
 
 ATOL = 1e-12
 OK_STATUSES = ("pass", "expected-fail")  # statuses that count as passing
@@ -206,14 +199,6 @@ class SuiteReport:
         }
 
 
-def _theory_instance(name: str, n: int) -> Theory:
-    if name == "quantum":
-        return quantum_theory(n)
-    if name == "classical":
-        return classical_theory(n)
-    raise GptError(f"unknown theory {name!r}")
-
-
 def _frequency_check(theory: Theory, seed: int, trials: int, scales: tuple[int, ...]) -> CheckResult:
     basis_p = [theory.basis_p[i] for i in range(min(2, theory.dimension))]
     if len(basis_p) == 1:  # n = 1 has a single basis state; mix with null
@@ -280,14 +265,13 @@ def _subspace_check(theory: Theory) -> CheckResult:
     worst = 0.0
     subsets = []
     if theory.name == "quantum":
-        assert theory.frame is not None
         for i in range(n):
             for j in range(i + 1, n):
-                report = check_subspace_axiom(theory.frame, theory.d, {i, j})
+                report = check_subspace_axiom(theory, {i, j})
                 worst = max(worst, report.submatrix_deviation, report.disjoint_probability)
                 subsets.append([i + 1, j + 1])
         if n >= 3:
-            report = check_subspace_axiom(theory.frame, theory.d, set(range(3)))
+            report = check_subspace_axiom(theory, set(range(3)))
             worst = max(worst, report.submatrix_deviation, report.disjoint_probability)
             subsets.append([1, 2, 3])
     else:
@@ -309,7 +293,7 @@ def _subspace_check(theory: Theory) -> CheckResult:
 
 
 def _composite_check(theory: Theory) -> CheckResult:
-    other = _theory_instance(theory.name, min(theory.dimension, 2))
+    other = theory_by_name(theory.name, min(theory.dimension, 2))
     rank = dof_count_check(theory.d, other.d)
     expected = theory.k * other.k
     ok = rank == expected
@@ -330,9 +314,7 @@ def _continuity_check(theory: Theory, seed: int, pairs: int, steps: int) -> Chec
                 max_deviation=0.0,
                 witnesses={"note": "single pure state; no pair to connect"},
             )
-        report = continuity_probe(
-            theory.basis_r[0], theory.basis_r[1], steps=steps, theory="classical"
-        )
+        report = continuity_probe(theory, theory.basis_r[0], theory.basis_r[1], steps=steps)
         expected_fail = not report.pure_path
         return CheckResult(
             name="axiom5-continuity",
@@ -343,7 +325,6 @@ def _continuity_check(theory: Theory, seed: int, pairs: int, steps: int) -> Chec
                 "note": "no continuous pure path exists classically",
             },
         )
-    assert theory.frame is not None
     rng = np.random.default_rng(derive_seed(seed, 5))
     n = theory.dimension
     worst = 0.0
@@ -354,7 +335,7 @@ def _continuity_check(theory: Theory, seed: int, pairs: int, steps: int) -> Chec
             psi /= np.linalg.norm(psi)
             rho = np.outer(psi, psi.conj())
             rs.append(r_from_p(p_from_density(rho, theory.frame), theory.d))
-        report = continuity_probe(rs[0], rs[1], steps=steps, frame=theory.frame, d=theory.d)
+        report = continuity_probe(theory, rs[0], rs[1], steps=steps)
         worst = max(worst, report.max_deviation)
     ok = worst < 1e-9
     return CheckResult(
@@ -380,7 +361,7 @@ def run_axiom_suite(
     that expectation is recorded as status "expected-fail", which counts
     as an overall pass (the asymmetry is the point).
     """
-    theory = _theory_instance(theory_name, n)
+    theory = theory_by_name(theory_name, n)
 
     basis_probs = theory.basis_r @ theory.d @ theory.basis_r.T
     basis_ok = check_basis_distinguishability(theory)
@@ -438,10 +419,10 @@ def load_config(path: str | Path) -> tuple[int | None, list[dict[str, Any]]]:
     """Load a pipeline config; JSON and INI-style key-value are accepted."""
     config = _read_config(path)
     if isinstance(config, dict):
-        seed = config.get("seed")
+        seed = _number(config, "seed") if config.get("seed") is not None else None
         pipelines = [{"name": entry.get("kind", f"pipeline{idx}"), **entry}
                      for idx, entry in enumerate(config.get("pipelines", []))]
-        return (int(seed) if seed is not None else None), pipelines
+        return seed, pipelines
     seed, pipelines = None, []
     for section in config.sections():
         params = dict(config.items(section))
@@ -449,7 +430,7 @@ def load_config(path: str | Path) -> tuple[int | None, list[dict[str, Any]]]:
         kind = tokens[0].lower()
         if kind == "report":
             if "seed" in params:
-                seed = int(params["seed"])
+                seed = _number(params, "seed")
             continue
         name = tokens[1] if len(tokens) > 1 else kind
         pipelines.append({"kind": kind, "name": name, **params})
@@ -472,18 +453,19 @@ def _resolve_preparation(spec: str, theory: Theory, base: Path) -> np.ndarray:
         return np.zeros(theory.k)
     if spec == "maximally-mixed":
         if theory.name == "quantum":
-            assert theory.frame is not None
             return p_from_density(
                 np.eye(theory.dimension, dtype=complex) / theory.dimension, theory.frame
             )
         return np.full(theory.dimension, 1.0 / theory.dimension)
     if spec.startswith("basis:"):
-        idx = int(spec.split(":", 1)[1]) - 1
+        idx = _number({"basis": spec.split(":", 1)[1]}, "basis") - 1
         if not 0 <= idx < theory.dimension:
             raise GptError(f"basis index out of range in {spec!r}")
         return theory.basis_p[idx]
     if spec.startswith("mix:"):
-        lam = float(spec.split(":", 1)[1])
+        lam = _number({"mix": spec.split(":", 1)[1]}, "mix", float)
+        if theory.dimension < 2:
+            raise GptError(f"{spec!r} needs two basis states, the theory has n = {theory.dimension}")
         return mix([theory.basis_p[0], theory.basis_p[1]], [lam, 1.0 - lam])
     if spec.startswith("file:"):
         payload = serialize.read_json(base / spec.split(":", 1)[1])
@@ -517,15 +499,15 @@ def _resolve_transform(spec: str, theory: Theory, base: Path) -> TransformMatrix
     kind, _, path = spec.partition(":")
     payload = serialize.read_json(base / path)
     if kind == "unitary":
-        return z_from_unitary(serialize.operator_from_dict(payload), theory.frame, theory.d)
+        return z_from_unitary(serialize.operator_from_dict(payload), theory)
     if kind == "kraus":
-        return z_from_kraus(KrausSet(serialize.kraus_from_dict(payload)), theory.frame, theory.d)
+        return z_from_kraus(KrausSet(serialize.kraus_from_dict(payload)), theory)
     raise GptError(f"unknown transform spec {spec!r}")
 
 
 def build_experiment(params: dict[str, Any], seed: int, base: Path) -> tuple[Experiment, Theory]:
     """Build an Experiment from config parameters (see README for the grammar)."""
-    theory = _theory_instance(str(params.get("theory", "quantum")), int(params.get("n", 2)))
+    theory = theory_by_name(str(params.get("theory", "quantum")), _number(params, "n", default=2))
     prep = _resolve_preparation(str(params.get("preparation", "basis:1")), theory, base)
     partition = _resolve_partition(str(params.get("partition", "basis")), theory, base)
     transform = _resolve_transform(str(params.get("transform", "none")), theory, base)
@@ -533,7 +515,7 @@ def build_experiment(params: dict[str, Any], seed: int, base: Path) -> tuple[Exp
         preparation=prep,
         partition=partition,
         r_identity=theory.r_identity,
-        shots=int(params.get("shots", 10_000)),
+        shots=_number(params, "shots", default=10_000),
         seed=seed,
         transform=transform,
     )
@@ -548,8 +530,24 @@ def _flag(params: dict[str, Any], key: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[word]
 
 
+def _number(params: dict[str, Any], key: str, kind: type = int, default: Any = None) -> Any:
+    """A numeric parameter: ``kind`` (int or float) of the value at ``key``,
+    or of ``default`` when the key is absent and a default is given."""
+    if key not in params and default is None:
+        raise GptError(f"missing parameter {key!r}")
+    value = params.get(key, default)
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    # a string is parsed, but a JSON number for an int key must be integral (2.5 is refused)
+    if number is None or (kind is int and not isinstance(value, str) and number != value):
+        raise GptError(f"{key} = {value!r} is not {'an integer' if kind is int else 'a number'}")
+    return number
+
+
 def _run_frame_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: Path) -> dict[str, Any]:
-    n = int(params["n"])
+    n = _number(params, "n")
     frame = build_canonical_frame(n)
     d = gram_matrix(frame)
     details: dict[str, Any] = {"dimension": n, "k": frame.k}
@@ -565,11 +563,11 @@ def _run_frame_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: 
 def _run_verify_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: Path) -> dict[str, Any]:
     report = run_axiom_suite(
         str(params.get("theory", "quantum")),
-        int(params.get("n", 2)),
+        _number(params, "n", default=2),
         seed=seed,
-        trials=int(params.get("trials", 8)),
-        pairs=int(params.get("pairs", 5)),
-        steps=int(params.get("steps", 100)),
+        trials=_number(params, "trials", default=8),
+        pairs=_number(params, "pairs", default=5),
+        steps=_number(params, "steps", default=100),
     )
     worst = max((c.max_deviation for c in report.checks), default=0.0)
     return {
@@ -580,7 +578,9 @@ def _run_verify_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir:
 
 
 def _run_bloch_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: Path) -> dict[str, Any]:
-    p = D2Params(a=float(params["a"]), b=float(params["b"]), c=float(params["c"]))
+    p = D2Params(
+        a=_number(params, "a", float), b=_number(params, "b", float), c=_number(params, "c", float)
+    )
     lo, hi = c_bounds(p.a, p.b)
     surface = classify_surface(a_matrix(p))
     inside = lo < p.c < hi
@@ -614,11 +614,10 @@ def _run_transform_pipeline(params: dict[str, Any], seed: int, base: Path, out_d
         raise GptError("transform pipeline needs a 'unitary' or 'kraus' file")
     n = kraus.dimension
     theory = quantum_theory(n)
-    assert theory.frame is not None
     z = (
-        z_from_unitary(kraus.operators[0], theory.frame, theory.d)
+        z_from_unitary(kraus.operators[0], theory)
         if "unitary" in params
-        else z_from_kraus(kraus, theory.frame, theory.d)
+        else z_from_kraus(kraus, theory)
     )
     witnesses = [theory.basis_p[i] for i in range(n)]
     witnesses.append(p_from_density(np.eye(n, dtype=complex) / n, theory.frame))
@@ -631,7 +630,7 @@ def _run_transform_pipeline(params: dict[str, Any], seed: int, base: Path, out_d
         "trace_nonincreasing": nonincreasing,
         "trace_preserving": is_trace_preserving(kraus),
         "completely_positive": cp,
-        "reversible": is_reversible(z, witnesses, theory.frame, theory.d, theory.r_identity),
+        "reversible": is_reversible(z, witnesses, theory),
     }
     return {
         "status": "pass" if (cp and nonincreasing) else "fail",
@@ -642,17 +641,16 @@ def _run_transform_pipeline(params: dict[str, Any], seed: int, base: Path, out_d
 
 def _run_composite_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: Path) -> dict[str, Any]:
     rho = serialize.operator_from_dict(serialize.read_json(base / params["rho"]))
-    na, nb = int(params["na"]), int(params["nb"])
+    na, nb = _number(params, "na"), _number(params, "nb")
     ta, tb = quantum_theory(na), quantum_theory(nb)
-    assert ta.frame is not None and tb.frame is not None
     pt = composite_from_density(rho, ta.frame, tb.frame)
 
     rng = np.random.default_rng(derive_seed(seed, 7))
     worst = 0.0
-    for _ in range(int(params.get("law_samples", 10))):
+    for _ in range(_number(params, "law_samples", default=10)):
         ua, ub = haar_unitary(rng, na), haar_unitary(rng, nb)
-        za = z_from_unitary(ua, ta.frame, ta.d)
-        zb = z_from_unitary(ub, tb.frame, tb.d)
+        za = z_from_unitary(ua, ta)
+        zb = z_from_unitary(ub, tb)
         left = local_transform(pt, za, zb)
         u = np.kron(ua, ub)
         right = composite_from_density(u @ rho @ u.conj().T, ta.frame, tb.frame)
@@ -717,10 +715,10 @@ def run_report(config_path: str | Path, out_dir: str | Path, seed: int | None = 
         kind = str(pipeline.get("kind", "")).lower()
         name = str(pipeline.get("name", kind))
         params = {k: v for k, v in pipeline.items() if k not in ("kind", "name", "seed")}
-        section_seed = int(pipeline.get("seed", derive_seed(root_seed, 100, index)))
         try:
             if kind not in PIPELINES:
                 raise GptError(f"unknown pipeline kind {kind!r}")
+            section_seed = _number(pipeline, "seed", default=derive_seed(root_seed, 100, index))
             outcome = PIPELINES[kind](params, section_seed, base, out_dir)
         except GptError as exc:
             outcome = {"status": "error", "max_deviation": None, "details": {"error": str(exc)}}

@@ -25,10 +25,18 @@ def complex_to_json(array: np.ndarray) -> list:
     return paired.tolist()
 
 
+def _float_array(data: Any) -> np.ndarray:
+    """``data`` as a float array; a ragged or non-numeric array is a GptError."""
+    try:
+        return np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:  # TypeError: a JSON object where a number belongs
+        raise GptError(f"malformed numeric array: {exc}") from None
+
+
 def complex_from_json(data: Any) -> np.ndarray:
     """Decode nested lists with [re, im] leaves into a complex array."""
-    paired = np.asarray(data, dtype=float)
-    if paired.shape[-1] != 2:
+    paired = _float_array(data)
+    if paired.ndim == 0 or paired.shape[-1] != 2:
         raise GptError("complex entries must be [re, im] pairs")
     return paired[..., 0] + 1j * paired[..., 1]
 
@@ -43,7 +51,11 @@ def write_json(path: str | Path, payload: dict) -> None:
 
 
 def read_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+    """The JSON object in a file; any other top-level value is a GptError."""
+    payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise GptError(f"{path}: top-level JSON value is a {type(payload).__name__}, not an object")
+    return payload
 
 
 def frame_to_dict(frame: FiducialFrame) -> dict:
@@ -74,7 +86,7 @@ def dmatrix_to_dict(d: np.ndarray, dimension: int) -> dict:
 
 
 def dmatrix_from_dict(payload: dict) -> np.ndarray:
-    d = np.asarray(payload["matrix"], dtype=float)
+    d = _float_array(payload["matrix"])
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DimensionError(f"D matrix payload must be square, got {d.shape}")
     return d
@@ -94,7 +106,7 @@ def vector_to_dict(values: np.ndarray, dimension: int, role: str, kind: str) -> 
 
 
 def vector_from_dict(payload: dict) -> tuple[np.ndarray, int, str, str]:
-    values = np.asarray(payload["values"], dtype=float)
+    values = _float_array(payload["values"])
     if values.ndim != 1 or values.shape[0] != int(payload["k"]):
         raise DimensionError("vector payload length does not match its header")
     return values, int(payload["dimension"]), str(payload["role"]), str(payload["kind"])
@@ -131,7 +143,7 @@ def composite_to_dict(pt: np.ndarray) -> dict:
 
 
 def composite_from_dict(payload: dict) -> np.ndarray:
-    pt = np.asarray(payload["rows"], dtype=float)
+    pt = _float_array(payload["rows"])
     if pt.shape != (int(payload["k_a"]), int(payload["k_b"])):
         raise DimensionError("composite payload shape does not match its header")
     return pt

@@ -69,20 +69,15 @@ def normalization(p: np.ndarray, r_identity: np.ndarray) -> float:
     return float(np.asarray(r_identity, dtype=float) @ np.asarray(p, dtype=float))
 
 
-def is_pure(
-    r: np.ndarray,
-    d: np.ndarray,
-    r_identity: np.ndarray,
-    tol: float = PURITY_TOL,
-) -> bool:
+def is_pure(r: np.ndarray, theory: Theory, tol: float = PURITY_TOL) -> bool:
     """True iff r^T D r = 1 and mu = 1, both within ``tol``.
 
     The default tolerance is looser than the linear-algebra tolerance
     because r typically comes out of a solve against D.
     """
     r = np.asarray(r, dtype=float)
-    quad = float(r @ np.asarray(d, dtype=float) @ r)
-    mu = normalization(p_from_r(r, d), r_identity)
+    quad = float(r @ np.asarray(theory.d, dtype=float) @ r)
+    mu = normalization(p_from_r(r, theory.d), theory.r_identity)
     return abs(quad - 1.0) <= tol and abs(mu - 1.0) <= tol
 
 
@@ -147,7 +142,10 @@ class Theory:
 
     ``basis_r`` rows are the N basis measurement/state r-vectors and
     ``basis_p`` rows the corresponding p-vectors; ``r_identity`` is the
-    r-vector of the identity measurement.
+    r-vector of the identity measurement. ``frame`` is None for the
+    classical theory. A function that needs two or more of ``frame``,
+    ``d`` and ``r_identity`` takes the Theory, so they always come from
+    one system type.
     """
 
     name: str
@@ -197,6 +195,15 @@ def quantum_theory(n: int) -> Theory:
         basis_p=basis_p,
         frame=frame,
     )
+
+
+def theory_by_name(name: str, n: int) -> Theory:
+    """The ``quantum`` or ``classical`` theory instance of dimension n."""
+    if name == "quantum":
+        return quantum_theory(n)
+    if name == "classical":
+        return classical_theory(n)
+    raise GptError(f"unknown theory {name!r}")
 
 
 def classical_pure_states(n: int) -> list[np.ndarray]:

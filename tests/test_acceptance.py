@@ -18,6 +18,7 @@ from gptkit import (
     build_canonical_frame,
     c_bounds,
     check_measurement_update,
+    classical_theory,
     classify_surface,
     composite_from_density,
     continuity_probe,
@@ -201,7 +202,7 @@ def test_criterion_05_transformation_correspondence():
         ps = np.stack([p_from_density(rho, theory.frame) for rho in states])
         for _ in range(50):
             kraus = KrausSet(random_kraus(rng, n, terms=int(rng.integers(1, 4))))
-            z = z_from_kraus(kraus, theory.frame, theory.d)
+            z = z_from_kraus(kraus, theory)
             choi_ok = choi_ok and is_completely_positive(kraus_to_superoperator(kraus), n)
             for rho, p in zip(states, ps):
                 lhs = p_from_density(kraus.apply(rho), theory.frame)
@@ -237,9 +238,7 @@ def test_criterion_06_measurement_update():
         p_from_density(np.eye(2, dtype=complex) / 2.0, QT2.frame),
         p_from_density(random_density(rng, 2), QT2.frame),
     ]
-    report = check_measurement_update(
-        branches, QT2.frame, QT2.d, QT2.r_identity, witnesses, atol=1e-12
-    )
+    report = check_measurement_update(branches, QT2, witnesses, atol=1e-12)
     worst = max(
         report.branch_normalization, report.identity_preservation, report.kraus_completeness
     )
@@ -254,8 +253,8 @@ def test_criterion_07_composite_law_and_dof():
         rho = random_density(rng, 4, trace=rng.random())
         ka = KrausSet(random_kraus(rng, 2))
         kb = KrausSet(random_kraus(rng, 2))
-        za = z_from_kraus(ka, QT2.frame, QT2.d)
-        zb = z_from_kraus(kb, QT2.frame, QT2.d)
+        za = z_from_kraus(ka, QT2)
+        zb = z_from_kraus(kb, QT2)
         vector_side = local_transform(
             composite_from_density(rho, QT2.frame, QT2.frame), za, zb
         )
@@ -287,12 +286,12 @@ def test_criterion_08_classical_quantum_dichotomy():
             psi = haar_state(rng, 2)
             rho = np.outer(psi, psi.conj())
             rs.append(r_from_p(p_from_density(rho, QT2.frame), QT2.d))
-        probe = continuity_probe(rs[0], rs[1], steps=100, frame=QT2.frame, d=QT2.d)
+        probe = continuity_probe(QT2, rs[0], rs[1], steps=100)
         worst = max(worst, probe.max_deviation)
     quantum_ok = worst < 1e-9
 
     classical = continuity_probe(
-        np.array([1.0, 0.0]), np.array([0.0, 1.0]), steps=100, theory="classical"
+        classical_theory(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]), steps=100
     )
     classical_ok = (not classical.pure_path) and abs(classical.midpoint_purity - 0.5) <= 1e-15
     elapsed = time.monotonic() - start

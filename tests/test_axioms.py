@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,51 +82,45 @@ class TestPowerLaw:
 
 class TestSubspaceAxiom:
     def test_pair_restriction_equals_dhalfs(self):
-        frame = build_canonical_frame(3)
-        d = gram_matrix(frame)
-        report = check_subspace_axiom(frame, d, {0, 1})
+        theory = quantum_theory(3)
+        report = check_subspace_axiom(theory, {0, 1})
         assert report.passed
         assert report.submatrix_deviation <= 1e-12
-        sub = d[np.ix_(report.fiducial_indices, report.fiducial_indices)]
+        sub = theory.d[np.ix_(report.fiducial_indices, report.fiducial_indices)]
         assert np.abs(sub - DHALFS).max() <= 1e-12
 
     def test_single_basis_state_invisible_to_disjoint_fiducials(self):
-        frame = build_canonical_frame(3)
-        d = gram_matrix(frame)
-        report = check_subspace_axiom(frame, d, {0})
+        theory = quantum_theory(3)
+        report = check_subspace_axiom(theory, {0})
         assert report.passed
         # direct oracle: tr(P_23x |1><1|) = 0
-        p23x = frame.projectors[7]
+        p23x = theory.frame.projectors[7]
         rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
         assert abs(np.trace(p23x @ rho)) <= 1e-15
         assert report.disjoint_probability <= 1e-12
 
     def test_full_set_restriction_is_d_itself(self):
-        frame = build_canonical_frame(3)
-        d = gram_matrix(frame)
-        report = check_subspace_axiom(frame, d, {0, 1, 2})
+        report = check_subspace_axiom(quantum_theory(3), {0, 1, 2})
         assert report.passed
         assert report.fiducial_indices == tuple(range(9))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_every_pair_behaves_two_dimensionally(self, n):
-        frame = build_canonical_frame(n)
-        d = gram_matrix(frame)
+        theory = quantum_theory(n)
         for i in range(n):
             for j in range(i + 1, n):
-                assert check_subspace_axiom(frame, d, {i, j}).passed
+                assert check_subspace_axiom(theory, {i, j}).passed
 
     def test_corrupted_d_detected(self):
-        frame = build_canonical_frame(3)
-        d = gram_matrix(frame).copy()
+        theory = quantum_theory(3)
+        d = theory.d.copy()
         d[3, 4] = 0.75
         d[4, 3] = 0.75
-        assert not check_subspace_axiom(frame, d, {0, 1}).passed
+        assert not check_subspace_axiom(dataclasses.replace(theory, d=d), {0, 1}).passed
 
     def test_invalid_subset_rejected(self):
-        frame = build_canonical_frame(3)
         with pytest.raises(GptError):
-            check_subspace_axiom(frame, gram_matrix(frame), {0, 7})
+            check_subspace_axiom(quantum_theory(3), {0, 7})
 
 
 class TestBasisDistinguishability:

@@ -59,6 +59,23 @@ class TestConvert:
         back = serialize.operator_from_dict(json.loads(out))
         assert np.abs(back - rho).max() <= 1e-10
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],  # top-level list
+            {"dimension": 2, "matrix": [[[1, 0], [0, 0]], [[0, 0]]]},  # ragged
+            {"dimension": 1, "matrix": [[["a", 0]]]},  # non-numeric entry
+            {"dimension": 1, "matrix": [[[{}, 0]]]},  # object entry
+            {"dimension": 1, "matrix": 5},  # scalar, not an array of pairs
+        ],
+    )
+    def test_malformed_operator_file_is_usage_error(self, tmp_path, capsys, payload):
+        rho_file = tmp_path / "bad.op.json"
+        rho_file.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "convert", "--in", str(rho_file), "--from", "rho", "--to", "p")
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_kind_mismatch_rejected(self, tmp_path, capsys):
         p_file = tmp_path / "p.json"
         serialize.write_json(
@@ -201,6 +218,23 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "nope.cfg"), "--seed", "1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ("n = 2\nshots = abc", "shots = 'abc' is not an integer"),
+            ("n = 1\npreparation = mix:0.5", "needs two basis states"),
+            ("n = 2\npreparation = basis:x", "basis = 'x' is not an integer"),
+            ("n = 2\npreparation = mix:x", "mix = 'x' is not a number"),
+        ],
+    )
+    def test_malformed_experiment_is_usage_error(self, tmp_path, capsys, fields, message):
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"[experiment]\ntheory = quantum\n{fields}\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(config), "--seed", "1")
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestReport:
     def test_report_command(self, tmp_path, capsys):
@@ -212,3 +246,20 @@ class TestReport:
         assert code == 0
         assert (tmp_path / "out" / "report.json").exists()
         assert (tmp_path / "out" / "report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("r.cfg", "[report]\nseed = x\n"),
+            ("r.json", '{"seed": "x", "pipelines": []}'),
+            ("r.json", '{"seed": 2.5, "pipelines": []}'),
+        ],
+    )
+    def test_malformed_root_seed_is_usage_error(self, tmp_path, capsys, name, text):
+        config = tmp_path / name
+        config.write_text(text)
+        code, _, err = run_cli(
+            capsys, "report", "--config", str(config), "--out-dir", str(tmp_path / "out")
+        )
+        assert code == 2
+        assert err.startswith("error: seed = ") and err.count("\n") == 1

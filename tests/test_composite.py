@@ -79,7 +79,7 @@ class TestLocalTransform:
 
     def test_product_state_transforms_factorwise(self, rng):
         u = haar_unitary(rng, 2)
-        z = z_from_unitary(u, QT2.frame, QT2.d)
+        z = z_from_unitary(u, QT2)
         p_a, p_b = QT2.basis_p[0], QT2.basis_p[1]
         lhs = local_transform(product_state(p_a, p_b), z, np.eye(4))
         rhs = product_state(z.z @ p_a, p_b)
@@ -88,8 +88,8 @@ class TestLocalTransform:
     def test_entangled_state_with_local_unitaries(self, rng):
         for _ in range(10):
             ua, ub = haar_unitary(rng, 2), haar_unitary(rng, 2)
-            za = z_from_unitary(ua, QT2.frame, QT2.d)
-            zb = z_from_unitary(ub, QT2.frame, QT2.d)
+            za = z_from_unitary(ua, QT2)
+            zb = z_from_unitary(ub, QT2)
             pt = composite_from_density(BELL, QT2.frame, QT2.frame)
             lhs = local_transform(pt, za, zb)
             u = np.kron(ua, ub)
@@ -104,8 +104,8 @@ class TestLocalTransform:
             rho = random_density(rng, na * nb, trace=rng.random())
             ka = KrausSet(random_kraus(rng, na))
             kb = KrausSet(random_kraus(rng, nb))
-            za = z_from_kraus(ka, ta.frame, ta.d)
-            zb = z_from_kraus(kb, tb.frame, tb.d)
+            za = z_from_kraus(ka, ta)
+            zb = z_from_kraus(kb, tb)
             extract_then_transform = local_transform(
                 composite_from_density(rho, ta.frame, tb.frame), za, zb
             )
@@ -154,7 +154,7 @@ class TestDofCount:
 class TestEntanglementWitness:
     def test_bell_state_reconstruction_has_negative_partial_transpose(self):
         pt = composite_from_density(BELL, QT2.frame, QT2.frame)
-        rho = density_from_composite(pt, QT2.frame, QT2.frame, QT2.d, QT2.d)
+        rho = density_from_composite(pt, QT2, QT2)
         assert np.abs(rho - BELL).max() <= 1e-10
         eigs = np.linalg.eigvalsh(partial_transpose(rho, 2, 2))
         assert eigs.min() < -0.4  # exact value is -1/2

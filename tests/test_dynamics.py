@@ -8,6 +8,7 @@ from gptkit import (
     apply_transform,
     check_measurement_update,
     choi_matrix,
+    classical_theory,
     compose_kraus,
     continuity_probe,
     is_completely_positive,
@@ -41,11 +42,11 @@ def transpose_superoperator(n: int) -> np.ndarray:
 
 class TestZFromKraus:
     def test_identity_kraus_gives_identity_z(self):
-        z = z_from_kraus(KrausSet(np.eye(2, dtype=complex)), QT2.frame, QT2.d)
+        z = z_from_kraus(KrausSet(np.eye(2, dtype=complex)), QT2)
         assert_allclose(z.z, np.eye(4), atol=1e-12)
 
     def test_von_neumann_projection_on_mixed_state(self):
-        z = z_from_kraus(KrausSet(P1), QT2.frame, QT2.d)
+        z = z_from_kraus(KrausSet(P1), QT2)
         mixed = p_from_density(np.eye(2, dtype=complex) / 2.0, QT2.frame)
         # oracle: P (I/2) P = |1><1| / 2, converted directly
         expected = p_from_density(P1 / 2.0, QT2.frame)
@@ -53,8 +54,8 @@ class TestZFromKraus:
 
     def test_unitary_kraus_inverts(self, rng):
         u = haar_unitary(rng, 2)
-        z = z_from_kraus(KrausSet(u[np.newaxis]), QT2.frame, QT2.d)
-        z_back = z_from_kraus(KrausSet(u.conj().T[np.newaxis]), QT2.frame, QT2.d)
+        z = z_from_kraus(KrausSet(u[np.newaxis]), QT2)
+        z_back = z_from_kraus(KrausSet(u.conj().T[np.newaxis]), QT2)
         assert_allclose(z.z @ z_back.z, np.eye(4), atol=1e-10)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -62,7 +63,7 @@ class TestZFromKraus:
         theory = quantum_theory(n)
         for _ in range(50):
             kraus = KrausSet(random_kraus(rng, n))
-            z = z_from_kraus(kraus, theory.frame, theory.d)
+            z = z_from_kraus(kraus, theory)
             rho = random_density(rng, n, trace=rng.random())
             lhs = p_from_density(kraus.apply(rho), theory.frame)
             rhs = apply_transform(z, p_from_density(rho, theory.frame))
@@ -71,20 +72,20 @@ class TestZFromKraus:
     def test_composition(self, rng):
         k1 = KrausSet(random_kraus(rng, 2))
         k2 = KrausSet(random_kraus(rng, 2))
-        z1 = z_from_kraus(k1, QT2.frame, QT2.d)
-        z2 = z_from_kraus(k2, QT2.frame, QT2.d)
-        z21 = z_from_kraus(compose_kraus(k2, k1), QT2.frame, QT2.d)
+        z1 = z_from_kraus(k1, QT2)
+        z2 = z_from_kraus(k2, QT2)
+        z21 = z_from_kraus(compose_kraus(k2, k1), QT2)
         assert np.abs(z21.z - z2.z @ z1.z).max() <= 1e-10
 
 
 class TestZFromUnitary:
     def test_identity(self):
-        z = z_from_unitary(np.eye(2, dtype=complex), QT2.frame, QT2.d)
+        z = z_from_unitary(np.eye(2, dtype=complex), QT2)
         assert z.provenance == "from-unitary"
         assert_allclose(z.z, np.eye(4), atol=1e-12)
 
     def test_swap_unitary_against_operator_oracle(self):
-        z = z_from_unitary(PAULI_X, QT2.frame, QT2.d)
+        z = z_from_unitary(PAULI_X, QT2)
         # oracle: conjugate each projector by X and take traces
         for rho in (P1, P2, np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)):
             lhs = apply_transform(z, p_from_density(rho, QT2.frame))
@@ -96,7 +97,7 @@ class TestZFromUnitary:
 
     def test_phase_gate_rotates_xy_plane(self, rng):
         u = np.diag([1.0, np.exp(1j * np.pi / 2.0)])
-        z = z_from_unitary(u, QT2.frame, QT2.d)
+        z = z_from_unitary(u, QT2)
         for _ in range(10):
             rho = random_density(rng, 2)
             lhs = apply_transform(z, p_from_density(rho, QT2.frame))
@@ -107,7 +108,7 @@ class TestZFromUnitary:
 
     def test_non_unitary_rejected(self):
         with pytest.raises(GptError):
-            z_from_unitary(np.diag([1.0, 0.5]), QT2.frame, QT2.d)
+            z_from_unitary(np.diag([1.0, 0.5]), QT2)
 
 
 class TestApplyTransform:
@@ -119,7 +120,7 @@ class TestApplyTransform:
         assert_allclose(apply_transform(np.zeros((4, 4)), np.ones(4)), np.zeros(4))
 
     def test_projection_annihilates_other_basis_state(self):
-        z = z_from_kraus(KrausSet(P1), QT2.frame, QT2.d)
+        z = z_from_kraus(KrausSet(P1), QT2)
         assert_allclose(apply_transform(z, QT2.basis_p[1]), np.zeros(4), atol=1e-12)
 
 
@@ -173,16 +174,16 @@ class TestReversibility:
 
     def test_unitary_derived_is_reversible(self, rng):
         u = haar_unitary(rng, 2)
-        z = z_from_unitary(u, QT2.frame, QT2.d)
-        assert is_reversible(z, self._witnesses(rng), QT2.frame, QT2.d, QT2.r_identity)
+        z = z_from_unitary(u, QT2)
+        assert is_reversible(z, self._witnesses(rng), QT2)
 
     def test_projection_derived_is_singular(self, rng):
-        z = z_from_kraus(KrausSet(P1), QT2.frame, QT2.d)
-        assert not is_reversible(z, self._witnesses(rng), QT2.frame, QT2.d, QT2.r_identity)
+        z = z_from_kraus(KrausSet(P1), QT2)
+        assert not is_reversible(z, self._witnesses(rng), QT2)
 
     def test_identity_is_reversible(self, rng):
-        z = z_from_unitary(np.eye(2, dtype=complex), QT2.frame, QT2.d)
-        assert is_reversible(z, self._witnesses(rng), QT2.frame, QT2.d, QT2.r_identity)
+        z = z_from_unitary(np.eye(2, dtype=complex), QT2)
+        assert is_reversible(z, self._witnesses(rng), QT2)
 
 
 class TestMeasurementUpdate:
@@ -199,9 +200,7 @@ class TestMeasurementUpdate:
             (KrausSet(P1), np.array([1.0, 0.0, 0.0, 0.0])),
             (KrausSet(P2), np.array([0.0, 1.0, 0.0, 0.0])),
         ]
-        report = check_measurement_update(
-            branches, QT2.frame, QT2.d, QT2.r_identity, self._witnesses(rng), atol=1e-12
-        )
+        report = check_measurement_update(branches, QT2, self._witnesses(rng), atol=1e-12)
         assert report.passed
         assert report.branch_normalization <= 1e-12
         assert report.identity_preservation <= 1e-12
@@ -209,17 +208,13 @@ class TestMeasurementUpdate:
 
     def test_single_identity_branch_passes(self, rng):
         branches = [(KrausSet(np.eye(2, dtype=complex)), QT2.r_identity)]
-        report = check_measurement_update(
-            branches, QT2.frame, QT2.d, QT2.r_identity, self._witnesses(rng)
-        )
+        report = check_measurement_update(branches, QT2, self._witnesses(rng))
         assert report.passed
 
     def test_half_identity_branches_fail_completeness(self, rng):
         half = np.sqrt(0.5) * np.eye(2, dtype=complex)
         branches = [(KrausSet(half), 0.5 * QT2.r_identity)]
-        report = check_measurement_update(
-            branches, QT2.frame, QT2.d, QT2.r_identity, self._witnesses(rng)
-        )
+        report = check_measurement_update(branches, QT2, self._witnesses(rng))
         assert not report.passed
         assert report.identity_preservation > 1e-10
         assert report.kraus_completeness > 1e-10
@@ -230,11 +225,7 @@ class TestMeasurementUpdate:
 class TestContinuityProbe:
     def test_quantum_basis_to_basis_path_stays_pure(self):
         report = continuity_probe(
-            np.array([1.0, 0.0, 0.0, 0.0]),
-            np.array([0.0, 1.0, 0.0, 0.0]),
-            steps=100,
-            frame=QT2.frame,
-            d=QT2.d,
+            QT2, np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]), steps=100
         )
         assert report.pure_path
         assert report.max_deviation < 1e-9
@@ -242,12 +233,12 @@ class TestContinuityProbe:
 
     def test_zero_length_path(self):
         r = np.array([1.0, 0.0, 0.0, 0.0])
-        report = continuity_probe(r, r, steps=10, frame=QT2.frame, d=QT2.d)
+        report = continuity_probe(QT2, r, r, steps=10)
         assert report.pure_path
 
     def test_classical_segment_is_never_pure_inside(self):
         report = continuity_probe(
-            np.array([1.0, 0.0]), np.array([0.0, 1.0]), steps=101, theory="classical"
+            classical_theory(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]), steps=101
         )
         assert not report.pure_path
         assert report.midpoint_purity == pytest.approx(0.5, abs=1e-15)
@@ -255,21 +246,19 @@ class TestContinuityProbe:
     def test_impure_endpoint_rejected(self):
         mixed = r_from_p(np.full(4, 0.5), QT2.d)
         with pytest.raises(GptError):
-            continuity_probe(
-                mixed, np.array([1.0, 0.0, 0.0, 0.0]), steps=10, frame=QT2.frame, d=QT2.d
-            )
+            continuity_probe(QT2, mixed, np.array([1.0, 0.0, 0.0, 0.0]), steps=10)
 
     def test_unitary_transforms_preserve_purity_and_mu(self, rng):
         for _ in range(20):
             u = haar_unitary(rng, 2)
-            z = z_from_unitary(u, QT2.frame, QT2.d)
+            z = z_from_unitary(u, QT2)
             psi = haar_state(rng, 2)
             p = p_from_density(np.outer(psi, psi.conj()), QT2.frame)
             r0 = r_from_p(p, QT2.d)
-            assert is_pure(r0, QT2.d, QT2.r_identity)
+            assert is_pure(r0, QT2)
             moved = apply_transform(z, p)
             r1 = r_from_p(moved, QT2.d)
-            assert is_pure(r1, QT2.d, QT2.r_identity)
+            assert is_pure(r1, QT2)
             assert float(QT2.r_identity @ moved) == pytest.approx(
                 float(QT2.r_identity @ p), abs=1e-12
             )

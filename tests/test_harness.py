@@ -234,6 +234,34 @@ class TestRunReport:
         assert code == 1
         assert "projectors" in report["pipelines"][0]["details"]["error"]
 
+    def test_malformed_value_errors_only_its_own_section(self, tmp_path):
+        config = tmp_path / "m.cfg"
+        config.write_text(
+            "[frame f]\nn = 2\n\n[verify v]\nn = abc\n\n"
+            "[bloch b]\nseed = x\na = 0.5\nb = 0.5\nc = 0.5\n"
+        )
+        code, _ = run_report(config, tmp_path / "out")
+        assert code == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [p["status"] for p in report["pipelines"]] == ["pass", "error", "error"]
+        assert report["pipelines"][1]["details"]["error"] == "n = 'abc' is not an integer"
+        assert report["pipelines"][2]["details"]["error"] == "seed = 'x' is not an integer"
+
+    @pytest.mark.parametrize(
+        "section, error",
+        [
+            ("[verify v]\ntheory = real\nn = 2\n", "unknown theory 'real'"),
+            ("[frame f]\nout = f.frame.json\n", "missing parameter 'n'"),
+        ],
+    )
+    def test_bad_section_is_a_section_error(self, tmp_path, section, error):
+        config = tmp_path / "r.cfg"
+        config.write_text(section)
+        code, report = run_report(config, tmp_path / "out")
+        assert code == 1
+        assert report["pipelines"][0]["status"] == "error"
+        assert report["pipelines"][0]["details"]["error"] == error
+
     def test_json_config_accepted(self, tmp_path):
         config = tmp_path / "suite.json"
         config.write_text(

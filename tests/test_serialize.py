@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gptkit import DimensionError, build_canonical_frame, gram_matrix
+from gptkit import DimensionError, GptError, build_canonical_frame, gram_matrix
 from gptkit import serialize
 from conftest import random_density, random_kraus
 
@@ -19,6 +19,20 @@ class TestComplexEncoding:
     def test_malformed_leaf_rejected(self):
         with pytest.raises(Exception):
             serialize.complex_from_json([[1.0, 2.0, 3.0]])
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "decode, payload",
+        [
+            (serialize.dmatrix_from_dict, {"matrix": [[1.0, 0.0], [0.0]]}),
+            (serialize.vector_from_dict, {"values": [0.5, "a"], "k": 2}),
+            (serialize.composite_from_dict, {"rows": [[1.0], [{}]], "k_a": 2, "k_b": 1}),
+        ],
+    )
+    def test_ragged_or_non_numeric_array_is_gpt_error(self, decode, payload):
+        with pytest.raises(GptError, match="malformed numeric array"):
+            decode(payload)
 
 
 class TestFrameFiles:

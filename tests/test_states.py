@@ -1,7 +1,15 @@
+import inspect
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gptkit.axioms
+import gptkit.composite
+import gptkit.dynamics
+import gptkit.states
 from gptkit import (
     DimensionError,
     GptError,
@@ -18,6 +26,7 @@ from gptkit import (
     probability,
     quantum_theory,
     r_from_p,
+    theory_by_name,
 )
 from conftest import haar_state, random_density, random_measurement_operator
 
@@ -119,17 +128,17 @@ class TestNormalizationAndPurity:
         assert normalization(p / 2.0, QT2.r_identity) == pytest.approx(0.5)
 
     def test_basis_state_is_pure(self):
-        assert is_pure(np.array([1.0, 0.0, 0.0, 0.0]), QT2.d, QT2.r_identity)
+        assert is_pure(np.array([1.0, 0.0, 0.0, 0.0]), QT2)
 
     def test_maximally_mixed_is_not_pure(self):
         r = r_from_p(np.full(4, 0.5), QT2.d)
         assert float(r @ QT2.d @ r) == pytest.approx(0.5, abs=1e-12)
-        assert not is_pure(r, QT2.d, QT2.r_identity)
+        assert not is_pure(r, QT2)
 
     def test_classical_basis_vectors_are_pure(self):
         theory = classical_theory(3)
         for k in range(3):
-            assert is_pure(theory.basis_r[k], theory.d, theory.r_identity)
+            assert is_pure(theory.basis_r[k], theory)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_purity_agrees_with_operator_level(self, n, rng):
@@ -138,14 +147,14 @@ class TestNormalizationAndPurity:
             psi = haar_state(rng, n)
             rho = np.outer(psi, psi.conj())
             r = r_from_p(p_from_density(rho, theory.frame), theory.d)
-            assert is_pure(r, theory.d, theory.r_identity)
+            assert is_pure(r, theory)
             back = density_from_r(r, theory.frame)
             assert abs(np.trace(back @ back).real - 1.0) <= 1e-9
             assert abs(np.trace(back).real - 1.0) <= 1e-9
         mixed = random_density(rng, n)
         mixed = 0.5 * mixed + 0.5 * np.eye(n) / n
         r = r_from_p(p_from_density(mixed, theory.frame), theory.d)
-        assert not is_pure(r, theory.d, theory.r_identity)
+        assert not is_pure(r, theory)
 
 
 class TestMix:
@@ -169,6 +178,26 @@ class TestMix:
     def test_weights_above_one_rejected(self):
         with pytest.raises(GptError):
             mix([QT2.basis_p[0], QT2.basis_p[1]], [0.7, 0.7])
+
+
+class TestTheoryArgument:
+    def test_theory_by_name(self):
+        assert theory_by_name("quantum", 3).k == 9
+        assert theory_by_name("classical", 3).k == 3
+        with pytest.raises(GptError, match="unknown theory 'real'"):
+            theory_by_name("real", 2)
+
+    @pytest.mark.parametrize("module", [gptkit.dynamics, gptkit.states, gptkit.axioms, gptkit.composite])
+    def test_no_function_takes_loose_theory_pieces(self, module):
+        """A function needing two of one theory's frame, D and r_I takes the
+        Theory; ``_a``/``_b`` suffixes name the two theories of a composite."""
+        for name, func in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or func.__module__ != module.__name__:
+                continue
+            pieces = [re.fullmatch(r"(frame|d|r_identity)(_[ab])?", param)
+                      for param in inspect.signature(func).parameters]
+            per_theory = Counter(match.group(2) for match in pieces if match)
+            assert max(per_theory.values(), default=0) < 2, f"{module.__name__}.{name}"
 
 
 class TestClassicalTheory:
