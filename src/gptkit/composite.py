@@ -7,7 +7,6 @@ p_tilde -> Z_A p_tilde Z_B^T. A flattening adapter supports rank counting.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import TransformMatrix
 from .errors import DimensionError
@@ -78,8 +77,8 @@ def joint_normalization(pt: np.ndarray, r_identity_a: np.ndarray, r_identity_b: 
 def r_tilde_from_p_tilde(pt: np.ndarray, d_a: np.ndarray, d_b: np.ndarray) -> np.ndarray:
     """Solve p_tilde = D_A r_tilde D_B^T for r_tilde (two factorized solves)."""
     pt = np.asarray(pt, dtype=float)
-    half = scipy.linalg.solve(np.asarray(d_a, dtype=float), pt, assume_a="sym")
-    return scipy.linalg.solve(np.asarray(d_b, dtype=float), half.T, assume_a="sym").T
+    half = np.linalg.solve(np.asarray(d_a, dtype=float), pt)
+    return np.linalg.solve(np.asarray(d_b, dtype=float), half.T).T
 
 
 def density_from_composite(pt: np.ndarray, theory_a: Theory, theory_b: Theory) -> np.ndarray:

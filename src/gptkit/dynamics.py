@@ -10,11 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, GptError
 from .frames import FiducialFrame
-from .states import Theory, density_from_r, p_from_density, p_from_r, r_from_p
+from .states import Theory, density_from_r, p_from_density, r_from_p
 
 PSD_TOL = 1e-10
 COND_CUTOFF = 1e9
@@ -85,7 +84,7 @@ def z_from_kraus(kraus: KrausSet, theory: Theory) -> TransformMatrix:
         )
     mapped = np.stack([kraus.apply(p) for p in frame.projectors])
     m = np.einsum("iab,jba->ij", frame.projectors, mapped).real
-    z = scipy.linalg.solve(np.asarray(theory.d, dtype=float), m.T, assume_a="sym").T
+    z = np.linalg.solve(np.asarray(theory.d, dtype=float), m.T).T
     return TransformMatrix(z=z, dimension=frame.dimension, provenance="from-kraus")
 
 
@@ -126,14 +125,6 @@ def kraus_to_superoperator(kraus: KrausSet) -> np.ndarray:
     return sum(np.kron(m.conj(), m) for m in kraus.operators)
 
 
-def _vec(mat: np.ndarray) -> np.ndarray:
-    return np.asarray(mat).flatten(order="F")
-
-
-def _unvec(vec: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(vec).reshape((n, n), order="F")
-
-
 def choi_matrix(superop: np.ndarray, n: int | None = None) -> np.ndarray:
     """Choi matrix (1/N) sum_ij E_ij (x) $(E_ij) of a superoperator matrix."""
     superop = np.asarray(superop, dtype=complex)
@@ -146,12 +137,9 @@ def choi_matrix(superop: np.ndarray, n: int | None = None) -> np.ndarray:
         n = side
     elif n != side:
         raise DimensionError(f"superoperator side {side}^2 does not match dimension {n}")
-    choi = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[i, j] = 1.0
-            choi += np.kron(unit, _unvec(superop @ _vec(unit), n))
+    # superop[a + n b, i + n j] = $(E_ij)[a, b], the entry at row (i, a) and
+    # column (j, b) of the Choi matrix
+    choi = superop.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
     return choi / n
 
 
@@ -277,8 +265,10 @@ def check_measurement_update(
 class PathReport:
     """Purity along a candidate pure-to-pure path.
 
-    ``purities`` holds r^T D r at each sampled point; ``pure_path`` is
-    True iff every sample stays within ``tolerance`` of 1.
+    ``purities`` holds r^T D r at each of the ``steps`` sampled points and
+    ``midpoint_purity`` its value at t = 1/2; ``endpoint_deviation`` is
+    max |r(1) - r_b|. ``pure_path`` is True iff every sample stays within
+    ``tolerance`` of 1 and the path ends at r_b within ``tolerance``.
     """
 
     theory: str
@@ -287,11 +277,12 @@ class PathReport:
     midpoint_purity: float
     max_deviation: float
     max_mu_deviation: float
+    endpoint_deviation: float
     tolerance: float
 
     @property
     def pure_path(self) -> bool:
-        return self.max_deviation <= self.tolerance
+        return self.max_deviation <= self.tolerance and self.endpoint_deviation <= self.tolerance
 
 
 def _pure_state_vector(r: np.ndarray, frame: FiducialFrame, tol: float) -> np.ndarray:
@@ -300,24 +291,6 @@ def _pure_state_vector(r: np.ndarray, frame: FiducialFrame, tol: float) -> np.nd
     if abs(eigvals[-1] - 1.0) > tol or np.abs(eigvals[:-1]).max(initial=0.0) > tol:
         raise GptError("endpoint is not a pure state (rank-1, trace-1) to tolerance")
     return eigvecs[:, -1]
-
-
-def _complete_basis(psi: np.ndarray) -> np.ndarray:
-    """Orthonormal basis with psi as first column; Gram-Schmidt over the
-    standard basis in index order breaks ties deterministically."""
-    n = psi.shape[0]
-    columns = [psi / np.linalg.norm(psi)]
-    for i in range(n):
-        cand = np.zeros(n, dtype=complex)
-        cand[i] = 1.0
-        for col in columns:
-            cand = cand - col * (col.conj() @ cand)
-        norm = np.linalg.norm(cand)
-        if norm > 1e-8:
-            columns.append(cand / norm)
-        if len(columns) == n:
-            break
-    return np.stack(columns, axis=1)
 
 
 def continuity_probe(
@@ -330,20 +303,28 @@ def continuity_probe(
     """Probe for a continuous path of pure states from r_a to r_b.
 
     For a theory with an operator frame (quantum) the probe follows the
-    one-parameter unitary family U(t) = exp(t log U_ab) built from the
-    principal logarithm of the basis-completed unitary taking the first
-    state vector to the second, and reports the worst purity deviation
-    along the way. Without a frame (classical) it walks the straight
-    segment between two basis states, where every interior point is a
-    proper mixture, so the report shows the failure.
+    great circle through the endpoint state vectors. With the phase of
+    psi_b fixed so that <psi_a|psi_b> >= 0, theta = arccos <psi_a|psi_b>
+    and phi the normalised part of psi_b orthogonal to psi_a, the path is
+    psi(t) = cos(t theta) psi_a + sin(t theta) phi = exp(t theta G) psi_a,
+    where G = |phi><psi_a| - |psi_a><phi| generates the rotation in the
+    plane span{psi_a, psi_b}. exp(t theta G) is the one-parameter unitary
+    group that Hardy's axiom 5 asks for; for theta = 0 the path is
+    constant. The report gives the worst purity deviation along the way
+    and how far r(1) lands from r_b. Without a frame (classical) the probe
+    walks the straight segment between two basis states, where every
+    interior point is a proper mixture, so the report shows the failure.
+
+    Either path is evaluated in one batch at ``steps`` evenly spaced
+    t in [0, 1] plus t = 1/2, the last row.
     """
     if steps < 2:
         raise GptError("need at least two path samples")
-    ts = np.linspace(0.0, 1.0, steps)
+    ts = np.append(np.linspace(0.0, 1.0, steps), 0.5)
+    r_b = np.asarray(r_b, dtype=float)
 
     if theory.frame is None:
         r_a = np.asarray(r_a, dtype=float)
-        r_b = np.asarray(r_b, dtype=float)
         for r in (r_a, r_b):
             in_bounds = r.min() >= -tol and r.max() <= 1.0 + tol
             if not in_bounds or abs(r @ r - 1.0) > tol or abs(r.sum() - 1.0) > tol:
@@ -351,42 +332,32 @@ def continuity_probe(
         path = np.outer(1.0 - ts, r_a) + np.outer(ts, r_b)
         purities = np.einsum("ti,ti->t", path, path)  # D = I
         mus = path.sum(axis=1)
-        mid = (1.0 - 0.5) * r_a + 0.5 * r_b
-        midpoint_purity = float(mid @ mid)
     else:
-        frame, d, r_identity = theory.frame, theory.d, theory.r_identity
-        psi_a = _pure_state_vector(r_a, frame, tol)
-        psi_b = _pure_state_vector(r_b, frame, tol)
-        u_ab = _complete_basis(psi_b) @ _complete_basis(psi_a).conj().T
-        gen = scipy.linalg.logm(u_ab)
-        ham = 1j * gen
-        ham = (ham + ham.conj().T) / 2.0
-        freqs, modes = np.linalg.eigh(ham)
-        rho_a = density_from_r(np.asarray(r_a, dtype=float), frame)
-        purities = np.empty(steps)
-        mus = np.empty(steps)
-        mid_index = None
-        for idx, t in enumerate(ts):
-            u_t = (modes * np.exp(-1j * t * freqs)) @ modes.conj().T
-            r_t = r_from_p(p_from_density(u_t @ rho_a @ u_t.conj().T, frame), d)
-            purities[idx] = float(r_t @ d @ r_t)
-            mus[idx] = float(r_identity @ p_from_r(r_t, d))
-            if abs(t - 0.5) < 1e-12:
-                mid_index = idx
-        if mid_index is not None:
-            midpoint_purity = float(purities[mid_index])
-        else:
-            u_t = (modes * np.exp(-0.5j * freqs)) @ modes.conj().T
-            r_t = r_from_p(p_from_density(u_t @ rho_a @ u_t.conj().T, frame), d)
-            midpoint_purity = float(r_t @ d @ r_t)
+        psi_a = _pure_state_vector(r_a, theory.frame, tol)
+        psi_b = _pure_state_vector(r_b, theory.frame, tol)
+        overlap = psi_a.conj() @ psi_b
+        cos_ab = abs(overlap)
+        if cos_ab > 0.0:
+            psi_b = psi_b * (cos_ab / overlap)
+        ortho = psi_b - cos_ab * psi_a
+        sin_ab = np.linalg.norm(ortho)
+        theta = np.arctan2(sin_ab, cos_ab)  # arccos |<psi_a|psi_b>|, accurate near 0
+        phi = ortho / sin_ab if sin_ab > 0.0 else ortho
+        psis = np.outer(np.cos(ts * theta), psi_a) + np.outer(np.sin(ts * theta), phi)
+        rhos = np.einsum("ti,tj->tij", psis, psis.conj())
+        path = r_from_p(p_from_density(rhos, theory.frame), theory.d)
+        d_path = path @ theory.d  # rows (D r)^T, D symmetric
+        purities = np.einsum("ti,ti->t", d_path, path)
+        mus = d_path @ theory.r_identity
 
     return PathReport(
         theory=theory.name,
         steps=steps,
-        purities=purities,
-        midpoint_purity=midpoint_purity,
-        max_deviation=float(np.abs(purities - 1.0).max()),
-        max_mu_deviation=float(np.abs(mus - 1.0).max()),
+        purities=purities[:-1],
+        midpoint_purity=float(purities[-1]),
+        max_deviation=float(np.abs(purities[:-1] - 1.0).max()),
+        max_mu_deviation=float(np.abs(mus[:-1] - 1.0).max()),
+        endpoint_deviation=float(np.abs(path[steps - 1] - r_b).max()),
         tolerance=tol,
     )
 

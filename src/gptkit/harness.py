@@ -57,6 +57,7 @@ from .dynamics import (
 )
 from .errors import GptError, InvalidExperimentError
 from .frames import build_canonical_frame, gram_matrix
+from .serialize import _float_array, _number, _required
 from .states import Theory, mix, p_from_density, quantum_theory, r_from_p, theory_by_name
 
 ATOL = 1e-12
@@ -448,6 +449,15 @@ def load_experiment(path: str | Path) -> dict[str, Any]:
     return dict(config.items("experiment"))
 
 
+def _read_input(base: Path, name: Any) -> dict[str, Any]:
+    """The JSON object in the input file ``name``, relative to ``base``; a
+    file that cannot be read is a GptError, so it fails only its section."""
+    try:
+        return serialize.read_json(base / str(name))
+    except OSError as exc:
+        raise GptError(f"cannot read {name}: {exc.strerror or exc}") from None
+
+
 def _resolve_preparation(spec: str, theory: Theory, base: Path) -> np.ndarray:
     if spec == "null":
         return np.zeros(theory.k)
@@ -468,12 +478,14 @@ def _resolve_preparation(spec: str, theory: Theory, base: Path) -> np.ndarray:
             raise GptError(f"{spec!r} needs two basis states, the theory has n = {theory.dimension}")
         return mix([theory.basis_p[0], theory.basis_p[1]], [lam, 1.0 - lam])
     if spec.startswith("file:"):
-        payload = serialize.read_json(base / spec.split(":", 1)[1])
+        payload = _read_input(base, spec.split(":", 1)[1])
         if "matrix" in payload:  # operator file
             if theory.frame is None:
                 raise GptError("operator preparations need a quantum theory")
             return p_from_density(serialize.operator_from_dict(payload), theory.frame)
         values, _, _, kind = serialize.vector_from_dict(payload)
+        if values.shape[0] != theory.k:
+            raise GptError(f"preparation vector length {values.shape[0]} does not match K = {theory.k}")
         if kind == "r":
             return np.asarray(theory.d, dtype=float) @ values
         return values
@@ -486,8 +498,11 @@ def _resolve_partition(spec: str, theory: Theory, base: Path) -> tuple[np.ndarra
     if spec == "identity":
         return (theory.r_identity,)
     if spec.startswith("file:"):
-        payload = serialize.read_json(base / spec.split(":", 1)[1])
-        return tuple(np.asarray(v, dtype=float) for v in payload["vectors"])
+        payload = _read_input(base, spec.split(":", 1)[1])
+        vectors = _float_array(_required(payload, "vectors"))
+        if vectors.ndim != 2 or vectors.shape[1] != theory.k:
+            raise GptError(f"partition vectors must be a list of length-{theory.k} vectors")
+        return tuple(vectors)
     raise GptError(f"unknown partition spec {spec!r}")
 
 
@@ -497,7 +512,7 @@ def _resolve_transform(spec: str, theory: Theory, base: Path) -> TransformMatrix
     if theory.frame is None:
         raise GptError("transformations on classical experiments are not supported here")
     kind, _, path = spec.partition(":")
-    payload = serialize.read_json(base / path)
+    payload = _read_input(base, path)
     if kind == "unitary":
         return z_from_unitary(serialize.operator_from_dict(payload), theory)
     if kind == "kraus":
@@ -528,22 +543,6 @@ def _flag(params: dict[str, Any], key: str) -> bool:
     if word not in configparser.ConfigParser.BOOLEAN_STATES:
         raise GptError(f"{key} = {params[key]!r} is not a boolean")
     return configparser.ConfigParser.BOOLEAN_STATES[word]
-
-
-def _number(params: dict[str, Any], key: str, kind: type = int, default: Any = None) -> Any:
-    """A numeric parameter: ``kind`` (int or float) of the value at ``key``,
-    or of ``default`` when the key is absent and a default is given."""
-    if key not in params and default is None:
-        raise GptError(f"missing parameter {key!r}")
-    value = params.get(key, default)
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    # a string is parsed, but a JSON number for an int key must be integral (2.5 is refused)
-    if number is None or (kind is int and not isinstance(value, str) and number != value):
-        raise GptError(f"{key} = {value!r} is not {'an integer' if kind is int else 'a number'}")
-    return number
 
 
 def _run_frame_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: Path) -> dict[str, Any]:
@@ -606,10 +605,10 @@ def _run_bloch_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: 
 
 def _run_transform_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: Path) -> dict[str, Any]:
     if "unitary" in params:
-        u = serialize.operator_from_dict(serialize.read_json(base / params["unitary"]))
+        u = serialize.operator_from_dict(_read_input(base, params["unitary"]))
         kraus = KrausSet(u[np.newaxis])
     elif "kraus" in params:
-        kraus = KrausSet(serialize.kraus_from_dict(serialize.read_json(base / params["kraus"])))
+        kraus = KrausSet(serialize.kraus_from_dict(_read_input(base, params["kraus"])))
     else:
         raise GptError("transform pipeline needs a 'unitary' or 'kraus' file")
     n = kraus.dimension
@@ -640,7 +639,7 @@ def _run_transform_pipeline(params: dict[str, Any], seed: int, base: Path, out_d
 
 
 def _run_composite_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: Path) -> dict[str, Any]:
-    rho = serialize.operator_from_dict(serialize.read_json(base / params["rho"]))
+    rho = serialize.operator_from_dict(_read_input(base, _required(params, "rho")))
     na, nb = _number(params, "na"), _number(params, "nb")
     ta, tb = quantum_theory(na), quantum_theory(nb)
     pt = composite_from_density(rho, ta.frame, tb.frame)

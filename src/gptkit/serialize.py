@@ -1,5 +1,6 @@
 """JSON wire formats for frames, matrices, vectors, Kraus sets, composite
-states and outcome counts.
+states and outcome counts, and the parsing of the values that arrive in
+them and in config sections.
 
 Complex scalars are encoded as two-element [re, im] arrays; real matrices
 are row-major arrays of arrays. Frame files use the ``.frame.json``
@@ -33,6 +34,27 @@ def _float_array(data: Any) -> np.ndarray:
         raise GptError(f"malformed numeric array: {exc}") from None
 
 
+def _required(params: dict[str, Any], key: str) -> Any:
+    """The value at ``key``; a missing key is a GptError naming it."""
+    if key not in params:
+        raise GptError(f"missing parameter {key!r}")
+    return params[key]
+
+
+def _number(params: dict[str, Any], key: str, kind: type = int, default: Any = None) -> Any:
+    """A numeric parameter: ``kind`` (int or float) of the value at ``key``,
+    or of ``default`` when the key is absent and a default is given."""
+    value = _required(params, key) if default is None else params.get(key, default)
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    # a string is parsed, but a JSON number for an int key must be integral (2.5 is refused)
+    if number is None or (kind is int and not isinstance(value, str) and number != value):
+        raise GptError(f"{key} = {value!r} is not {'an integer' if kind is int else 'a number'}")
+    return number
+
+
 def complex_from_json(data: Any) -> np.ndarray:
     """Decode nested lists with [re, im] leaves into a complex array."""
     paired = _float_array(data)
@@ -51,8 +73,12 @@ def write_json(path: str | Path, payload: dict) -> None:
 
 
 def read_json(path: str | Path) -> dict:
-    """The JSON object in a file; any other top-level value is a GptError."""
-    payload = json.loads(Path(path).read_text())
+    """The JSON object in a file; malformed JSON or any other top-level
+    value is a GptError. An unreadable file raises the OSError."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise GptError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise GptError(f"{path}: top-level JSON value is a {type(payload).__name__}, not an object")
     return payload
@@ -69,8 +95,8 @@ def frame_to_dict(frame: FiducialFrame) -> dict:
 
 
 def frame_from_dict(payload: dict) -> FiducialFrame:
-    n = int(payload["dimension"])
-    projectors = complex_from_json(payload["projectors"])
+    n = _number(payload, "dimension")
+    projectors = complex_from_json(_required(payload, "projectors"))
     if projectors.shape != (n * n, n, n):
         raise DimensionError(
             f"frame payload has projector shape {projectors.shape}, expected ({n * n}, {n}, {n})"
@@ -86,7 +112,7 @@ def dmatrix_to_dict(d: np.ndarray, dimension: int) -> dict:
 
 
 def dmatrix_from_dict(payload: dict) -> np.ndarray:
-    d = _float_array(payload["matrix"])
+    d = _float_array(_required(payload, "matrix"))
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DimensionError(f"D matrix payload must be square, got {d.shape}")
     return d
@@ -106,10 +132,11 @@ def vector_to_dict(values: np.ndarray, dimension: int, role: str, kind: str) -> 
 
 
 def vector_from_dict(payload: dict) -> tuple[np.ndarray, int, str, str]:
-    values = _float_array(payload["values"])
-    if values.ndim != 1 or values.shape[0] != int(payload["k"]):
+    values = _float_array(_required(payload, "values"))
+    if values.ndim != 1 or values.shape[0] != _number(payload, "k"):
         raise DimensionError("vector payload length does not match its header")
-    return values, int(payload["dimension"]), str(payload["role"]), str(payload["kind"])
+    role, kind = str(_required(payload, "role")), str(_required(payload, "kind"))
+    return values, _number(payload, "dimension"), role, kind
 
 
 def operator_to_dict(matrix: np.ndarray) -> dict:
@@ -118,8 +145,8 @@ def operator_to_dict(matrix: np.ndarray) -> dict:
 
 
 def operator_from_dict(payload: dict) -> np.ndarray:
-    matrix = complex_from_json(payload["matrix"])
-    n = int(payload["dimension"])
+    matrix = complex_from_json(_required(payload, "matrix"))
+    n = _number(payload, "dimension")
     if matrix.shape != (n, n):
         raise DimensionError(f"operator payload has shape {matrix.shape}, header says {n}")
     return matrix
@@ -131,7 +158,7 @@ def kraus_to_dict(operators: np.ndarray) -> dict:
 
 
 def kraus_from_dict(payload: dict) -> np.ndarray:
-    ops = complex_from_json(payload["kraus"])
+    ops = complex_from_json(_required(payload, "kraus"))
     if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
         raise DimensionError(f"Kraus payload must be a list of square matrices, got {ops.shape}")
     return ops
@@ -143,8 +170,8 @@ def composite_to_dict(pt: np.ndarray) -> dict:
 
 
 def composite_from_dict(payload: dict) -> np.ndarray:
-    pt = _float_array(payload["rows"])
-    if pt.shape != (int(payload["k_a"]), int(payload["k_b"])):
+    pt = _float_array(_required(payload, "rows"))
+    if pt.shape != (_number(payload, "k_a"), _number(payload, "k_b")):
         raise DimensionError("composite payload shape does not match its header")
     return pt
 

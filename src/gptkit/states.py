@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, GptError
 from .frames import ATOL, FiducialFrame, build_canonical_frame, gram_matrix
@@ -21,24 +20,28 @@ PSD_TOL = 1e-10
 
 
 def p_from_density(rho: np.ndarray, frame: FiducialFrame, atol: float = ATOL) -> np.ndarray:
-    """Fiducial probabilities p[k] = tr(P_k rho)."""
+    """Fiducial probabilities p[k] = tr(P_k rho), for one operator (N, N)
+    or a stack (m, N, N), which gives shape (m, K)."""
     rho = np.asarray(rho, dtype=complex)
     n = frame.dimension
-    if rho.shape != (n, n):
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (n, n):
         raise DimensionError(f"operator shape {rho.shape} does not match dimension {n}")
-    vals = np.einsum("kij,ji->k", frame.projectors, rho)
+    vals = np.einsum("kij,...ji->...k", frame.projectors, rho)
     if np.abs(vals.imag).max(initial=0.0) > atol:
         raise GptError("trace values have non-negligible imaginary part; operator not Hermitian?")
     return vals.real
 
 
 def r_from_p(p: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Solve D r = p for the r-vector (factorized solve, no explicit inverse)."""
+    """Solve D r = p for the r-vector (factorized solve, no explicit inverse).
+
+    ``p`` of shape (K,) gives one r-vector; a stack (m, K) gives one per row.
+    """
     p = np.asarray(p, dtype=float)
     d = np.asarray(d, dtype=float)
     if d.shape[0] != d.shape[1] or d.shape[0] != p.shape[-1]:
         raise DimensionError(f"shape mismatch: D is {d.shape}, p has length {p.shape}")
-    return scipy.linalg.solve(d, p, assume_a="sym")
+    return np.linalg.solve(d, p.T).T
 
 
 def p_from_r(r: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,53 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import gptkit.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        (
+            {"f.json": {"dimension": "x", "matrix": [[[1, 0]]]}},
+            ["convert", "--from", "rho", "--in", "f.json", "--to", "p"],
+            "dimension = 'x' is not an integer",
+        ),
+        (
+            {
+                "e.cfg": "[experiment]\nn = 2\npartition = file:part.json\n",
+                "part.json": {"vectors": [["a", 0, 0, 0]]},
+            },
+            ["simulate", "--config", "e.cfg", "--seed", "1"],
+            "malformed numeric array",
+        ),
+        (
+            {
+                "e.cfg": "[experiment]\nn = 2\npreparation = file:v.json\n",
+                "v.json": {"dimension": 2, "k": 3, "role": "state", "kind": "p", "values": [1, 0, 0]},
+            },
+            ["simulate", "--config", "e.cfg", "--seed", "1"],
+            "preparation vector length 3 does not match K = 4",
+        ),
+    ],
+    ids=["convert-dimension", "simulate-partition-vector", "simulate-preparation-length"],
+)
+def test_malformed_json_field_is_usage_error(tmp_path, capsys, monkeypatch, files, argv, message):
+    for name, content in files.items():
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 class TestFrameAndDMatrix:

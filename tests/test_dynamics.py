@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from gptkit import (
     GptError,
     KrausSet,
+    PathReport,
     apply_transform,
     check_measurement_update,
     choi_matrix,
@@ -158,6 +159,18 @@ class TestCompletePositivity:
             s = kraus_to_superoperator(KrausSet(random_kraus(rng, n)))
             assert is_completely_positive(s, n)
 
+    def test_choi_matrix_matches_defining_sum(self, rng):
+        n = 3
+        s = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+        expected = np.zeros((n * n, n * n), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                unit = np.zeros((n, n))
+                unit[i, j] = 1.0
+                image = (s @ unit.flatten(order="F")).reshape((n, n), order="F")
+                expected += np.kron(unit, image)
+        assert np.array_equal(choi_matrix(s, n), expected / n)
+
     def test_superoperator_matrix_agrees_with_kraus_action(self, rng):
         kraus = KrausSet(random_kraus(rng, 2))
         s = kraus_to_superoperator(kraus)
@@ -242,6 +255,43 @@ class TestContinuityProbe:
         )
         assert not report.pure_path
         assert report.midpoint_purity == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("steps", [2, 11, 100])
+    def test_path_reaches_the_far_endpoint(self, n, steps, rng):
+        theory = quantum_theory(n)
+        for _ in range(3):
+            r_a, r_b = (self._pure_r(theory, haar_state(rng, n)) for _ in range(2))
+            report = continuity_probe(theory, r_a, r_b, steps=steps)
+            assert report.endpoint_deviation < 1e-12
+            assert report.pure_path
+            assert report.purities.shape == (steps,)
+            assert report.midpoint_purity == pytest.approx(1.0, abs=1e-12)
+
+    def test_phase_multiple_is_a_constant_path(self, rng):
+        theory = quantum_theory(3)
+        psi = haar_state(rng, 3)
+        r_a, r_b = self._pure_r(theory, psi), self._pure_r(theory, 1j * psi)
+        report = continuity_probe(theory, r_a, r_b, steps=10)
+        assert report.endpoint_deviation < 1e-12
+        assert report.max_deviation < 1e-12
+
+    def test_missed_endpoint_is_not_a_pure_path(self):
+        report = PathReport(
+            theory="quantum",
+            steps=2,
+            purities=np.ones(2),
+            midpoint_purity=1.0,
+            max_deviation=0.0,
+            max_mu_deviation=0.0,
+            endpoint_deviation=1e-6,
+            tolerance=1e-9,
+        )
+        assert not report.pure_path
+
+    @staticmethod
+    def _pure_r(theory, psi):
+        return r_from_p(p_from_density(np.outer(psi, psi.conj()), theory.frame), theory.d)
 
     def test_impure_endpoint_rejected(self):
         mixed = r_from_p(np.full(4, 0.5), QT2.d)

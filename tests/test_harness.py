@@ -247,6 +247,23 @@ class TestRunReport:
         assert report["pipelines"][1]["details"]["error"] == "n = 'abc' is not an integer"
         assert report["pipelines"][2]["details"]["error"] == "seed = 'x' is not an integer"
 
+    def test_bad_input_file_or_missing_key_errors_only_its_own_section(self, tmp_path):
+        (tmp_path / "bad.json").write_text("{")
+        config = tmp_path / "r.cfg"
+        config.write_text(
+            "[frame f]\nn = 2\n\n[composite c]\nna = 2\nnb = 2\n\n"
+            "[transform t]\nunitary = nope.op.json\n\n"
+            "[composite d]\nrho = bad.json\nna = 1\nnb = 1\n"
+        )
+        code, _ = run_report(config, tmp_path / "out")
+        assert code == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [p["status"] for p in report["pipelines"]] == ["pass", "error", "error", "error"]
+        errors = [p["details"].get("error", "") for p in report["pipelines"]]
+        assert errors[1] == "missing parameter 'rho'"
+        assert errors[2].startswith("cannot read ") and "nope.op.json" in errors[2]
+        assert "bad.json is not valid JSON" in errors[3]
+
     @pytest.mark.parametrize(
         "section, error",
         [

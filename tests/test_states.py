@@ -49,6 +49,18 @@ class TestPFromDensity:
         with pytest.raises(DimensionError):
             p_from_density(np.eye(3), QT2.frame)
 
+    def test_stack_matches_row_by_row(self, rng):
+        theory = quantum_theory(3)
+        rhos = np.stack([random_density(rng, 3) for _ in range(5)])
+        rows = np.stack([p_from_density(rho, theory.frame) for rho in rhos])
+        assert_allclose(p_from_density(rhos, theory.frame), rows, rtol=0, atol=1e-15)
+
+    def test_stack_of_non_hermitian_operators_rejected(self):
+        rhos = np.zeros((2, 2, 2), dtype=complex)
+        rhos[1, 0, 1] = 1.0
+        with pytest.raises(GptError, match="imaginary part"):
+            p_from_density(rhos, QT2.frame)
+
 
 class TestRFromP:
     def test_classical_identity_d(self):
@@ -64,6 +76,18 @@ class TestRFromP:
 
     def test_zero_maps_to_zero(self):
         assert_allclose(r_from_p(np.zeros(4), QT2.d), np.zeros(4))
+
+    def test_stack_matches_row_by_row(self, rng):
+        theory = quantum_theory(3)
+        ps = rng.random((6, theory.k))
+        rows = np.stack([r_from_p(p, theory.d) for p in ps])
+        stacked = r_from_p(ps, theory.d)
+        assert stacked.shape == ps.shape
+        assert_allclose(stacked, rows, rtol=0, atol=1e-12)
+
+    def test_stack_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            r_from_p(np.zeros((3, 5)), QT2.d)
 
 
 class TestOperatorReconstruction:
