@@ -68,6 +68,7 @@ from .frames import (
     signature_from_table,
 )
 from .axioms import (
+    BasisReport,
     FrequencyReport,
     LinearityReport,
     MultiplicativityCheck,

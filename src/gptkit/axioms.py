@@ -94,34 +94,33 @@ def check_subspace_axiom(theory: Theory, subset: set[int], atol: float = 1e-12) 
     """Verify that a basis subset behaves as a lower-dimensional system.
 
     The fiducials supported inside W, taken in canonical order of the
-    mapped indices, must reproduce the canonical D matrix of dimension
-    |W|; fiducials of disjoint subspaces must assign probability zero to
+    mapped indices, must reproduce the D matrix of dimension |W|: the
+    subspace-rules D of ``build_general_d`` for a theory with a frame, the
+    identity for the classical theory, whose fiducials are the basis
+    alone. Fiducials of disjoint subspaces must assign probability zero to
     every state supported in W (witnessed by the fiducial states of W,
     i.e. the corresponding columns of D).
     """
-    frame = theory.frame
-    n = frame.dimension
+    n = theory.dimension
     w = tuple(sorted(subset))
     if not w or any(not 0 <= i < n for i in w):
         raise GptError(f"subset {subset} is not a set of basis indices for dimension {n}")
-    labels = frame.labels or canonical_labels(n)
+    if theory.frame is None:
+        labels, reference = canonical_labels(n)[:n], np.eye(len(w))
+    else:
+        labels, reference = theory.frame.labels or canonical_labels(n), build_general_d(len(w))
     wset = frozenset(w)
     inside = [i for i, lab in enumerate(labels) if label_support(lab) <= wset]
     disjoint = [i for i, lab in enumerate(labels) if not (label_support(lab) & wset)]
 
     d = np.asarray(theory.d, dtype=float)
-    sub = d[np.ix_(inside, inside)]
-    sub_dev = float(np.abs(sub - build_general_d(len(w))).max())
-
-    if disjoint:
-        dis_dev = float(np.abs(d[np.ix_(disjoint, inside)]).max())
-    else:
-        dis_dev = 0.0
+    sub_dev = float(np.abs(d[np.ix_(inside, inside)] - reference).max())
+    dis_dev = float(np.abs(d[np.ix_(disjoint, inside)]).max(initial=0.0))
 
     violations = []
-    if sub_dev > atol:
+    if not sub_dev <= atol:
         violations.append(f"restricted D deviates from canonical by {sub_dev:.3g}")
-    if dis_dev > atol:
+    if not dis_dev <= atol:
         violations.append(f"disjoint fiducial sees W-supported state with probability {dis_dev:.3g}")
     return SubspaceReport(
         subset=w,
@@ -133,13 +132,28 @@ def check_subspace_axiom(theory: Theory, subset: set[int], atol: float = 1e-12) 
     )
 
 
-def check_basis_distinguishability(theory: Theory, atol: float = 1e-12) -> bool:
-    """True iff basis measurements and states satisfy r_m . p_n = delta_mn
-    and the basis measurements sum to the identity measurement."""
+@dataclass(frozen=True)
+class BasisReport:
+    """Basis distinguishability: ``max_deviation`` is the larger of
+    max |r_m . p_n - delta_mn| over basis pairs and max |sum_m r_m - r_I|."""
+
+    max_deviation: float
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_deviation <= self.tolerance
+
+
+def check_basis_distinguishability(theory: Theory, atol: float = 1e-12) -> BasisReport:
+    """Check that basis measurements and states satisfy r_m . p_n = delta_mn
+    and that the basis measurements sum to the identity measurement."""
     probs = theory.basis_r @ theory.d @ theory.basis_r.T
-    if np.abs(probs - np.eye(theory.dimension)).max() > atol:
-        return False
-    return bool(np.abs(theory.basis_r.sum(axis=0) - theory.r_identity).max() <= atol)
+    deviations = (
+        np.abs(probs - np.eye(theory.dimension)).max(),
+        np.abs(theory.basis_r.sum(axis=0) - theory.r_identity).max(),
+    )
+    return BasisReport(max_deviation=float(np.max(deviations)), tolerance=atol)
 
 
 @dataclass(frozen=True)
@@ -219,29 +233,27 @@ def check_linearity(
 ) -> LinearityReport:
     """Exercise the affine and homogeneity identities of p -> r_m . p.
 
-    Both identities hold exactly for a linear functional; the tolerance
-    only absorbs floating-point rounding.
+    ``r_m`` is one measurement (K,) or a stack (M, K). All ``samples``
+    draws (two pool states, a weight lambda in [0, 1) and a scale nu in
+    [0, 2)) are made in one batch and applied to every measurement. Both
+    identities hold exactly for a linear functional; the tolerance only
+    absorbs floating-point rounding.
     """
     if len(states) < 2:
         raise GptError("need at least two states to form mixtures")
-    r_m = np.asarray(r_m, dtype=float)
+    r_t = np.atleast_2d(np.asarray(r_m, dtype=float)).T
     pool = np.stack([np.asarray(p, dtype=float) for p in states])
-    f = pool @ r_m
+    f = pool @ r_t
 
-    max_affine = 0.0
-    max_homog = 0.0
-    for _ in range(samples):
-        ia, ib = rng.integers(0, len(states), size=2)
-        lam = float(rng.random())
-        nu = float(2.0 * rng.random())
-        mixed = lam * pool[ia] + (1.0 - lam) * pool[ib]
-        affine = abs(float(r_m @ mixed) - (lam * f[ia] + (1.0 - lam) * f[ib]))
-        homog = abs(float(r_m @ (nu * pool[ia])) - nu * f[ia])
-        max_affine = max(max_affine, affine)
-        max_homog = max(max_homog, homog)
+    ia, ib = rng.integers(0, len(states), size=(2, samples))
+    lam = rng.random((samples, 1))
+    nu = 2.0 * rng.random((samples, 1))
+    mixed = lam * pool[ia] + (1.0 - lam) * pool[ib]
+    affine = np.abs(mixed @ r_t - (lam * f[ia] + (1.0 - lam) * f[ib]))
+    homog = np.abs((nu * pool[ia]) @ r_t - nu * f[ia])
     return LinearityReport(
         samples=samples,
-        max_affine_deviation=max_affine,
-        max_homogeneity_deviation=max_homog,
+        max_affine_deviation=float(affine.max(initial=0.0)),
+        max_homogeneity_deviation=float(homog.max(initial=0.0)),
         tolerance=tol,
     )

@@ -101,17 +101,11 @@ def partial_transpose(rho_ab: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
 def dof_count_check(d_a: np.ndarray, d_b: np.ndarray) -> int:
     """Rank of the span of product states built from fiducial-state pairs.
 
-    The fiducial p-vectors are the columns of each D matrix; the
-    K_A * K_B outer products are stacked as flat vectors and their rank
-    is returned (K_A * K_B when both fiducial sets are independent).
+    The fiducial p-vectors are the columns of each D matrix, so the
+    K_A * K_B flattened outer products are the columns of kron(D_A, D_B);
+    their rank is returned (K_A * K_B when both fiducial sets are
+    independent).
     """
     d_a = np.asarray(d_a, dtype=float)
     d_b = np.asarray(d_b, dtype=float)
-    ka, kb = d_a.shape[0], d_b.shape[0]
-    rows = np.empty((ka * kb, ka * kb))
-    idx = 0
-    for i in range(ka):
-        for j in range(kb):
-            rows[idx] = np.outer(d_a[:, i], d_b[:, j]).ravel()
-            idx += 1
-    return int(np.linalg.matrix_rank(rows))
+    return int(np.linalg.matrix_rank(np.kron(d_a, d_b)))

@@ -13,9 +13,8 @@ import numpy as np
 
 from .errors import DimensionError, GptError
 from .frames import FiducialFrame
-from .states import Theory, density_from_r, p_from_density, r_from_p
+from .states import PSD_TOL, Theory, density_from_r, p_from_density, r_from_p
 
-PSD_TOL = 1e-10
 COND_CUTOFF = 1e9
 
 

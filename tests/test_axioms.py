@@ -122,14 +122,34 @@ class TestSubspaceAxiom:
         with pytest.raises(GptError):
             check_subspace_axiom(quantum_theory(3), {0, 7})
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_classical_subsets_pass_against_the_identity(self, n):
+        theory = classical_theory(n)
+        for i in range(n):
+            for j in range(i, n):
+                report = check_subspace_axiom(theory, {i, j})
+                assert report.passed
+                assert report.fiducial_indices == tuple(sorted({i, j}))
+
+    @pytest.mark.parametrize(
+        "entry, violation",
+        [((0, 1), "restricted D deviates"), ((2, 0), "disjoint fiducial")],
+    )
+    def test_classical_d_off_the_identity_fails(self, entry, violation):
+        d = np.eye(3)
+        d[entry] = d[entry[::-1]] = 0.1
+        report = check_subspace_axiom(dataclasses.replace(classical_theory(3), d=d), {0, 1})
+        assert not report.passed
+        assert report.violations[0].startswith(violation)
+
 
 class TestBasisDistinguishability:
     def test_quantum_qubit(self):
-        assert check_basis_distinguishability(quantum_theory(2))
+        assert check_basis_distinguishability(quantum_theory(2)).passed
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_classical_any_dimension(self, n):
-        assert check_basis_distinguishability(classical_theory(n))
+        assert check_basis_distinguishability(classical_theory(n)).passed
 
     def test_perturbed_basis_fails(self):
         theory = quantum_theory(2)
@@ -144,7 +164,7 @@ class TestBasisDistinguishability:
             basis_p=theory.basis_p,
             frame=theory.frame,
         )
-        assert not check_basis_distinguishability(broken)
+        assert not check_basis_distinguishability(broken).passed
 
 
 class TestFrequencyConvergence:
@@ -184,6 +204,18 @@ class TestLinearity:
         for r_m in list(theory.basis_r) + [theory.r_identity]:
             report = check_linearity(r_m, self._pool(theory), rng, samples=1000)
             assert report.passed
+
+    def test_stack_matches_each_row(self):
+        theory = quantum_theory(3)
+        stack = np.vstack([theory.basis_r, theory.r_identity])
+        report = check_linearity(stack, self._pool(theory), np.random.default_rng(4))
+        rows = [check_linearity(r_m, self._pool(theory), np.random.default_rng(4)) for r_m in stack]
+        assert report.passed
+        assert all(row.passed for row in rows)
+        assert (report.samples, report.tolerance) == (rows[0].samples, rows[0].tolerance)
+        for name in ("max_affine_deviation", "max_homogeneity_deviation"):
+            expected = max(getattr(row, name) for row in rows)
+            assert getattr(report, name) == pytest.approx(expected, abs=report.tolerance)
 
     def test_edge_mixing_weights(self):
         theory = quantum_theory(2)

@@ -65,6 +65,37 @@ def test_malformed_json_field_is_usage_error(tmp_path, capsys, monkeypatch, file
     assert message in err
 
 
+@pytest.mark.parametrize("command", ["report", "simulate"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[frame f]\nn = 2\n\n[frame f]\nn = 3\n", "section 'frame f' already exists"),
+        ("[experiment]\nn = 2\n\n[experiment]\nn = 3\n", "section 'experiment' already exists"),
+        ("garbage line\n", "File contains no section headers"),
+        ("[experiment]\nn = 2\nout = a%b.json\n", "'%' must be followed by '%' or '('"),
+    ],
+    ids=["duplicate-frame", "duplicate-experiment", "no-section-header", "bad-interpolation"],
+)
+def test_malformed_ini_config_is_usage_error(tmp_path, capsys, command, text, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text)
+    argv = ["--out-dir", str(tmp_path / "out")] if command == "report" else ["--seed", "1"]
+    code, _, err = run_cli(capsys, command, "--config", str(config), *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("pipelines", [[5], "ab", 5, [{"kind": "frame", "n": 2}, []]])
+def test_pipelines_not_a_list_of_objects_is_usage_error(tmp_path, capsys, pipelines):
+    config = tmp_path / "r.json"
+    config.write_text(json.dumps({"seed": 1, "pipelines": pipelines}))
+    code, _, err = run_cli(capsys, "report", "--config", str(config), "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert err == "error: pipelines must be a list of objects\n"
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 class TestFrameAndDMatrix:
     def test_frame_json_to_stdout(self, capsys):
         code, out, _ = run_cli(capsys, "frame", "--n", "2")

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from gptkit import harness
 from gptkit import (
     Experiment,
     InvalidExperimentError,
+    check_subspace_axiom,
     classical_theory,
     derive_seed,
     mix,
@@ -14,6 +17,7 @@ from gptkit import (
     run_report,
     simulate,
 )
+from gptkit.cli import main
 
 QT2 = quantum_theory(2)
 
@@ -121,6 +125,43 @@ class TestAxiomSuite:
         assert statuses["axiom5-continuity"] == "expected-fail"
         continuity = next(c for c in report.checks if c.name == "axiom5-continuity")
         assert continuity.witnesses["midpoint_purity"] == pytest.approx(0.5)
+
+    def test_continuity_fails_when_the_path_misses_its_endpoint(self, monkeypatch, capsys):
+        probe = harness.continuity_probe
+
+        def missed_endpoint(*args, **kwargs):
+            return dataclasses.replace(probe(*args, **kwargs), endpoint_deviation=0.5)
+
+        monkeypatch.setattr(harness, "continuity_probe", missed_endpoint)
+        report = run_axiom_suite("quantum", 3, seed=123, trials=2, scales=(1000,), pairs=2, steps=20)
+        continuity = next(c for c in report.checks if c.name == "axiom5-continuity")
+        assert continuity.status == "fail"
+        assert continuity.max_deviation == 0.5
+        assert not report.passed
+        code = main(
+            ["verify", "--theory", "quantum", "--n", "3", "--trials", "2", "--pairs", "2", "--steps", "20"]
+        )
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["passed"] is False
+
+    def test_classical_d_off_the_identity_fails_the_subspace_check(self):
+        d = np.eye(3)
+        d[0, 1] = d[1, 0] = 0.1
+        result = harness._subspace_check(dataclasses.replace(classical_theory(3), d=d))
+        assert result.status == "fail"
+        assert result.max_deviation == pytest.approx(0.1)
+        assert result.witnesses["subsets"] == [[1, 2], [1, 3], [2, 3]]
+
+    def test_classical_subspace_check_reads_check_subspace_axiom(self, monkeypatch):
+        def off_identity(*args, **kwargs):
+            report = check_subspace_axiom(*args, **kwargs)
+            return dataclasses.replace(report, violations=("forced",))
+
+        monkeypatch.setattr(harness, "check_subspace_axiom", off_identity)
+        report = run_axiom_suite("classical", 3, seed=123, trials=2, scales=(1000,), steps=20)
+        subspaces = next(c for c in report.checks if c.name == "axiom3-subspaces")
+        assert subspaces.status == "fail"
+        assert not report.passed
 
     def test_report_serializes(self):
         report = run_axiom_suite("classical", 2, seed=5, trials=2, scales=(1000, 10_000))
