@@ -13,7 +13,16 @@ import numpy as np
 
 from .bloch import build_general_d
 from .errors import GptError, MonotonicityError, NoSignatureError
-from .frames import canonical_labels, label_support, table_n_max
+from .frames import (
+    ATOL,
+    FREQUENCY_ENVELOPE,
+    FREQUENCY_PASS_FRACTION,
+    LINEARITY_SAMPLES,
+    LINEARITY_TOL,
+    canonical_labels,
+    label_support,
+    table_n_max,
+)
 from .states import Theory
 
 
@@ -90,7 +99,7 @@ class SubspaceReport:
         return not self.violations
 
 
-def check_subspace_axiom(theory: Theory, subset: set[int], atol: float = 1e-12) -> SubspaceReport:
+def check_subspace_axiom(theory: Theory, subset: set[int]) -> SubspaceReport:
     """Verify that a basis subset behaves as a lower-dimensional system.
 
     The fiducials supported inside W, taken in canonical order of the
@@ -99,7 +108,7 @@ def check_subspace_axiom(theory: Theory, subset: set[int], atol: float = 1e-12) 
     identity for the classical theory, whose fiducials are the basis
     alone. Fiducials of disjoint subspaces must assign probability zero to
     every state supported in W (witnessed by the fiducial states of W,
-    i.e. the corresponding columns of D).
+    i.e. the corresponding columns of D). Both hold to ``ATOL``.
     """
     n = theory.dimension
     w = tuple(sorted(subset))
@@ -118,16 +127,16 @@ def check_subspace_axiom(theory: Theory, subset: set[int], atol: float = 1e-12) 
     dis_dev = float(np.abs(d[np.ix_(disjoint, inside)]).max(initial=0.0))
 
     violations = []
-    if not sub_dev <= atol:
+    if not sub_dev <= ATOL:
         violations.append(f"restricted D deviates from canonical by {sub_dev:.3g}")
-    if not dis_dev <= atol:
+    if not dis_dev <= ATOL:
         violations.append(f"disjoint fiducial sees W-supported state with probability {dis_dev:.3g}")
     return SubspaceReport(
         subset=w,
         fiducial_indices=tuple(inside),
         submatrix_deviation=sub_dev,
         disjoint_probability=dis_dev,
-        tolerance=atol,
+        tolerance=ATOL,
         violations=tuple(violations),
     )
 
@@ -145,15 +154,16 @@ class BasisReport:
         return self.max_deviation <= self.tolerance
 
 
-def check_basis_distinguishability(theory: Theory, atol: float = 1e-12) -> BasisReport:
+def check_basis_distinguishability(theory: Theory) -> BasisReport:
     """Check that basis measurements and states satisfy r_m . p_n = delta_mn
-    and that the basis measurements sum to the identity measurement."""
+    and that the basis measurements sum to the identity measurement, to
+    ``ATOL``."""
     probs = theory.basis_r @ theory.d @ theory.basis_r.T
     deviations = (
         np.abs(probs - np.eye(theory.dimension)).max(),
         np.abs(theory.basis_r.sum(axis=0) - theory.r_identity).max(),
     )
-    return BasisReport(max_deviation=float(np.max(deviations)), tolerance=atol)
+    return BasisReport(max_deviation=float(np.max(deviations)), tolerance=ATOL)
 
 
 @dataclass(frozen=True)
@@ -175,17 +185,12 @@ class FrequencyReport:
         return all(s.pass_fraction >= self.min_pass_fraction for s in self.scales)
 
 
-def check_frequency_convergence(
-    counts_by_shots: dict[int, list[int]],
-    p_true: float,
-    envelope: float = 5.0,
-    min_pass_fraction: float = 0.95,
-) -> FrequencyReport:
+def check_frequency_convergence(counts_by_shots: dict[int, list[int]], p_true: float) -> FrequencyReport:
     """Check binomial concentration of observed frequencies.
 
     ``counts_by_shots`` maps a shot count n to per-trial success counts;
     at each scale the fraction of trials with |count/n - p_true| below
-    envelope/sqrt(n) must reach ``min_pass_fraction``.
+    ``FREQUENCY_ENVELOPE``/sqrt(n) must reach ``FREQUENCY_PASS_FRACTION``.
     """
     if not counts_by_shots:
         raise GptError("no simulation counts supplied")
@@ -194,7 +199,7 @@ def check_frequency_convergence(
         counts = np.asarray(counts_by_shots[shots], dtype=float)
         if counts.size == 0:
             raise GptError(f"no trials recorded at n = {shots}")
-        bound = envelope / np.sqrt(shots)
+        bound = FREQUENCY_ENVELOPE / np.sqrt(shots)
         devs = np.abs(counts / shots - p_true)
         scales.append(
             FrequencyScale(
@@ -205,7 +210,7 @@ def check_frequency_convergence(
             )
         )
     return FrequencyReport(
-        p_true=p_true, scales=tuple(scales), min_pass_fraction=min_pass_fraction
+        p_true=p_true, scales=tuple(scales), min_pass_fraction=FREQUENCY_PASS_FRACTION
     )
 
 
@@ -225,19 +230,15 @@ class LinearityReport:
 
 
 def check_linearity(
-    r_m: np.ndarray,
-    states: list[np.ndarray],
-    rng: np.random.Generator,
-    samples: int = 1000,
-    tol: float = 1e-14,
+    r_m: np.ndarray, states: list[np.ndarray], rng: np.random.Generator
 ) -> LinearityReport:
     """Exercise the affine and homogeneity identities of p -> r_m . p.
 
-    ``r_m`` is one measurement (K,) or a stack (M, K). All ``samples``
-    draws (two pool states, a weight lambda in [0, 1) and a scale nu in
-    [0, 2)) are made in one batch and applied to every measurement. Both
-    identities hold exactly for a linear functional; the tolerance only
-    absorbs floating-point rounding.
+    ``r_m`` is one measurement (K,) or a stack (M, K). All
+    ``LINEARITY_SAMPLES`` draws (two pool states, a weight lambda in
+    [0, 1) and a scale nu in [0, 2)) are made in one batch and applied to
+    every measurement. Both identities hold exactly for a linear
+    functional; ``LINEARITY_TOL`` only absorbs floating-point rounding.
     """
     if len(states) < 2:
         raise GptError("need at least two states to form mixtures")
@@ -245,15 +246,15 @@ def check_linearity(
     pool = np.stack([np.asarray(p, dtype=float) for p in states])
     f = pool @ r_t
 
-    ia, ib = rng.integers(0, len(states), size=(2, samples))
-    lam = rng.random((samples, 1))
-    nu = 2.0 * rng.random((samples, 1))
+    ia, ib = rng.integers(0, len(states), size=(2, LINEARITY_SAMPLES))
+    lam = rng.random((LINEARITY_SAMPLES, 1))
+    nu = 2.0 * rng.random((LINEARITY_SAMPLES, 1))
     mixed = lam * pool[ia] + (1.0 - lam) * pool[ib]
     affine = np.abs(mixed @ r_t - (lam * f[ia] + (1.0 - lam) * f[ib]))
     homog = np.abs((nu * pool[ia]) @ r_t - nu * f[ia])
     return LinearityReport(
-        samples=samples,
+        samples=LINEARITY_SAMPLES,
         max_affine_deviation=float(affine.max(initial=0.0)),
         max_homogeneity_deviation=float(homog.max(initial=0.0)),
-        tolerance=tol,
+        tolerance=LINEARITY_TOL,
     )

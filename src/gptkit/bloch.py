@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, GptError, PhaseRecoveryError
-from .frames import FiducialFrame, canonical_labels
-
-DEGENERATE_TOL = 1e-10
+from .frames import ATOL, PSD_TOL, FiducialFrame, canonical_labels
 
 
 @dataclass(frozen=True)
@@ -98,18 +96,18 @@ class SurfaceClass:
     eigenvalues: tuple[float, float, float]
 
 
-def classify_surface(a_mat: np.ndarray, tol: float = DEGENERATE_TOL) -> SurfaceClass:
+def classify_surface(a_mat: np.ndarray) -> SurfaceClass:
     """Classify the quadric v^T A v = 1/2 by the eigenvalue signs of A.
 
     All positive: ellipsoid (the only case compatible with a convex
-    pure-state surface around the origin). Near-zero eigenvalue:
-    degenerate. Otherwise: hyperboloid.
+    pure-state surface around the origin). An eigenvalue within
+    ``PSD_TOL`` of zero: degenerate. Otherwise: hyperboloid.
     """
     a_mat = np.asarray(a_mat, dtype=float)
-    if a_mat.shape != (3, 3) or np.abs(a_mat - a_mat.T).max() > 1e-12:
+    if a_mat.shape != (3, 3) or np.abs(a_mat - a_mat.T).max() > ATOL:
         raise DimensionError("expected a symmetric 3x3 matrix")
     eigs = np.linalg.eigvalsh(a_mat)
-    if np.abs(eigs).min() < tol:
+    if np.abs(eigs).min() < PSD_TOL:
         kind = SurfaceKind.DEGENERATE
     elif eigs.min() > 0:
         kind = SurfaceKind.ELLIPSOID
@@ -134,7 +132,7 @@ class PhaseRecovery:
     delta: complex
 
 
-def recover_phases(d: np.ndarray, atol: float = 1e-10) -> PhaseRecovery:
+def recover_phases(d: np.ndarray) -> PhaseRecovery:
     """Factor a 4x4 family D matrix back into projector amplitudes.
 
     Requires c strictly inside (c_-, c_+); on or outside the boundary the
@@ -145,7 +143,7 @@ def recover_phases(d: np.ndarray, atol: float = 1e-10) -> PhaseRecovery:
         raise DimensionError(f"expected a 4x4 matrix, got {d.shape}")
     a, b, c = d[1, 2], d[1, 3], d[2, 3]
     params = D2Params(a=a, b=b, c=c)
-    if np.abs(d2_assemble(params) - d).max() > atol:
+    if np.abs(d2_assemble(params) - d).max() > PSD_TOL:
         raise GptError("matrix does not match the 4x4 family template")
     c_minus, c_plus = c_bounds(a, b)
     if not c_minus < c < c_plus:

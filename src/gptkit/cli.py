@@ -59,6 +59,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         values, n, _, kind = serialize.vector_from_dict(payload)
         if kind != args.src:
             raise GptError(f"file holds a {kind!r} vector but --from says {args.src!r}")
+        if n > values.shape[0]:  # K >= N in every theory; refuse before building one
+            raise GptError(f"vector header says dimension {n} but k = {values.shape[0]}")
         theory = theory_by_name(args.theory, n)
         if values.shape[0] != theory.k:
             raise GptError(f"vector length {values.shape[0]} does not match K = {theory.k}")

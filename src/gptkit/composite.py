@@ -10,7 +10,7 @@ import numpy as np
 
 from .dynamics import TransformMatrix
 from .errors import DimensionError
-from .frames import FiducialFrame
+from .frames import ATOL, FiducialFrame
 from .states import Theory
 
 
@@ -20,10 +20,7 @@ def product_state(p_a: np.ndarray, p_b: np.ndarray) -> np.ndarray:
 
 
 def composite_from_density(
-    rho_ab: np.ndarray,
-    frame_a: FiducialFrame,
-    frame_b: FiducialFrame,
-    atol: float = 1e-12,
+    rho_ab: np.ndarray, frame_a: FiducialFrame, frame_b: FiducialFrame
 ) -> np.ndarray:
     """Joint fiducial probabilities p_tilde[i, j] = tr((P_i (x) P_j) rho)."""
     rho_ab = np.asarray(rho_ab, dtype=complex)
@@ -34,7 +31,7 @@ def composite_from_density(
         )
     rho4 = rho_ab.reshape(na, nb, na, nb)
     vals = np.einsum("iab,jcd,bdac->ij", frame_a.projectors, frame_b.projectors, rho4)
-    if np.abs(vals.imag).max() > atol:
+    if np.abs(vals.imag).max() > ATOL:
         raise DimensionError("joint probabilities have non-negligible imaginary part")
     return vals.real
 
@@ -104,8 +101,9 @@ def dof_count_check(d_a: np.ndarray, d_b: np.ndarray) -> int:
     The fiducial p-vectors are the columns of each D matrix, so the
     K_A * K_B flattened outer products are the columns of kron(D_A, D_B);
     their rank is returned (K_A * K_B when both fiducial sets are
-    independent).
+    independent). It is computed as rank(D_A) * rank(D_B), which equals
+    rank(kron(D_A, D_B)) and needs no SVD of the K_A K_B x K_A K_B matrix.
     """
     d_a = np.asarray(d_a, dtype=float)
     d_b = np.asarray(d_b, dtype=float)
-    return int(np.linalg.matrix_rank(np.kron(d_a, d_b)))
+    return int(np.linalg.matrix_rank(d_a)) * int(np.linalg.matrix_rank(d_b))

@@ -12,10 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, GptError
-from .frames import FiducialFrame
-from .states import PSD_TOL, Theory, density_from_r, p_from_density, r_from_p
-
-COND_CUTOFF = 1e9
+from .frames import COND_CUTOFF, PSD_TOL, PURITY_TOL, FiducialFrame
+from .states import Theory, density_from_r, p_from_density, r_from_p
 
 
 @dataclass(frozen=True)
@@ -87,13 +85,13 @@ def z_from_kraus(kraus: KrausSet, theory: Theory) -> TransformMatrix:
     return TransformMatrix(z=z, dimension=frame.dimension, provenance="from-kraus")
 
 
-def z_from_unitary(u: np.ndarray, theory: Theory, atol: float = 1e-10) -> TransformMatrix:
+def z_from_unitary(u: np.ndarray, theory: Theory) -> TransformMatrix:
     """Z for unitary conjugation rho -> U rho U^dag."""
     u = np.asarray(u, dtype=complex)
     n = theory.dimension
     if u.shape != (n, n):
         raise DimensionError(f"unitary shape {u.shape} does not match dimension {n}")
-    if np.abs(u.conj().T @ u - np.eye(n)).max() > atol:
+    if np.abs(u.conj().T @ u - np.eye(n)).max() > PSD_TOL:
         raise GptError("matrix is not unitary")
     base = z_from_kraus(KrausSet(operators=u[np.newaxis]), theory)
     return TransformMatrix(z=base.z, dimension=n, provenance="from-unitary")
@@ -108,15 +106,15 @@ def apply_transform(z: TransformMatrix | np.ndarray, p: np.ndarray) -> np.ndarra
     return mat @ p
 
 
-def is_trace_nonincreasing(kraus: KrausSet, psd_tol: float = PSD_TOL) -> bool:
+def is_trace_nonincreasing(kraus: KrausSet) -> bool:
     """True iff I - sum M^dag M is positive semidefinite."""
     defect = kraus.completeness_defect()
-    return bool(np.linalg.eigvalsh(defect).min() >= -psd_tol)
+    return bool(np.linalg.eigvalsh(defect).min() >= -PSD_TOL)
 
 
-def is_trace_preserving(kraus: KrausSet, atol: float = PSD_TOL) -> bool:
+def is_trace_preserving(kraus: KrausSet) -> bool:
     """True iff sum M^dag M = I."""
-    return bool(np.abs(kraus.completeness_defect()).max() <= atol)
+    return bool(np.abs(kraus.completeness_defect()).max() <= PSD_TOL)
 
 
 def kraus_to_superoperator(kraus: KrausSet) -> np.ndarray:
@@ -124,29 +122,22 @@ def kraus_to_superoperator(kraus: KrausSet) -> np.ndarray:
     return sum(np.kron(m.conj(), m) for m in kraus.operators)
 
 
-def choi_matrix(superop: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Choi matrix (1/N) sum_ij E_ij (x) $(E_ij) of a superoperator matrix."""
+def choi_matrix(superop: np.ndarray) -> np.ndarray:
+    """Choi matrix (1/N) sum_ij E_ij (x) $(E_ij) of a superoperator matrix,
+    where N^2 is the superoperator's side."""
     superop = np.asarray(superop, dtype=complex)
     if superop.ndim != 2 or superop.shape[0] != superop.shape[1]:
         raise DimensionError(f"superoperator must be square, got shape {superop.shape}")
-    side = int(round(np.sqrt(superop.shape[0])))
-    if side * side != superop.shape[0]:
+    n = int(round(np.sqrt(superop.shape[0])))
+    if n * n != superop.shape[0]:
         raise DimensionError(f"superoperator side {superop.shape[0]} is not a perfect square")
-    if n is None:
-        n = side
-    elif n != side:
-        raise DimensionError(f"superoperator side {side}^2 does not match dimension {n}")
     # superop[a + n b, i + n j] = $(E_ij)[a, b], the entry at row (i, a) and
     # column (j, b) of the Choi matrix
     choi = superop.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
     return choi / n
 
 
-def is_completely_positive(
-    superop: KrausSet | np.ndarray,
-    n: int | None = None,
-    psd_tol: float = PSD_TOL,
-) -> bool:
+def is_completely_positive(superop: KrausSet | np.ndarray) -> bool:
     """Choi test for complete positivity.
 
     A Kraus set is CP by construction; a superoperator matrix
@@ -156,22 +147,17 @@ def is_completely_positive(
     """
     if isinstance(superop, KrausSet):
         return True
-    choi = choi_matrix(superop, n)
-    if np.abs(choi - choi.conj().T).max() > psd_tol:
+    choi = choi_matrix(superop)
+    if np.abs(choi - choi.conj().T).max() > PSD_TOL:
         return False
-    return bool(np.linalg.eigvalsh(choi).min() >= -psd_tol)
+    return bool(np.linalg.eigvalsh(choi).min() >= -PSD_TOL)
 
 
-def is_reversible(
-    z: TransformMatrix,
-    witnesses: list[np.ndarray],
-    theory: Theory,
-    tol: float = 1e-9,
-) -> bool:
+def is_reversible(z: TransformMatrix, witnesses: list[np.ndarray], theory: Theory) -> bool:
     """True iff Z is invertible and Z^{-1} maps witness states to valid states.
 
     Validity of the pre-image: p entries and mu within [0, 1] and the
-    reconstructed operator positive semidefinite, all to ``tol``.
+    reconstructed operator positive semidefinite, all to ``PURITY_TOL``.
     """
     svals = np.linalg.svd(z.z, compute_uv=False)
     if svals[-1] * COND_CUTOFF <= svals[0]:
@@ -179,13 +165,13 @@ def is_reversible(
     r_identity = np.asarray(theory.r_identity, dtype=float)
     for p in witnesses:
         pre = np.linalg.solve(z.z, np.asarray(p, dtype=float))
-        if pre.min() < -tol or pre.max() > 1.0 + tol:
+        if pre.min() < -PURITY_TOL or pre.max() > 1.0 + PURITY_TOL:
             return False
         mu = float(r_identity @ pre)
-        if not -tol <= mu <= 1.0 + tol:
+        if not -PURITY_TOL <= mu <= 1.0 + PURITY_TOL:
             return False
         rho = density_from_r(r_from_p(pre, theory.d), theory.frame)
-        if np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min() < -tol:
+        if np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min() < -PURITY_TOL:
             return False
     return True
 
@@ -214,7 +200,6 @@ def check_measurement_update(
     branches: list[tuple[KrausSet, np.ndarray]],
     theory: Theory,
     witnesses: list[np.ndarray],
-    atol: float = 1e-10,
 ) -> MeasurementUpdateReport:
     """Verify the constraints tying branch transformations to outcomes.
 
@@ -245,17 +230,17 @@ def check_measurement_update(
     dev_kraus = float(np.abs(KrausSet(pooled).completeness_defect()).max())
 
     violations = []
-    if dev_norm > atol:
+    if dev_norm > PSD_TOL:
         violations.append(f"branch normalization deviates by {dev_norm:.3g}")
-    if dev_identity > atol:
+    if dev_identity > PSD_TOL:
         violations.append(f"summed transform moves r_I by {dev_identity:.3g}")
-    if dev_kraus > atol:
+    if dev_kraus > PSD_TOL:
         violations.append(f"sum M^dag M differs from I_{n} by {dev_kraus:.3g}")
     return MeasurementUpdateReport(
         branch_normalization=dev_norm,
         identity_preservation=dev_identity,
         kraus_completeness=dev_kraus,
-        tolerance=atol,
+        tolerance=PSD_TOL,
         violations=tuple(violations),
     )
 
@@ -267,7 +252,8 @@ class PathReport:
     ``purities`` holds r^T D r at each of the ``steps`` sampled points and
     ``midpoint_purity`` its value at t = 1/2; ``endpoint_deviation`` is
     max |r(1) - r_b|. ``pure_path`` is True iff every sample stays within
-    ``tolerance`` of 1 and the path ends at r_b within ``tolerance``.
+    ``tolerance`` (``PURITY_TOL``) of 1 and the path ends at r_b within
+    ``tolerance``.
     """
 
     theory: str
@@ -284,21 +270,15 @@ class PathReport:
         return self.max_deviation <= self.tolerance and self.endpoint_deviation <= self.tolerance
 
 
-def _pure_state_vector(r: np.ndarray, frame: FiducialFrame, tol: float) -> np.ndarray:
+def _pure_state_vector(r: np.ndarray, frame: FiducialFrame) -> np.ndarray:
     rho = density_from_r(np.asarray(r, dtype=float), frame)
     eigvals, eigvecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    if abs(eigvals[-1] - 1.0) > tol or np.abs(eigvals[:-1]).max(initial=0.0) > tol:
+    if abs(eigvals[-1] - 1.0) > PURITY_TOL or np.abs(eigvals[:-1]).max(initial=0.0) > PURITY_TOL:
         raise GptError("endpoint is not a pure state (rank-1, trace-1) to tolerance")
     return eigvecs[:, -1]
 
 
-def continuity_probe(
-    theory: Theory,
-    r_a: np.ndarray,
-    r_b: np.ndarray,
-    steps: int,
-    tol: float = 1e-9,
-) -> PathReport:
+def continuity_probe(theory: Theory, r_a: np.ndarray, r_b: np.ndarray, steps: int) -> PathReport:
     """Probe for a continuous path of pure states from r_a to r_b.
 
     For a theory with an operator frame (quantum) the probe follows the
@@ -325,15 +305,15 @@ def continuity_probe(
     if theory.frame is None:
         r_a = np.asarray(r_a, dtype=float)
         for r in (r_a, r_b):
-            in_bounds = r.min() >= -tol and r.max() <= 1.0 + tol
-            if not in_bounds or abs(r @ r - 1.0) > tol or abs(r.sum() - 1.0) > tol:
+            in_bounds = r.min() >= -PURITY_TOL and r.max() <= 1.0 + PURITY_TOL
+            if not in_bounds or abs(r @ r - 1.0) > PURITY_TOL or abs(r.sum() - 1.0) > PURITY_TOL:
                 raise GptError("classical endpoint is not a pure (basis) state")
         path = np.outer(1.0 - ts, r_a) + np.outer(ts, r_b)
         purities = np.einsum("ti,ti->t", path, path)  # D = I
         mus = path.sum(axis=1)
     else:
-        psi_a = _pure_state_vector(r_a, theory.frame, tol)
-        psi_b = _pure_state_vector(r_b, theory.frame, tol)
+        psi_a = _pure_state_vector(r_a, theory.frame)
+        psi_b = _pure_state_vector(r_b, theory.frame)
         overlap = psi_a.conj() @ psi_b
         cos_ab = abs(overlap)
         if cos_ab > 0.0:
@@ -357,7 +337,7 @@ def continuity_probe(
         max_deviation=float(np.abs(purities[:-1] - 1.0).max()),
         max_mu_deviation=float(np.abs(mus[:-1] - 1.0).max()),
         endpoint_deviation=float(np.abs(path[steps - 1] - r_b).max()),
-        tolerance=tol,
+        tolerance=PURITY_TOL,
     )
 
 

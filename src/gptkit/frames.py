@@ -16,8 +16,20 @@ import numpy as np
 
 from .errors import DegenerateFrameError, DimensionError, NoSignatureError
 
-ATOL = 1e-12
-INDEPENDENCE_RTOL = 1e-9
+# The tolerance of every check in gptkit, one constant per meaning. The
+# checks read these names and take no tolerance argument; each report that
+# states a tolerance records the constant its check used.
+ATOL = 1e-12  # identities that hold exactly up to rounding
+PSD_TOL = 1e-10  # eigenvalue signs, and operator identities after products
+PURITY_TOL = 1e-9  # values that come out of a solve against D or Z
+INDEPENDENCE_RTOL = 1e-9  # smallest/largest singular value of a frame's projectors
+GRAM_SINGULAR_TOL = 1e-9  # smallest singular value of a D matrix
+COND_CUTOFF = 1e9  # condition number beyond which Z counts as not invertible
+LINEARITY_TOL = 1e-14  # affine and homogeneity identities of a measurement
+LINEARITY_SAMPLES = 1000  # random mixtures and scalings per linearity check
+FREQUENCY_ENVELOPE = 5.0  # frequency bound at n shots: FREQUENCY_ENVELOPE / sqrt(n)
+FREQUENCY_PASS_FRACTION = 0.95  # share of trials that must fall inside that bound
+POWER_LAW_N_MAX = 6  # dimensions 1..N_max of the power-law table
 
 Label = tuple[str, int, int]
 
@@ -72,7 +84,7 @@ class FiducialFrame:
     def k(self) -> int:
         return self.projectors.shape[0]
 
-    def validate(self, atol: float = ATOL) -> None:
+    def validate(self) -> None:
         """Raise if any frame invariant fails.
 
         Checks Hermiticity, idempotence and unit trace of every projector,
@@ -85,13 +97,13 @@ class FiducialFrame:
                 f"expected (K, {self.dimension}, {self.dimension})"
             )
         herm = np.abs(self.projectors - self.projectors.conj().transpose(0, 2, 1)).max()
-        if herm > atol:
+        if herm > ATOL:
             raise DegenerateFrameError(f"projector not Hermitian (deviation {herm:.3g})")
         idem = np.abs(np.einsum("kij,kjl->kil", self.projectors, self.projectors) - self.projectors).max()
-        if idem > atol:
+        if idem > ATOL:
             raise DegenerateFrameError(f"projector not idempotent (deviation {idem:.3g})")
         traces = np.einsum("kii->k", self.projectors)
-        if np.abs(traces - 1.0).max() > atol:
+        if np.abs(traces - 1.0).max() > ATOL:
             raise DegenerateFrameError("projector trace differs from 1")
         flat = np.concatenate(
             [self.projectors.real.reshape(k, -1), self.projectors.imag.reshape(k, -1)], axis=1
@@ -128,7 +140,7 @@ def build_canonical_frame(n: int) -> FiducialFrame:
     return frame
 
 
-def gram_matrix(frame: FiducialFrame, atol: float = ATOL) -> np.ndarray:
+def gram_matrix(frame: FiducialFrame) -> np.ndarray:
     """Gram matrix D with D[i, j] = Re tr(P_i P_j).
 
     Raises DegenerateFrameError if the imaginary parts are not negligible,
@@ -136,13 +148,13 @@ def gram_matrix(frame: FiducialFrame, atol: float = ATOL) -> np.ndarray:
     which signal a linearly dependent or corrupted frame).
     """
     prods = np.einsum("iab,jba->ij", frame.projectors, frame.projectors)
-    if np.abs(prods.imag).max() > atol:
+    if np.abs(prods.imag).max() > ATOL:
         raise DegenerateFrameError("tr(P_i P_j) has a non-negligible imaginary part")
     d = prods.real
-    if np.abs(d - d.T).max() > atol:
+    if np.abs(d - d.T).max() > ATOL:
         raise DegenerateFrameError("Gram matrix is not symmetric")
     svals = np.linalg.svd(d, compute_uv=False)
-    if svals[-1] <= 1e-9:
+    if svals[-1] <= GRAM_SINGULAR_TOL:
         raise DegenerateFrameError(f"Gram matrix singular (smallest sv {svals[-1]:.3g})")
     return d
 

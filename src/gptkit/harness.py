@@ -56,7 +56,7 @@ from .dynamics import (
     z_from_unitary,
 )
 from .errors import GptError, InvalidExperimentError
-from .frames import ATOL, build_canonical_frame, gram_matrix
+from .frames import ATOL, POWER_LAW_N_MAX, PSD_TOL, build_canonical_frame, gram_matrix
 from .serialize import _float_array, _number, _required
 from .states import Theory, mix, p_from_density, quantum_theory, r_from_p, theory_by_name
 
@@ -128,16 +128,17 @@ class OutcomeCounts:
         return self.counts / self.shots
 
 
-def outcome_probabilities(exp: Experiment, atol: float = ATOL) -> np.ndarray:
-    """Probability vector (null, outcome 1, ..., outcome L) of an experiment."""
+def outcome_probabilities(exp: Experiment) -> np.ndarray:
+    """Probability vector (null, outcome 1, ..., outcome L) of an experiment;
+    each must lie in [0, 1] to ``ATOL``."""
     p = exp.preparation
     if exp.transform is not None:
         p = apply_transform(exp.transform, p)
     probs = np.array([float(np.asarray(r) @ p) for r in exp.partition])
-    if probs.min() < -atol or probs.max() > 1.0 + atol:
+    if probs.min() < -ATOL or probs.max() > 1.0 + ATOL:
         raise InvalidExperimentError(f"branch probability outside [0, 1]: {probs}")
     null = 1.0 - probs.sum()
-    if null < -atol:
+    if null < -ATOL:
         raise InvalidExperimentError(f"non-null probabilities sum to {probs.sum()} > 1")
     return np.concatenate([[max(null, 0.0)], np.clip(probs, 0.0, None)])
 
@@ -242,12 +243,12 @@ def _frequency_check(theory: Theory, seed: int, trials: int, scales: tuple[int, 
     )
 
 
-def _power_law_check(theory: Theory, n_max: int = 6) -> CheckResult:
+def _power_law_check(theory: Theory) -> CheckResult:
     if theory.name == "quantum":
-        table = {n: build_canonical_frame(n).k for n in range(1, n_max + 1)}
+        table = {n: build_canonical_frame(n).k for n in range(1, POWER_LAW_N_MAX + 1)}
         expected = 2
     else:
-        table = {n: n for n in range(1, n_max + 1)}
+        table = {n: n for n in range(1, POWER_LAW_N_MAX + 1)}
         expected = 1
     mult = is_completely_multiplicative(table)
     r = fit_power_law(table) if mult.ok else None
@@ -442,15 +443,24 @@ def _read_input(base: Path, name: Any) -> dict[str, Any]:
         raise GptError(f"cannot read {name}: {exc.strerror or exc}") from None
 
 
+def _write_output(out_dir: Path, params: dict[str, Any], key: str, payload: dict) -> None:
+    """Write ``payload`` to the file ``params[key]`` in ``out_dir``; a name
+    that is not a string or a file that cannot be written is a GptError, so
+    it fails only its section."""
+    name = params[key]
+    if not isinstance(name, str):
+        raise GptError(f"{key} = {name!r} is not a file name")
+    try:
+        serialize.write_json(out_dir / name, payload)
+    except OSError as exc:
+        raise GptError(f"cannot write {name!r}: {exc.strerror or exc}") from None
+
+
 def _resolve_preparation(spec: str, theory: Theory, base: Path) -> np.ndarray:
     if spec == "null":
         return np.zeros(theory.k)
     if spec == "maximally-mixed":
-        if theory.name == "quantum":
-            return p_from_density(
-                np.eye(theory.dimension, dtype=complex) / theory.dimension, theory.frame
-            )
-        return np.full(theory.dimension, 1.0 / theory.dimension)
+        return theory.basis_p.mean(axis=0)
     if spec.startswith("basis:"):
         idx = _number({"basis": spec.split(":", 1)[1]}, "basis") - 1
         if not 0 <= idx < theory.dimension:
@@ -535,10 +545,10 @@ def _run_frame_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: 
     d = gram_matrix(frame)
     details: dict[str, Any] = {"dimension": n, "k": frame.k}
     if "out" in params:
-        serialize.write_json(out_dir / params["out"], serialize.frame_to_dict(frame))
+        _write_output(out_dir, params, "out", serialize.frame_to_dict(frame))
         details["out"] = params["out"]
     if "dmat_out" in params:
-        serialize.write_json(out_dir / params["dmat_out"], serialize.dmatrix_to_dict(d, n))
+        _write_output(out_dir, params, "dmat_out", serialize.dmatrix_to_dict(d, n))
         details["dmat_out"] = params["dmat_out"]
     return {"status": "pass", "max_deviation": 0.0, "details": details}
 
@@ -602,9 +612,8 @@ def _run_transform_pipeline(params: dict[str, Any], seed: int, base: Path, out_d
         if "unitary" in params
         else z_from_kraus(kraus, theory)
     )
-    witnesses = [theory.basis_p[i] for i in range(n)]
-    witnesses.append(p_from_density(np.eye(n, dtype=complex) / n, theory.frame))
-    cp = is_completely_positive(kraus_to_superoperator(kraus), n)
+    witnesses = [*theory.basis_p, theory.basis_p.mean(axis=0)]
+    cp = is_completely_positive(kraus_to_superoperator(kraus))
     nonincreasing = is_trace_nonincreasing(kraus)
     details = {
         "dimension": n,
@@ -639,7 +648,7 @@ def _run_composite_pipeline(params: dict[str, Any], seed: int, base: Path, out_d
         right = composite_from_density(u @ rho @ u.conj().T, ta.frame, tb.frame)
         worst = max(worst, float(np.abs(left - right).max()))
     rank = dof_count_check(ta.d, tb.d)
-    ok = worst <= 1e-10 and rank == ta.k * tb.k
+    ok = worst <= PSD_TOL and rank == ta.k * tb.k
     return {
         "status": "pass" if ok else "fail",
         "max_deviation": worst,
@@ -658,7 +667,7 @@ def _run_simulate_pipeline(params: dict[str, Any], seed: int, base: Path, out_di
     counts = simulate(exp)
     payload = serialize.counts_to_dict(counts.counts, counts.shots, counts.seed)
     if "out" in params:
-        serialize.write_json(out_dir / params["out"], payload)
+        _write_output(out_dir, params, "out", payload)
     return {"status": "pass", "max_deviation": 0.0, "details": payload}
 
 

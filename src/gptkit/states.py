@@ -13,13 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, GptError
-from .frames import ATOL, FiducialFrame, build_canonical_frame, gram_matrix
-
-PURITY_TOL = 1e-9
-PSD_TOL = 1e-10
+from .frames import ATOL, PSD_TOL, PURITY_TOL, FiducialFrame, build_canonical_frame, gram_matrix
 
 
-def p_from_density(rho: np.ndarray, frame: FiducialFrame, atol: float = ATOL) -> np.ndarray:
+def p_from_density(rho: np.ndarray, frame: FiducialFrame) -> np.ndarray:
     """Fiducial probabilities p[k] = tr(P_k rho), for one operator (N, N)
     or a stack (m, N, N), which gives shape (m, K)."""
     rho = np.asarray(rho, dtype=complex)
@@ -27,7 +24,7 @@ def p_from_density(rho: np.ndarray, frame: FiducialFrame, atol: float = ATOL) ->
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (n, n):
         raise DimensionError(f"operator shape {rho.shape} does not match dimension {n}")
     vals = np.einsum("kij,...ji->...k", frame.projectors, rho)
-    if np.abs(vals.imag).max(initial=0.0) > atol:
+    if np.abs(vals.imag).max(initial=0.0) > ATOL:
         raise GptError("trace values have non-negligible imaginary part; operator not Hermitian?")
     return vals.real
 
@@ -72,16 +69,16 @@ def normalization(p: np.ndarray, r_identity: np.ndarray) -> float:
     return float(np.asarray(r_identity, dtype=float) @ np.asarray(p, dtype=float))
 
 
-def is_pure(r: np.ndarray, theory: Theory, tol: float = PURITY_TOL) -> bool:
-    """True iff r^T D r = 1 and mu = 1, both within ``tol``.
+def is_pure(r: np.ndarray, theory: Theory) -> bool:
+    """True iff r^T D r = 1 and mu = 1, both within ``PURITY_TOL``.
 
-    The default tolerance is looser than the linear-algebra tolerance
-    because r typically comes out of a solve against D.
+    The tolerance is looser than ``ATOL`` because r typically comes out
+    of a solve against D.
     """
     r = np.asarray(r, dtype=float)
     quad = float(r @ np.asarray(theory.d, dtype=float) @ r)
     mu = normalization(p_from_r(r, theory.d), theory.r_identity)
-    return abs(quad - 1.0) <= tol and abs(mu - 1.0) <= tol
+    return abs(quad - 1.0) <= PURITY_TOL and abs(mu - 1.0) <= PURITY_TOL
 
 
 def mix(states: list[np.ndarray], weights: list[float]) -> np.ndarray:
@@ -103,40 +100,40 @@ def mix(states: list[np.ndarray], weights: list[float]) -> np.ndarray:
     return w @ stacked
 
 
-def is_valid_density(rho: np.ndarray, atol: float = ATOL, psd_tol: float = PSD_TOL) -> bool:
+def is_valid_density(rho: np.ndarray) -> bool:
     """Hermitian, positive semidefinite, trace in [0, 1]."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         return False
-    if np.abs(rho - rho.conj().T).max() > atol:
+    if np.abs(rho - rho.conj().T).max() > ATOL:
         return False
     eigs = np.linalg.eigvalsh(rho)
     tr = float(np.trace(rho).real)
-    return eigs.min() >= -psd_tol and -atol <= tr <= 1.0 + atol
+    return eigs.min() >= -PSD_TOL and -ATOL <= tr <= 1.0 + ATOL
 
 
-def is_valid_measurement_operator(a: np.ndarray, atol: float = ATOL, psd_tol: float = PSD_TOL) -> bool:
+def is_valid_measurement_operator(a: np.ndarray) -> bool:
     """Hermitian with eigenvalues in [0, 1] (a POVM element)."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    if np.abs(a - a.conj().T).max() > atol:
+    if np.abs(a - a.conj().T).max() > ATOL:
         return False
     eigs = np.linalg.eigvalsh(a)
-    return eigs.min() >= -psd_tol and eigs.max() <= 1.0 + psd_tol
+    return eigs.min() >= -PSD_TOL and eigs.max() <= 1.0 + PSD_TOL
 
 
-def is_valid_state_p(p: np.ndarray, r_identity: np.ndarray, tol: float = PSD_TOL) -> bool:
+def is_valid_state_p(p: np.ndarray, r_identity: np.ndarray) -> bool:
     """Entries in [0, 1] and normalization coefficient in [0, 1].
 
     Conversion routines accept anything; this predicate is where policy
     about physicality lives.
     """
     p = np.asarray(p, dtype=float)
-    if p.min(initial=0.0) < -tol or p.max(initial=0.0) > 1.0 + tol:
+    if p.min(initial=0.0) < -PSD_TOL or p.max(initial=0.0) > 1.0 + PSD_TOL:
         return False
     mu = normalization(p, r_identity)
-    return -tol <= mu <= 1.0 + tol
+    return -PSD_TOL <= mu <= 1.0 + PSD_TOL
 
 
 @dataclass(frozen=True)

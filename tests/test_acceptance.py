@@ -203,7 +203,7 @@ def test_criterion_05_transformation_correspondence():
         for _ in range(50):
             kraus = KrausSet(random_kraus(rng, n, terms=int(rng.integers(1, 4))))
             z = z_from_kraus(kraus, theory)
-            choi_ok = choi_ok and is_completely_positive(kraus_to_superoperator(kraus), n)
+            choi_ok = choi_ok and is_completely_positive(kraus_to_superoperator(kraus))
             for rho, p in zip(states, ps):
                 lhs = p_from_density(kraus.apply(rho), theory.frame)
                 worst = max(worst, float(np.abs(lhs - z.z @ p).max()))
@@ -212,7 +212,7 @@ def test_criterion_05_transformation_correspondence():
     for i in range(2):
         for j in range(2):
             transpose[i + 2 * j, j + 2 * i] = 1.0
-    rejects_transpose = not is_completely_positive(transpose, 2)
+    rejects_transpose = not is_completely_positive(transpose)
     elapsed = time.monotonic() - start
     ok = worst <= 1e-10 and choi_ok and rejects_transpose and elapsed < 30.0
     report_line(
@@ -238,11 +238,12 @@ def test_criterion_06_measurement_update():
         p_from_density(np.eye(2, dtype=complex) / 2.0, QT2.frame),
         p_from_density(random_density(rng, 2), QT2.frame),
     ]
-    report = check_measurement_update(branches, QT2, witnesses, atol=1e-12)
+    report = check_measurement_update(branches, QT2, witnesses)
     worst = max(
         report.branch_normalization, report.identity_preservation, report.kraus_completeness
     )
-    report_line(6, "measurement update", report.passed, f"worst deviation {worst:.1e}")
+    ok = report.passed and worst <= 1e-12
+    report_line(6, "measurement update", ok, f"worst deviation {worst:.1e}")
 
 
 def test_criterion_07_composite_law_and_dof():

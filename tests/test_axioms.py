@@ -202,7 +202,7 @@ class TestLinearity:
     def test_affine_and_homogeneous_to_rounding(self, rng):
         theory = quantum_theory(2)
         for r_m in list(theory.basis_r) + [theory.r_identity]:
-            report = check_linearity(r_m, self._pool(theory), rng, samples=1000)
+            report = check_linearity(r_m, self._pool(theory), rng)
             assert report.passed
 
     def test_stack_matches_each_row(self):

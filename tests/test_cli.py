@@ -52,8 +52,14 @@ def test_cli_import_does_not_load_scipy():
             ["simulate", "--config", "e.cfg", "--seed", "1"],
             "preparation vector length 3 does not match K = 4",
         ),
+        (
+            {"v.json": {"dimension": 1000, "k": 1, "role": "state", "kind": "p", "values": [0.5]}},
+            ["convert", "--from", "p", "--in", "v.json", "--to", "r"],
+            "vector header says dimension 1000 but k = 1",
+        ),
     ],
-    ids=["convert-dimension", "simulate-partition-vector", "simulate-preparation-length"],
+    ids=["convert-dimension", "simulate-partition-vector", "simulate-preparation-length",
+         "convert-dimension-above-k"],
 )
 def test_malformed_json_field_is_usage_error(tmp_path, capsys, monkeypatch, files, argv, message):
     for name, content in files.items():

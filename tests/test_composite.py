@@ -150,6 +150,14 @@ class TestDofCount:
         ca, cb = classical_theory(2), classical_theory(2)
         assert dof_count_check(ca.d, cb.d) == 4
 
+    def test_matches_rank_of_kronecker_product(self, rng):
+        for _ in range(40):
+            (ka, kb), (ra, rb) = rng.integers(1, 7, size=2), rng.integers(0, 7, size=2)
+            a = rng.standard_normal((ka, ra)) @ rng.standard_normal((ra, ka))
+            b = rng.standard_normal((kb, rb)) @ rng.standard_normal((rb, kb))
+            expected = np.linalg.matrix_rank(np.kron(a, b))
+            assert dof_count_check(a, b) == expected == min(ka, ra) * min(kb, rb)
+
 
 class TestEntanglementWitness:
     def test_bell_state_reconstruction_has_negative_partial_transpose(self):

@@ -146,18 +146,18 @@ class TestCompletePositivity:
 
     def test_transpose_map_rejected(self):
         s = transpose_superoperator(2)
-        assert not is_completely_positive(s, 2)
-        eigs = np.linalg.eigvalsh(choi_matrix(s, 2))
+        assert not is_completely_positive(s)
+        eigs = np.linalg.eigvalsh(choi_matrix(s))
         assert_allclose(sorted(eigs), [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_identity_map_accepted(self):
-        assert is_completely_positive(np.eye(4), 2)
+        assert is_completely_positive(np.eye(4))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_kraus_superoperators_accepted(self, n, rng):
         for _ in range(20):
             s = kraus_to_superoperator(KrausSet(random_kraus(rng, n)))
-            assert is_completely_positive(s, n)
+            assert is_completely_positive(s)
 
     def test_choi_matrix_matches_defining_sum(self, rng):
         n = 3
@@ -169,7 +169,7 @@ class TestCompletePositivity:
                 unit[i, j] = 1.0
                 image = (s @ unit.flatten(order="F")).reshape((n, n), order="F")
                 expected += np.kron(unit, image)
-        assert np.array_equal(choi_matrix(s, n), expected / n)
+        assert np.array_equal(choi_matrix(s), expected / n)
 
     def test_superoperator_matrix_agrees_with_kraus_action(self, rng):
         kraus = KrausSet(random_kraus(rng, 2))
@@ -213,7 +213,7 @@ class TestMeasurementUpdate:
             (KrausSet(P1), np.array([1.0, 0.0, 0.0, 0.0])),
             (KrausSet(P2), np.array([0.0, 1.0, 0.0, 0.0])),
         ]
-        report = check_measurement_update(branches, QT2, self._witnesses(rng), atol=1e-12)
+        report = check_measurement_update(branches, QT2, self._witnesses(rng))
         assert report.passed
         assert report.branch_normalization <= 1e-12
         assert report.identity_preservation <= 1e-12

@@ -320,6 +320,24 @@ class TestRunReport:
         assert report["pipelines"][0]["status"] == "error"
         assert report["pipelines"][0]["details"]["error"] == error
 
+    @pytest.mark.parametrize(
+        "section, error",
+        [
+            ({"kind": "simulate", "out": None}, "out = None is not a file name"),
+            ({"kind": "frame", "n": 2, "dmat_out": [1]}, "dmat_out = [1] is not a file name"),
+            ({"kind": "frame", "n": 2, "out": ""}, "cannot write '': Is a directory"),
+            ({"kind": "simulate", "out": "no/such/dir.json"}, "cannot write 'no/such/dir.json': "),
+        ],
+    )
+    def test_bad_output_name_errors_only_its_own_section(self, tmp_path, section, error):
+        config = tmp_path / "w.json"
+        config.write_text(json.dumps({"pipelines": [section, {"kind": "frame", "n": 1}]}))
+        code, _ = run_report(config, tmp_path / "out")
+        assert code == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [p["status"] for p in report["pipelines"]] == ["error", "pass"]
+        assert report["pipelines"][0]["details"]["error"].startswith(error)
+
     def test_json_config_accepted(self, tmp_path):
         config = tmp_path / "suite.json"
         config.write_text(

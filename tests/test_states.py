@@ -7,8 +7,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gptkit.axioms
+import gptkit.bloch
 import gptkit.composite
 import gptkit.dynamics
+import gptkit.frames
+import gptkit.harness
 import gptkit.states
 from gptkit import (
     DimensionError,
@@ -18,6 +21,7 @@ from gptkit import (
     density_from_r,
     is_pure,
     is_valid_density,
+    is_valid_measurement_operator,
     is_valid_state_p,
     mix,
     normalization,
@@ -28,7 +32,7 @@ from gptkit import (
     r_from_p,
     theory_by_name,
 )
-from conftest import haar_state, random_density, random_measurement_operator
+from conftest import haar_state, haar_unitary, random_density, random_measurement_operator
 
 QT2 = quantum_theory(2)
 
@@ -288,3 +292,70 @@ class TestValidityPredicates:
         assert is_valid_density(rho)
         p = p_from_density(rho, QT2.frame)
         assert is_valid_state_p(p, QT2.r_identity)
+
+    def test_measurement_operator_accepts_projector_and_povm_element(self, rng):
+        psi = haar_state(rng, 3)
+        assert is_valid_measurement_operator(np.outer(psi, psi.conj()))
+        assert is_valid_measurement_operator(random_measurement_operator(rng, 3))
+
+    @pytest.mark.parametrize("eigenvalue", [1.0 + 1e-6, -1e-6])
+    def test_measurement_operator_rejects_eigenvalue_outside_unit_interval(self, rng, eigenvalue):
+        u = haar_unitary(rng, 3)
+        assert not is_valid_measurement_operator((u * [0.5, 0.25, eigenvalue]) @ u.conj().T)
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.array([[0.5, 0.1], [0.0, 0.5]]), np.array([[0.5, 0.1j], [0.1j, 0.5]]),
+         np.eye(2)[:1], np.ones(3) / 3.0],
+        ids=["non-hermitian", "symmetric-not-hermitian", "non-square", "vector"],
+    )
+    def test_measurement_operator_rejects_malformed_input(self, a):
+        assert not is_valid_measurement_operator(a)
+
+
+class TestNamedTolerances:
+    CHECK_MODULES = [gptkit.frames, gptkit.states, gptkit.bloch, gptkit.axioms,
+                     gptkit.dynamics, gptkit.composite, gptkit.harness]
+    SETTABLE = {"atol", "tol", "psd_tol", "envelope", "min_pass_fraction", "samples", "n_max"}
+
+    @pytest.mark.parametrize("module", CHECK_MODULES, ids=lambda m: m.__name__)
+    def test_no_check_takes_a_tolerance(self, module):
+        """Each check reads its tolerance from a constant in ``gptkit.frames``;
+        report dataclasses keep their ``tolerance``-style fields."""
+        functions = []
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(value):
+                functions.append((name, value))
+            elif inspect.isclass(value):
+                functions += [(f"{name}.{attr}", f) for attr, f in vars(value).items()
+                              if inspect.isfunction(f) and not attr.startswith("__")]
+        assert functions
+        for name, func in functions:
+            params = set(inspect.signature(func).parameters)
+            assert not params & self.SETTABLE, f"{module.__name__}.{name}"
+
+    @pytest.mark.parametrize(
+        "func", [gptkit.dynamics.choi_matrix, gptkit.dynamics.is_completely_positive]
+    )
+    def test_superoperator_dimension_comes_from_its_side(self, func):
+        assert list(inspect.signature(func).parameters) == ["superop"]
+
+    def test_reports_state_the_constant_their_check_read(self, rng):
+        f = gptkit.frames
+        assert (f.ATOL, f.PSD_TOL, f.PURITY_TOL, f.LINEARITY_TOL) == (1e-12, 1e-10, 1e-9, 1e-14)
+        theory = quantum_theory(2)
+        assert gptkit.axioms.check_subspace_axiom(theory, {0, 1}).tolerance == f.ATOL
+        assert gptkit.axioms.check_basis_distinguishability(theory).tolerance == f.ATOL
+        linearity = gptkit.axioms.check_linearity(theory.r_identity, list(theory.basis_p), rng)
+        assert (linearity.samples, linearity.tolerance) == (f.LINEARITY_SAMPLES, f.LINEARITY_TOL)
+        frequency = gptkit.axioms.check_frequency_convergence({100: [50]}, 0.5)
+        assert frequency.min_pass_fraction == f.FREQUENCY_PASS_FRACTION
+        assert frequency.scales[0].bound == f.FREQUENCY_ENVELOPE / 10.0
+        probe = gptkit.dynamics.continuity_probe(theory, theory.basis_r[0], theory.basis_r[0], steps=3)
+        assert probe.tolerance == f.PURITY_TOL
+        update = gptkit.dynamics.check_measurement_update(
+            [(gptkit.dynamics.KrausSet(np.eye(2, dtype=complex)), theory.r_identity)],
+            theory, list(theory.basis_p))
+        assert update.tolerance == f.PSD_TOL
