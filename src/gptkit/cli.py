@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 from typing import Callable
@@ -86,7 +85,7 @@ def _run(kind: str, args: argparse.Namespace, params: dict, base: Path = Path(),
          rows: Callable[[dict], list[list]] | None = None) -> int:
     """Run the harness pipeline ``kind`` and emit its details (CSV ``rows(details)``
     when given); exit code 0 for a passing status, 1 otherwise."""
-    outcome = PIPELINES[kind](params, getattr(args, "seed", 0), base, base)
+    outcome = PIPELINES[kind](params, serialize._seed(vars(args), default=0), base, base)
     details = outcome["details"]
     _emit(details, args.out, rows(details) if rows else None)
     return 0 if outcome["status"] in OK_STATUSES else 1
@@ -101,11 +100,11 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 
 def _cmd_composite(args: argparse.Namespace) -> int:
-    return _run("composite", args, _params(args, "rho", "na", "nb", "law_samples"))
+    return _run("composite", args, _params(args, "rho", "na", "nb"))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    return _run("verify", args, _params(args, "theory", "n", "trials", "pairs", "steps"))
+    return _run("verify", args, _params(args, "theory", "n"))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -163,16 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--rho", required=True)
     p_comp.add_argument("--na", type=int, required=True)
     p_comp.add_argument("--nb", type=int, required=True)
-    p_comp.add_argument("--law-samples", type=int, default=10)
     p_comp.add_argument("--seed", type=int, default=0)
 
     p_ver = command("verify", _cmd_verify, "run the axiom suite against a theory instance")
     p_ver.add_argument("--theory", choices=["quantum", "classical"], required=True)
     p_ver.add_argument("--n", type=int, required=True)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--trials", type=int, default=8)
-    p_ver.add_argument("--pairs", type=int, default=5)
-    p_ver.add_argument("--steps", type=int, default=100)
 
     p_sim = command("simulate", _cmd_simulate, "sample an experiment described by a config file", csv_out)
     p_sim.add_argument("--config", required=True)
@@ -195,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     except GptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except OSError as exc:
         print(f"error: {exc!r}", file=sys.stderr)
         return 2
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import DegenerateFrameError, DimensionError, NoSignatureError
 
-# The tolerance of every check in gptkit, one constant per meaning. The
-# checks read these names and take no tolerance argument; each report that
-# states a tolerance records the constant its check used.
+# The tolerance and sample budget of every check in gptkit, one constant per
+# meaning. The checks read these names, and no argument, flag or config key
+# sets them; each report records the tolerance or budget its check used.
 ATOL = 1e-12  # identities that hold exactly up to rounding
 PSD_TOL = 1e-10  # eigenvalue signs, and operator identities after products
 PURITY_TOL = 1e-9  # values that come out of a solve against D or Z
@@ -30,6 +30,11 @@ LINEARITY_SAMPLES = 1000  # random mixtures and scalings per linearity check
 FREQUENCY_ENVELOPE = 5.0  # frequency bound at n shots: FREQUENCY_ENVELOPE / sqrt(n)
 FREQUENCY_PASS_FRACTION = 0.95  # share of trials that must fall inside that bound
 POWER_LAW_N_MAX = 6  # dimensions 1..N_max of the power-law table
+FREQUENCY_SCALES = (1_000, 10_000, 100_000, 1_000_000)  # shots per trial, one scale each
+FREQUENCY_TRIALS = 8  # seeded trials per target probability and scale
+CONTINUITY_PAIRS = 5  # random pure-state pairs the quantum continuity check connects
+CONTINUITY_STEPS = 100  # points sampled along each continuity path
+COMPOSITE_LAW_SAMPLES = 10  # random local unitary pairs in the composite transformation law
 
 Label = tuple[str, int, int]
 

@@ -56,12 +56,14 @@ from .dynamics import (
     z_from_unitary,
 )
 from .errors import GptError, InvalidExperimentError
-from .frames import ATOL, POWER_LAW_N_MAX, PSD_TOL, build_canonical_frame, gram_matrix
-from .serialize import _float_array, _number, _required
+from .frames import (
+    ATOL, COMPOSITE_LAW_SAMPLES, CONTINUITY_PAIRS, CONTINUITY_STEPS, FREQUENCY_SCALES,
+    FREQUENCY_TRIALS, POWER_LAW_N_MAX, PSD_TOL, build_canonical_frame, gram_matrix,
+)
+from .serialize import _float_array, _number, _required, _seed
 from .states import Theory, mix, p_from_density, quantum_theory, r_from_p, theory_by_name
 
 OK_STATUSES = ("pass", "expected-fail")  # statuses that count as passing
-FREQUENCY_SCALES = (1_000, 10_000, 100_000, 1_000_000)
 
 
 def derive_seed(root: int, *key: int) -> int:
@@ -200,25 +202,20 @@ class SuiteReport:
         }
 
 
-def _frequency_check(theory: Theory, seed: int, trials: int, scales: tuple[int, ...]) -> CheckResult:
+def _frequency_check(theory: Theory, seed: int) -> CheckResult:
     basis_p = [theory.basis_p[i] for i in range(min(2, theory.dimension))]
     if len(basis_p) == 1:  # n = 1 has a single basis state; mix with null
         basis_p.append(np.zeros_like(basis_p[0]))
-    targets = {
-        0.0: mix(basis_p, [0.0, 1.0]),
-        0.25: mix(basis_p, [0.25, 0.75]),
-        0.5: mix(basis_p, [0.5, 0.5]),
-        1.0: mix(basis_p, [1.0, 0.0]),
-    }
     partition = tuple(theory.basis_r) if theory.dimension > 1 else (theory.r_identity,)
     worst = 0.0
     reports = {}
     ok = True
-    for t_idx, (p_true, prep) in enumerate(sorted(targets.items())):
+    for t_idx, p_true in enumerate((0.0, 0.25, 0.5, 1.0)):
+        prep = mix(basis_p, [p_true, 1.0 - p_true])
         counts_by_shots: dict[int, list[int]] = {}
-        for s_idx, shots in enumerate(scales):
+        for s_idx, shots in enumerate(FREQUENCY_SCALES):
             rows = []
-            for trial in range(trials):
+            for trial in range(FREQUENCY_TRIALS):
                 exp = Experiment(
                     preparation=prep,
                     partition=partition,
@@ -239,7 +236,7 @@ def _frequency_check(theory: Theory, seed: int, trials: int, scales: tuple[int, 
         name="axiom1-frequency-convergence",
         status="pass" if ok else "fail",
         max_deviation=worst,
-        witnesses={"targets": reports, "trials": trials},
+        witnesses={"targets": reports, "trials": FREQUENCY_TRIALS},
     )
 
 
@@ -290,7 +287,7 @@ def _composite_check(theory: Theory) -> CheckResult:
     )
 
 
-def _continuity_check(theory: Theory, seed: int, pairs: int, steps: int) -> CheckResult:
+def _continuity_check(theory: Theory, seed: int) -> CheckResult:
     if theory.frame is None:
         if theory.dimension < 2:
             return CheckResult(
@@ -299,7 +296,7 @@ def _continuity_check(theory: Theory, seed: int, pairs: int, steps: int) -> Chec
                 max_deviation=0.0,
                 witnesses={"note": "single pure state; no pair to connect"},
             )
-        report = continuity_probe(theory, theory.basis_r[0], theory.basis_r[1], steps=steps)
+        report = continuity_probe(theory, theory.basis_r[0], theory.basis_r[1], steps=CONTINUITY_STEPS)
         expected_fail = not report.pure_path
         return CheckResult(
             name="axiom5-continuity",
@@ -313,34 +310,26 @@ def _continuity_check(theory: Theory, seed: int, pairs: int, steps: int) -> Chec
     rng = np.random.default_rng(derive_seed(seed, 5))
     n = theory.dimension
     reports = []
-    for _ in range(pairs):
+    for _ in range(CONTINUITY_PAIRS):
         rs = []
         for _ in range(2):
             psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             psi /= np.linalg.norm(psi)
             rho = np.outer(psi, psi.conj())
             rs.append(r_from_p(p_from_density(rho, theory.frame), theory.d))
-        reports.append(continuity_probe(theory, rs[0], rs[1], steps=steps))
+        reports.append(continuity_probe(theory, rs[0], rs[1], steps=CONTINUITY_STEPS))
     return CheckResult(
         name="axiom5-continuity",
         status="pass" if all(r.pure_path for r in reports) else "fail",
         max_deviation=max(
             (max(r.max_deviation, r.endpoint_deviation) for r in reports), default=0.0
         ),
-        witnesses={"pairs": pairs, "steps": steps},
+        witnesses={"pairs": CONTINUITY_PAIRS, "steps": CONTINUITY_STEPS},
     )
 
 
-def run_axiom_suite(
-    theory_name: str,
-    n: int,
-    seed: int,
-    trials: int = 8,
-    scales: tuple[int, ...] = FREQUENCY_SCALES,
-    pairs: int = 5,
-    steps: int = 100,
-) -> SuiteReport:
-    """Run every axiom check against one theory instance.
+def run_axiom_suite(theory_name: str, n: int, seed: int) -> SuiteReport:
+    """Run every axiom check against one theory instance, at the sample budgets in ``frames``.
 
     For the classical theory the continuity check is expected to fail;
     that expectation is recorded as status "expected-fail", which counts
@@ -357,11 +346,11 @@ def run_axiom_suite(
     linearity = check_linearity(np.vstack([theory.basis_r, theory.r_identity]), pool, rng)
 
     checks = (
-        _frequency_check(theory, seed, trials, scales),
+        _frequency_check(theory, seed),
         _power_law_check(theory),
         _subspace_check(theory),
         _composite_check(theory),
-        _continuity_check(theory, seed, pairs, steps),
+        _continuity_check(theory, seed),
         CheckResult(
             name="basis-distinguishability",
             status="pass" if basis.passed else "fail",
@@ -385,9 +374,12 @@ def run_axiom_suite(
 
 def _read_config(path: str | Path) -> dict[str, Any] | configparser.ConfigParser:
     """A config file's JSON object, or its INI-style sections."""
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        return json.loads(text)
+    try:
+        text = Path(path).read_text()
+        if text.lstrip().startswith("{"):
+            return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise GptError(f"{path} is not valid JSON / UTF-8: {exc}") from None
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text, source=str(path))
@@ -402,7 +394,7 @@ def load_config(path: str | Path) -> tuple[int | None, list[dict[str, Any]]]:
     """Load a pipeline config; JSON and INI-style key-value are accepted."""
     config = _read_config(path)
     if isinstance(config, dict):
-        seed = _number(config, "seed") if config.get("seed") is not None else None
+        seed = _seed(config) if config.get("seed") is not None else None
         entries = config.get("pipelines", [])
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise GptError("pipelines must be a list of objects")
@@ -416,7 +408,7 @@ def load_config(path: str | Path) -> tuple[int | None, list[dict[str, Any]]]:
         kind = tokens[0].lower()
         if kind == "report":
             if "seed" in params:
-                seed = _number(params, "seed")
+                seed = _seed(params)
             continue
         name = tokens[1] if len(tokens) > 1 else kind
         pipelines.append({"kind": kind, "name": name, **params})
@@ -554,14 +546,7 @@ def _run_frame_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: 
 
 
 def _run_verify_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: Path) -> dict[str, Any]:
-    report = run_axiom_suite(
-        str(params.get("theory", "quantum")),
-        _number(params, "n", default=2),
-        seed=seed,
-        trials=_number(params, "trials", default=8),
-        pairs=_number(params, "pairs", default=5),
-        steps=_number(params, "steps", default=100),
-    )
+    report = run_axiom_suite(str(params.get("theory", "quantum")), _number(params, "n", default=2), seed)
     worst = max((c.max_deviation for c in report.checks), default=0.0)
     return {
         "status": "pass" if report.passed else "fail",
@@ -639,7 +624,7 @@ def _run_composite_pipeline(params: dict[str, Any], seed: int, base: Path, out_d
 
     rng = np.random.default_rng(derive_seed(seed, 7))
     worst = 0.0
-    for _ in range(_number(params, "law_samples", default=10)):
+    for _ in range(COMPOSITE_LAW_SAMPLES):
         ua, ub = haar_unitary(rng, na), haar_unitary(rng, nb)
         za = z_from_unitary(ua, ta)
         zb = z_from_unitary(ub, tb)
@@ -698,7 +683,7 @@ def run_report(config_path: str | Path, out_dir: str | Path, seed: int | None = 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_seed, pipelines = load_config(config_path)
-    root_seed = seed if seed is not None else (config_seed if config_seed is not None else 0)
+    root_seed = _seed({"seed": seed}) if seed is not None else (config_seed or 0)
     base = config_path.parent
 
     results = []
@@ -710,7 +695,7 @@ def run_report(config_path: str | Path, out_dir: str | Path, seed: int | None = 
         try:
             if kind not in PIPELINES:
                 raise GptError(f"unknown pipeline kind {kind!r}")
-            section_seed = _number(pipeline, "seed", default=derive_seed(root_seed, 100, index))
+            section_seed = _seed(pipeline, default=derive_seed(root_seed, 100, index))
             outcome = PIPELINES[kind](params, section_seed, base, out_dir)
         except GptError as exc:
             outcome = {"status": "error", "max_deviation": None, "details": {"error": str(exc)}}

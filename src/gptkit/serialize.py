@@ -27,11 +27,14 @@ def complex_to_json(array: np.ndarray) -> list:
 
 
 def _float_array(data: Any) -> np.ndarray:
-    """``data`` as a float array; a ragged or non-numeric array is a GptError."""
+    """``data`` as a float array; a ragged, non-numeric or non-finite array is a GptError."""
     try:
-        return np.asarray(data, dtype=float)
+        array = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:  # TypeError: a JSON object where a number belongs
         raise GptError(f"malformed numeric array: {exc}") from None
+    if not np.isfinite(array).all():
+        raise GptError("malformed numeric array: NaN or infinite entry")  # JSON NaN, Infinity
+    return array
 
 
 def _required(params: dict[str, Any], key: str) -> Any:
@@ -50,9 +53,19 @@ def _number(params: dict[str, Any], key: str, kind: type = int, default: Any = N
     except (TypeError, ValueError, OverflowError):
         number = None
     # a string is parsed, but a JSON number for an int key must be integral (2.5 is refused)
-    if number is None or (kind is int and not isinstance(value, str) and number != value):
+    if kind is int and not isinstance(value, str) and number != value:
+        number = None
+    if number is None or (kind is float and not np.isfinite(number)):
         raise GptError(f"{key} = {value!r} is not {'an integer' if kind is int else 'a number'}")
     return number
+
+
+def _seed(params: dict[str, Any], default: Any = None) -> int:
+    """The ``seed`` parameter: an integer that numpy can seed with, so not negative."""
+    seed = _number(params, "seed", default=default)
+    if seed < 0:
+        raise GptError(f"seed = {params['seed']!r} is negative")
+    return seed
 
 
 def complex_from_json(data: Any) -> np.ndarray:

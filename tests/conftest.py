@@ -1,4 +1,5 @@
-"""Shared random-object generators for the test suite.
+"""Shared random-object generators for the test suite, and the fixture
+that shrinks the sample budgets of the axiom suite and the composite law.
 
 Everything takes an explicit numpy Generator so tests stay reproducible;
 seeds are fixed per test.
@@ -6,10 +7,22 @@ seeds are fixed per test.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
+from gptkit import harness
 from gptkit.harness import haar_unitary  # noqa: F401  (re-exported to the tests)
+
+# A budget small enough to run a whole suite in a fraction of a second.
+SMALL_BUDGET = {
+    "FREQUENCY_TRIALS": 2,
+    "FREQUENCY_SCALES": (1_000,),
+    "CONTINUITY_PAIRS": 2,
+    "CONTINUITY_STEPS": 20,
+    "COMPOSITE_LAW_SAMPLES": 3,
+}
 
 
 def haar_state(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -51,3 +64,17 @@ def random_measurement_operator(rng: np.random.Generator, n: int) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260810)
+
+
+def set_budget(monkeypatch: pytest.MonkeyPatch, **budget) -> None:
+    """Set the ``harness`` sample-budget constants named in ``budget``
+    (constant name -> value) until ``monkeypatch`` is undone."""
+    for name, value in budget.items():
+        monkeypatch.setattr(harness, name, value)
+
+
+@pytest.fixture
+def budget(monkeypatch):
+    """``budget(FREQUENCY_TRIALS=2, ...)`` sets sample budgets for one test;
+    the constants are the only place a budget is set, so no API knob does it."""
+    return functools.partial(set_budget, monkeypatch)

@@ -328,7 +328,8 @@ def test_criterion_09_power_law():
     )
 
 
-def test_criterion_10_frequency_convergence_and_reproducibility(tmp_path):
+def test_criterion_10_frequency_convergence_and_reproducibility(tmp_path, budget):
+    budget(FREQUENCY_TRIALS=2, CONTINUITY_STEPS=20)
     start = time.monotonic()
     shots = 1_000_000
     preparations = {
@@ -355,7 +356,7 @@ def test_criterion_10_frequency_convergence_and_reproducibility(tmp_path):
         "[report]\nseed = 2026\n\n"
         "[simulate half]\ntheory = quantum\nn = 2\npreparation = mix:0.5\n"
         "partition = basis\nshots = 1000000\nout = counts.json\n\n"
-        "[verify classical]\ntheory = classical\nn = 2\ntrials = 2\nsteps = 20\n"
+        "[verify classical]\ntheory = classical\nn = 2\n"
     )
     code_a, _ = run_report(config, tmp_path / "run_a")
     code_b, _ = run_report(config, tmp_path / "run_b")

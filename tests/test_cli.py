@@ -57,9 +57,26 @@ def test_cli_import_does_not_load_scipy():
             ["convert", "--from", "p", "--in", "v.json", "--to", "r"],
             "vector header says dimension 1000 but k = 1",
         ),
+        (
+            {"v.json": {"dimension": 2, "k": 4, "role": "state", "kind": "r",
+                        "values": [float("nan"), 0, 0, 0]}},
+            ["convert", "--from", "r", "--in", "v.json", "--to", "p"],
+            "NaN or infinite entry",
+        ),
+        (
+            {"op.json": {"dimension": 1, "matrix": [[[0.5, float("inf")]]]}},
+            ["convert", "--from", "rho", "--in", "op.json", "--to", "p"],
+            "NaN or infinite entry",
+        ),
+        (
+            {"e.cfg": "[experiment]\nn = 2\npreparation = mix:nan\n"},
+            ["simulate", "--config", "e.cfg", "--seed", "1"],
+            "mix = 'nan' is not a number",
+        ),
     ],
     ids=["convert-dimension", "simulate-partition-vector", "simulate-preparation-length",
-         "convert-dimension-above-k"],
+         "convert-dimension-above-k", "convert-nan-vector", "convert-infinite-operator",
+         "simulate-nan-mix"],
 )
 def test_malformed_json_field_is_usage_error(tmp_path, capsys, monkeypatch, files, argv, message):
     for name, content in files.items():
@@ -79,12 +96,15 @@ def test_malformed_json_field_is_usage_error(tmp_path, capsys, monkeypatch, file
         ("[experiment]\nn = 2\n\n[experiment]\nn = 3\n", "section 'experiment' already exists"),
         ("garbage line\n", "File contains no section headers"),
         ("[experiment]\nn = 2\nout = a%b.json\n", "'%' must be followed by '%' or '('"),
+        (b"\xff\xfe[report]\n", "is not valid JSON / UTF-8: 'utf-8' codec can't decode"),
+        ('{"seed": 1,}', "is not valid JSON / UTF-8: Expecting property name"),
     ],
-    ids=["duplicate-frame", "duplicate-experiment", "no-section-header", "bad-interpolation"],
+    ids=["duplicate-frame", "duplicate-experiment", "no-section-header", "bad-interpolation",
+         "not-utf8", "malformed-json"],
 )
 def test_malformed_ini_config_is_usage_error(tmp_path, capsys, command, text, message):
     config = tmp_path / "bad.cfg"
-    config.write_text(text)
+    config.write_bytes(text if isinstance(text, bytes) else text.encode())
     argv = ["--out-dir", str(tmp_path / "out")] if command == "report" else ["--seed", "1"]
     code, _, err = run_cli(capsys, command, "--config", str(config), *argv)
     assert code == 2
@@ -260,21 +280,53 @@ class TestComposite:
         assert payload["p_tilde"]["rows"][0][0] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--theory", "quantum", "--n", "2", flag, "0"]
+     for flag in ("--trials", "--pairs", "--steps")]
+    + [["composite", "--rho", "bell.op.json", "--na", "2", "--nb", "2", "--law-samples", "0"]],
+    ids=["trials", "pairs", "steps", "law-samples"],
+)
+def test_sample_budget_flags_are_gone(capsys, argv):
+    """A sample budget is a constant, so its old flag is an unknown argument."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--theory", "quantum", "--n", "2"],
+        ["composite", "--rho", "rho.op.json", "--na", "2", "--nb", "2"],
+        ["simulate", "--config", "e.cfg"],
+        ["report", "--config", "r.cfg", "--out-dir", "out"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    """numpy seeds only with non-negative integers."""
+    (tmp_path / "e.cfg").write_text("[experiment]\nn = 2\n")
+    (tmp_path / "r.cfg").write_text("[frame f]\nn = 2\n")
+    serialize.write_json(tmp_path / "rho.op.json", serialize.operator_to_dict(np.eye(4) / 4))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: seed = -1 is negative\n")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 class TestVerify:
-    def test_classical_verify_passes(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--theory", "classical", "--n", "2",
-            "--trials", "2", "--steps", "20",
-        )
+    def test_classical_verify_passes(self, capsys, budget):
+        budget(FREQUENCY_TRIALS=2, CONTINUITY_STEPS=20)
+        code, out, _ = run_cli(capsys, "verify", "--theory", "classical", "--n", "2")
         assert code == 0
         payload = json.loads(out)
         assert payload["passed"] is True
 
-    def test_quantum_verify_passes(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--theory", "quantum", "--n", "2",
-            "--trials", "2", "--steps", "20", "--pairs", "2",
-        )
+    def test_quantum_verify_passes(self, capsys, budget):
+        budget(FREQUENCY_TRIALS=2, CONTINUITY_STEPS=20, CONTINUITY_PAIRS=2)
+        code, out, _ = run_cli(capsys, "verify", "--theory", "quantum", "--n", "2")
         assert code == 0
         assert json.loads(out)["passed"] is True
 
@@ -340,6 +392,8 @@ class TestReport:
             ("r.cfg", "[report]\nseed = x\n"),
             ("r.json", '{"seed": "x", "pipelines": []}'),
             ("r.json", '{"seed": 2.5, "pipelines": []}'),
+            ("r.cfg", "[report]\nseed = -1\n"),
+            ("r.json", '{"seed": -1, "pipelines": []}'),
         ],
     )
     def test_malformed_root_seed_is_usage_error(self, tmp_path, capsys, name, text):

@@ -3,9 +3,9 @@ CLI returns 0, 1 or 2 without raising, and an exit code of 2 comes with
 exactly one ``error:`` line on stderr.
 
 Every integer the strategies can produce is at most 6, so no generated
-dimension or ``n`` builds a large theory; ``verify`` sections are left out
-because the axiom suite samples 10^6 shots per trial and is covered
-elsewhere.
+dimension or ``n`` builds a large theory, and the report configs run under
+the tests' small sample budget, so a ``verify`` section's axiom suite does
+not sample 10^6 shots per trial.
 """
 
 import contextlib
@@ -16,9 +16,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gptkit.cli import main
+from conftest import SMALL_BUDGET, set_budget
 
 FILE_KEYS = ["dimension", "k", "role", "kind", "values", "matrix", "kraus", "vectors"]
 
@@ -93,11 +95,13 @@ convert_cases = st.one_of(
     operator_cases(),
 )
 
-SECTION_KINDS = ["frame", "bloch", "transform", "composite", "simulate", "report", "bogus"]
+SECTION_KINDS = [
+    "frame", "verify", "bloch", "transform", "composite", "simulate", "report", "bogus",
+]
 SECTION_KEYS = [
     "n", "theory", "a", "b", "c", "projectors", "shots", "preparation", "partition",
-    "transform", "rho", "na", "nb", "law_samples", "unitary", "kraus", "seed", "out",
-    "dmat_out",
+    "transform", "rho", "na", "nb", "unitary", "kraus", "seed", "out", "dmat_out",
+    "law_samples", "trials", "pairs", "steps",  # sample budgets are constants: ignored keys
 ]
 SECTION_WORDS = [
     "0", "1", "2", "3", "6", "-1", "0.5", "1.5", "x", "", "yes", "quantum", "classical",
@@ -176,7 +180,9 @@ def test_convert_any_json_file(case, dst):
 @settings(max_examples=60, deadline=None)
 @given(sections, st.booleans(), st.sampled_from([None, "0", "5"]))
 def test_report_any_config(config, as_json, seed):
-    with tempfile.TemporaryDirectory() as tmp:
+    # Hypothesis does not reset function-scoped fixtures between examples, so patch per example
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        set_budget(mp, **SMALL_BUDGET)
         base = Path(tmp)
         _inputs(base)
         path = base / ("r.json" if as_json else "r.cfg")

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from gptkit import harness
+from gptkit import harness, serialize
 from gptkit import (
     Experiment,
     InvalidExperimentError,
@@ -104,43 +104,44 @@ class TestSimulate:
 
 class TestAxiomSuite:
     @pytest.mark.parametrize("n", [2, 3])
-    def test_quantum_instances_pass(self, n):
-        report = run_axiom_suite("quantum", n, seed=123, trials=4)
+    def test_quantum_instances_pass(self, n, budget):
+        budget(FREQUENCY_TRIALS=4)
+        report = run_axiom_suite("quantum", n, seed=123)
         assert report.passed
         statuses = {c.name: c.status for c in report.checks}
         assert statuses["axiom5-continuity"] == "pass"
         assert statuses["axiom2-simplicity-power-law"] == "pass"
 
     @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_larger_quantum_instances_pass(self, n):
-        report = run_axiom_suite(
-            "quantum", n, seed=123, trials=2, scales=(1000, 100_000), pairs=2, steps=40
-        )
+    def test_larger_quantum_instances_pass(self, n, budget):
+        budget(FREQUENCY_TRIALS=2, FREQUENCY_SCALES=(1000, 100_000), CONTINUITY_PAIRS=2,
+               CONTINUITY_STEPS=40)
+        report = run_axiom_suite("quantum", n, seed=123)
         assert report.passed
 
-    def test_classical_instance_passes_with_expected_continuity_failure(self):
-        report = run_axiom_suite("classical", 2, seed=123, trials=4)
+    def test_classical_instance_passes_with_expected_continuity_failure(self, budget):
+        budget(FREQUENCY_TRIALS=4)
+        report = run_axiom_suite("classical", 2, seed=123)
         assert report.passed
         statuses = {c.name: c.status for c in report.checks}
         assert statuses["axiom5-continuity"] == "expected-fail"
         continuity = next(c for c in report.checks if c.name == "axiom5-continuity")
         assert continuity.witnesses["midpoint_purity"] == pytest.approx(0.5)
 
-    def test_continuity_fails_when_the_path_misses_its_endpoint(self, monkeypatch, capsys):
+    def test_continuity_fails_when_the_path_misses_its_endpoint(self, monkeypatch, capsys, budget):
         probe = harness.continuity_probe
 
         def missed_endpoint(*args, **kwargs):
             return dataclasses.replace(probe(*args, **kwargs), endpoint_deviation=0.5)
 
         monkeypatch.setattr(harness, "continuity_probe", missed_endpoint)
-        report = run_axiom_suite("quantum", 3, seed=123, trials=2, scales=(1000,), pairs=2, steps=20)
+        budget(FREQUENCY_TRIALS=2, FREQUENCY_SCALES=(1000,), CONTINUITY_PAIRS=2, CONTINUITY_STEPS=20)
+        report = run_axiom_suite("quantum", 3, seed=123)
         continuity = next(c for c in report.checks if c.name == "axiom5-continuity")
         assert continuity.status == "fail"
         assert continuity.max_deviation == 0.5
         assert not report.passed
-        code = main(
-            ["verify", "--theory", "quantum", "--n", "3", "--trials", "2", "--pairs", "2", "--steps", "20"]
-        )
+        code = main(["verify", "--theory", "quantum", "--n", "3"])
         assert code == 1
         assert json.loads(capsys.readouterr().out)["passed"] is False
 
@@ -152,19 +153,21 @@ class TestAxiomSuite:
         assert result.max_deviation == pytest.approx(0.1)
         assert result.witnesses["subsets"] == [[1, 2], [1, 3], [2, 3]]
 
-    def test_classical_subspace_check_reads_check_subspace_axiom(self, monkeypatch):
+    def test_classical_subspace_check_reads_check_subspace_axiom(self, monkeypatch, budget):
         def off_identity(*args, **kwargs):
             report = check_subspace_axiom(*args, **kwargs)
             return dataclasses.replace(report, violations=("forced",))
 
         monkeypatch.setattr(harness, "check_subspace_axiom", off_identity)
-        report = run_axiom_suite("classical", 3, seed=123, trials=2, scales=(1000,), steps=20)
+        budget(FREQUENCY_TRIALS=2, FREQUENCY_SCALES=(1000,), CONTINUITY_STEPS=20)
+        report = run_axiom_suite("classical", 3, seed=123)
         subspaces = next(c for c in report.checks if c.name == "axiom3-subspaces")
         assert subspaces.status == "fail"
         assert not report.passed
 
-    def test_report_serializes(self):
-        report = run_axiom_suite("classical", 2, seed=5, trials=2, scales=(1000, 10_000))
+    def test_report_serializes(self, budget):
+        budget(FREQUENCY_TRIALS=2, FREQUENCY_SCALES=(1000, 10_000))
+        report = run_axiom_suite("classical", 2, seed=5)
         payload = report.to_json()
         assert payload["passed"] is True
         assert {c["check_name"] for c in payload["checks"]} >= {
@@ -197,15 +200,10 @@ c = 0.5
 [verify classical2]
 theory = classical
 n = 2
-trials = 2
-steps = 20
 
 [verify quantum3]
 theory = quantum
 n = 3
-trials = 2
-steps = 20
-pairs = 2
 
 [simulate halfsies]
 theory = quantum
@@ -218,7 +216,8 @@ out = counts.json
 
 
 class TestRunReport:
-    def test_ini_config_executes_and_reproduces(self, tmp_path):
+    def test_ini_config_executes_and_reproduces(self, tmp_path, budget):
+        budget(FREQUENCY_TRIALS=2, CONTINUITY_STEPS=20, CONTINUITY_PAIRS=2)
         config = tmp_path / "suite.cfg"
         config.write_text(INI_CONFIG)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -238,14 +237,39 @@ class TestRunReport:
             c["status"] == "pass" for c in quantum3["details"]["checks"]
         )
 
-    def test_classical_continuity_marked_expected_fail(self, tmp_path):
+    def test_classical_continuity_marked_expected_fail(self, tmp_path, budget):
+        budget(FREQUENCY_TRIALS=2, CONTINUITY_STEPS=20)
         config = tmp_path / "c.cfg"
-        config.write_text("[verify c]\ntheory = classical\nn = 2\ntrials = 2\nsteps = 20\n")
+        config.write_text("[verify c]\ntheory = classical\nn = 2\n")
         code, report = run_report(config, tmp_path / "out", seed=7)
         assert code == 0
         checks = report["pipelines"][0]["details"]["checks"]
         by_name = {c["check_name"]: c["status"] for c in checks}
         assert by_name["axiom5-continuity"] == "expected-fail"
+
+    def test_verify_budget_keys_are_ignored(self, tmp_path, budget):
+        budget(FREQUENCY_TRIALS=2, FREQUENCY_SCALES=(1000,), CONTINUITY_PAIRS=2, CONTINUITY_STEPS=20)
+        config = tmp_path / "v.cfg"
+        config.write_text("[verify v]\nn = 2\ntrials = 0\npairs = 0\nsteps = 0\n")
+        code, report = run_report(config, tmp_path / "out", seed=7)
+        assert code == 0
+        checks = {c["check_name"]: c for c in report["pipelines"][0]["details"]["checks"]}
+        assert checks["axiom5-continuity"]["witnesses"] == {
+            "pairs": harness.CONTINUITY_PAIRS, "steps": harness.CONTINUITY_STEPS
+        }
+        assert checks["axiom1-frequency-convergence"]["witnesses"]["trials"] == harness.FREQUENCY_TRIALS
+
+    def test_composite_law_samples_key_is_ignored(self, tmp_path):
+        bell = np.zeros((4, 4), dtype=complex)
+        bell[np.ix_([0, 3], [0, 3])] = 0.5
+        serialize.write_json(tmp_path / "bell.op.json", serialize.operator_to_dict(bell))
+        section = "rho = bell.op.json\nna = 2\nnb = 2\nseed = 3\n"
+        config = tmp_path / "c.cfg"
+        config.write_text(f"[composite a]\n{section}\n[composite b]\n{section}law_samples = 0\n")
+        code, report = run_report(config, tmp_path / "out")
+        assert code == 0
+        deviation_a, deviation_b = (p["details"]["transform_law_deviation"] for p in report["pipelines"])
+        assert deviation_a == deviation_b > 0.0
 
     def test_empty_config_is_a_passing_report(self, tmp_path):
         config = tmp_path / "empty.cfg"
@@ -310,6 +334,8 @@ class TestRunReport:
         [
             ("[verify v]\ntheory = real\nn = 2\n", "unknown theory 'real'"),
             ("[frame f]\nout = f.frame.json\n", "missing parameter 'n'"),
+            ("[verify v]\nn = 2\nseed = -1\n", "seed = '-1' is negative"),
+            ("[simulate s]\nseed = -1\n", "seed = '-1' is negative"),
         ],
     )
     def test_bad_section_is_a_section_error(self, tmp_path, section, error):

@@ -23,10 +23,8 @@ COMMANDS = [
     ["transform", "--unitary", "u.op.json"],
     ["transform", "--kraus", "m.kraus.json"],
     ["bloch", "--a", "0.5", "--b", "0.4", "--c", "0.3", "--projectors"],
-    ["composite", "--rho", "rho.op.json", "--na", "2", "--nb", "3", "--law-samples", "3",
-     "--seed", SEED],
-    ["verify", "--theory", "quantum", "--n", "2", "--trials", "2", "--pairs", "2",
-     "--steps", "20", "--seed", SEED],
+    ["composite", "--rho", "rho.op.json", "--na", "2", "--nb", "3", "--seed", SEED],
+    ["verify", "--theory", "quantum", "--n", "2", "--seed", SEED],
     ["simulate", "--config", "exp.cfg", "--seed", SEED],
 ]
 
@@ -55,7 +53,8 @@ def workdir(tmp_path, monkeypatch, rng):
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: "-".join(argv[:2]))
-def test_subcommand_prints_its_report_section(argv, workdir, capsys):
+def test_subcommand_prints_its_report_section(argv, workdir, capsys, budget):
+    budget(COMPOSITE_LAW_SAMPLES=3, FREQUENCY_TRIALS=2, CONTINUITY_PAIRS=2, CONTINUITY_STEPS=20)
     code = main(argv)
     printed = json.loads(capsys.readouterr().out)
     (workdir / "r.cfg").write_text(f"[report]\nseed = 5\n\n{section(argv)}")

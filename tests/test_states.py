@@ -316,7 +316,8 @@ class TestValidityPredicates:
 class TestNamedTolerances:
     CHECK_MODULES = [gptkit.frames, gptkit.states, gptkit.bloch, gptkit.axioms,
                      gptkit.dynamics, gptkit.composite, gptkit.harness]
-    SETTABLE = {"atol", "tol", "psd_tol", "envelope", "min_pass_fraction", "samples", "n_max"}
+    SETTABLE = {"atol", "tol", "psd_tol", "envelope", "min_pass_fraction", "samples", "n_max",
+                "trials", "scales", "pairs", "law_samples"}
 
     @pytest.mark.parametrize("module", CHECK_MODULES, ids=lambda m: m.__name__)
     def test_no_check_takes_a_tolerance(self, module):
@@ -342,9 +343,23 @@ class TestNamedTolerances:
     def test_superoperator_dimension_comes_from_its_side(self, func):
         assert list(inspect.signature(func).parameters) == ["superop"]
 
-    def test_reports_state_the_constant_their_check_read(self, rng):
-        f = gptkit.frames
+    def test_axiom_suite_takes_no_sample_budget(self):
+        params = list(inspect.signature(gptkit.harness.run_axiom_suite).parameters)
+        assert params == ["theory_name", "n", "seed"]
+
+    def test_reports_state_the_constant_their_check_read(self, rng, budget):
+        f, h = gptkit.frames, gptkit.harness
         assert (f.ATOL, f.PSD_TOL, f.PURITY_TOL, f.LINEARITY_TOL) == (1e-12, 1e-10, 1e-9, 1e-14)
+        budgets = ("FREQUENCY_SCALES", "FREQUENCY_TRIALS", "CONTINUITY_PAIRS", "CONTINUITY_STEPS",
+                   "COMPOSITE_LAW_SAMPLES")
+        assert [getattr(f, name) for name in budgets] == [
+            (1_000, 10_000, 100_000, 1_000_000), 8, 5, 100, 10]
+        assert all(getattr(h, name) is getattr(f, name) for name in budgets)
+        budget(FREQUENCY_SCALES=(1_000,))  # the other budgets keep their values
+        suite = {c.name: c.witnesses for c in h.run_axiom_suite("quantum", 2, seed=1).checks}
+        assert suite["axiom1-frequency-convergence"]["trials"] == f.FREQUENCY_TRIALS
+        assert suite["axiom5-continuity"] == {"pairs": f.CONTINUITY_PAIRS, "steps": f.CONTINUITY_STEPS}
+        assert suite["measurement-linearity"] == {"samples": f.LINEARITY_SAMPLES}
         theory = quantum_theory(2)
         assert gptkit.axioms.check_subspace_axiom(theory, {0, 1}).tolerance == f.ATOL
         assert gptkit.axioms.check_basis_distinguishability(theory).tolerance == f.ATOL
