@@ -23,14 +23,9 @@ from .bloch import (
 )
 from .composite import (
     composite_from_density,
-    conditional_state,
-    density_from_composite,
     dof_count_check,
     joint_normalization,
     local_transform,
-    partial_transpose,
-    product_state,
-    r_tilde_from_p_tilde,
 )
 from .dynamics import (
     KrausSet,
@@ -40,7 +35,6 @@ from .dynamics import (
     apply_transform,
     check_measurement_update,
     choi_matrix,
-    compose_kraus,
     continuity_probe,
     is_completely_positive,
     is_reversible,
@@ -96,9 +90,6 @@ from .states import (
     classical_theory,
     density_from_r,
     is_pure,
-    is_valid_density,
-    is_valid_measurement_operator,
-    is_valid_state_p,
     mix,
     normalization,
     p_from_density,

@@ -117,7 +117,7 @@ def check_subspace_axiom(theory: Theory, subset: set[int]) -> SubspaceReport:
     if theory.frame is None:
         labels, reference = canonical_labels(n)[:n], np.eye(len(w))
     else:
-        labels, reference = theory.frame.labels or canonical_labels(n), build_general_d(len(w))
+        labels, reference = theory.frame.labels, build_general_d(len(w))
     wset = frozenset(w)
     inside = [i for i, lab in enumerate(labels) if label_support(lab) <= wset]
     disjoint = [i for i, lab in enumerate(labels) if not (label_support(lab) & wset)]

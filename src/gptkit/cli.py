@@ -15,7 +15,7 @@ import argparse
 import csv
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NoReturn
 
 from . import serialize
 from .errors import GptError
@@ -49,6 +49,8 @@ def _cmd_dmatrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
+    if args.theory == "classical" and "rho" in (args.src, args.dst):
+        raise GptError("classical theory has no operator representation")
     payload = serialize.read_json(args.infile)
     if args.src == "rho":
         rho = serialize.operator_from_dict(payload)
@@ -67,8 +69,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     r = values if args.src == "r" else r_from_p(p, theory.d)
 
     if args.dst == "rho":
-        if theory.frame is None:
-            raise GptError("classical theory has no operator representation")
         _emit(serialize.operator_to_dict(density_from_r(r, theory.frame)), args.out)
     else:
         vector = p if args.dst == "p" else r
@@ -119,8 +119,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and through ``add_subparsers`` each subcommand's,
+    whose usage errors are one ``error:`` line on stderr and exit code 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {self.prog}: {' '.join(message.splitlines())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gpt",
         description="Fiducial frames, D matrices, and axiom checks for "
         "finite-dimensional probabilistic theories.",
@@ -188,11 +196,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except GptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc!r}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except OSError as exc:  # a file that cannot be read or written: name it
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename is not None else str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -11,12 +11,6 @@ import numpy as np
 from .dynamics import TransformMatrix
 from .errors import DimensionError
 from .frames import ATOL, FiducialFrame
-from .states import Theory
-
-
-def product_state(p_a: np.ndarray, p_b: np.ndarray) -> np.ndarray:
-    """Joint state of independent preparations: the outer product p_a p_b^T."""
-    return np.outer(np.asarray(p_a, dtype=float), np.asarray(p_b, dtype=float))
 
 
 def composite_from_density(
@@ -36,7 +30,6 @@ def composite_from_density(
     return vals.real
 
 
-
 def local_transform(
     pt: np.ndarray,
     z_a: TransformMatrix | np.ndarray,
@@ -53,15 +46,6 @@ def local_transform(
     return za @ pt @ zb.T
 
 
-def conditional_state(pt: np.ndarray, j: int) -> np.ndarray:
-    """Subnormalized A-state given a positive jth fiducial outcome at B:
-    the jth column of p_tilde."""
-    pt = np.asarray(pt, dtype=float)
-    if not 0 <= j < pt.shape[1]:
-        raise DimensionError(f"fiducial index {j} out of range for K_B = {pt.shape[1]}")
-    return pt[:, j].copy()
-
-
 def joint_normalization(pt: np.ndarray, r_identity_a: np.ndarray, r_identity_b: np.ndarray) -> float:
     """mu_AB = r_I_A^T p_tilde r_I_B."""
     return float(
@@ -69,30 +53,6 @@ def joint_normalization(pt: np.ndarray, r_identity_a: np.ndarray, r_identity_b: 
         @ np.asarray(pt, dtype=float)
         @ np.asarray(r_identity_b, dtype=float)
     )
-
-
-def r_tilde_from_p_tilde(pt: np.ndarray, d_a: np.ndarray, d_b: np.ndarray) -> np.ndarray:
-    """Solve p_tilde = D_A r_tilde D_B^T for r_tilde (two factorized solves)."""
-    pt = np.asarray(pt, dtype=float)
-    half = np.linalg.solve(np.asarray(d_a, dtype=float), pt)
-    return np.linalg.solve(np.asarray(d_b, dtype=float), half.T).T
-
-
-def density_from_composite(pt: np.ndarray, theory_a: Theory, theory_b: Theory) -> np.ndarray:
-    """Reconstruct the composite operator sum_ij r_tilde[i, j] P_i (x) P_j."""
-    rt = r_tilde_from_p_tilde(pt, theory_a.d, theory_b.d)
-    na, nb = theory_a.dimension, theory_b.dimension
-    rho4 = np.einsum("ij,iac,jbd->abcd", rt, theory_a.frame.projectors, theory_b.frame.projectors)
-    return rho4.reshape(na * nb, na * nb)
-
-
-def partial_transpose(rho_ab: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
-    """Transpose the B factor of a composite operator."""
-    rho_ab = np.asarray(rho_ab, dtype=complex)
-    if rho_ab.shape != (n_a * n_b, n_a * n_b):
-        raise DimensionError(f"operator shape {rho_ab.shape} does not match {n_a}x{n_b}")
-    rho4 = rho_ab.reshape(n_a, n_b, n_a, n_b)
-    return rho4.transpose(0, 3, 2, 1).reshape(n_a * n_b, n_a * n_b)
 
 
 def dof_count_check(d_a: np.ndarray, d_b: np.ndarray) -> int:

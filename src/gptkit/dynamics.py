@@ -339,11 +339,3 @@ def continuity_probe(theory: Theory, r_a: np.ndarray, r_b: np.ndarray, steps: in
         endpoint_deviation=float(np.abs(path[steps - 1] - r_b).max()),
         tolerance=PURITY_TOL,
     )
-
-
-def compose_kraus(second: KrausSet, first: KrausSet) -> KrausSet:
-    """Kraus set of the composition second after first."""
-    if second.dimension != first.dimension:
-        raise DimensionError("Kraus dimensions differ")
-    ops = np.einsum("aij,bjk->abik", second.operators, first.operators)
-    return KrausSet(ops.reshape(-1, first.dimension, first.dimension))

@@ -8,7 +8,7 @@ This ordering is fixed so that D matrices are bit-comparable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -83,7 +83,7 @@ class FiducialFrame:
 
     dimension: int
     projectors: np.ndarray
-    labels: tuple[Label, ...] = field(default=())
+    labels: tuple[Label, ...]
 
     @property
     def k(self) -> int:

@@ -680,10 +680,10 @@ def run_report(config_path: str | Path, out_dir: str | Path, seed: int | None = 
     the root seed.
     """
     config_path = Path(config_path)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config_seed, pipelines = load_config(config_path)
     root_seed = _seed({"seed": seed}) if seed is not None else (config_seed or 0)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     base = config_path.parent
 
     results = []

@@ -1,6 +1,7 @@
 """JSON wire formats for frames, matrices, vectors, Kraus sets, composite
 states and outcome counts, and the parsing of the values that arrive in
-them and in config sections.
+them and in config sections. Frame, D-matrix, composite and counts files
+are only written; vector, operator and Kraus files are also read.
 
 Complex scalars are encoded as two-element [re, im] arrays; real matrices
 are row-major arrays of arrays. Frame files use the ``.frame.json``
@@ -16,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DimensionError, GptError
-from .frames import FiducialFrame, canonical_labels, label_text
+from .frames import FiducialFrame, label_text
 
 
 def complex_to_json(array: np.ndarray) -> list:
@@ -107,28 +108,9 @@ def frame_to_dict(frame: FiducialFrame) -> dict:
     }
 
 
-def frame_from_dict(payload: dict) -> FiducialFrame:
-    n = _number(payload, "dimension")
-    projectors = complex_from_json(_required(payload, "projectors"))
-    if projectors.shape != (n * n, n, n):
-        raise DimensionError(
-            f"frame payload has projector shape {projectors.shape}, expected ({n * n}, {n}, {n})"
-        )
-    frame = FiducialFrame(dimension=n, projectors=projectors, labels=canonical_labels(n))
-    frame.validate()
-    return frame
-
-
 def dmatrix_to_dict(d: np.ndarray, dimension: int) -> dict:
     d = np.asarray(d, dtype=float)
     return {"dimension": dimension, "k": d.shape[0], "matrix": d.tolist()}
-
-
-def dmatrix_from_dict(payload: dict) -> np.ndarray:
-    d = _float_array(_required(payload, "matrix"))
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise DimensionError(f"D matrix payload must be square, got {d.shape}")
-    return d
 
 
 def vector_to_dict(values: np.ndarray, dimension: int, role: str, kind: str) -> dict:
@@ -180,13 +162,6 @@ def kraus_from_dict(payload: dict) -> np.ndarray:
 def composite_to_dict(pt: np.ndarray) -> dict:
     pt = np.asarray(pt, dtype=float)
     return {"k_a": pt.shape[0], "k_b": pt.shape[1], "rows": pt.tolist()}
-
-
-def composite_from_dict(payload: dict) -> np.ndarray:
-    pt = _float_array(_required(payload, "rows"))
-    if pt.shape != (_number(payload, "k_a"), _number(payload, "k_b")):
-        raise DimensionError("composite payload shape does not match its header")
-    return pt
 
 
 def counts_to_dict(counts: np.ndarray, shots: int, seed: int) -> dict:

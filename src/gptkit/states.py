@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, GptError
-from .frames import ATOL, PSD_TOL, PURITY_TOL, FiducialFrame, build_canonical_frame, gram_matrix
+from .frames import ATOL, PURITY_TOL, FiducialFrame, build_canonical_frame, gram_matrix
 
 
 def p_from_density(rho: np.ndarray, frame: FiducialFrame) -> np.ndarray:
@@ -98,42 +98,6 @@ def mix(states: list[np.ndarray], weights: list[float]) -> np.ndarray:
         raise GptError(f"mixture weights sum to {w.sum()} > 1")
     stacked = np.stack([np.asarray(p, dtype=float) for p in states])
     return w @ stacked
-
-
-def is_valid_density(rho: np.ndarray) -> bool:
-    """Hermitian, positive semidefinite, trace in [0, 1]."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        return False
-    if np.abs(rho - rho.conj().T).max() > ATOL:
-        return False
-    eigs = np.linalg.eigvalsh(rho)
-    tr = float(np.trace(rho).real)
-    return eigs.min() >= -PSD_TOL and -ATOL <= tr <= 1.0 + ATOL
-
-
-def is_valid_measurement_operator(a: np.ndarray) -> bool:
-    """Hermitian with eigenvalues in [0, 1] (a POVM element)."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    if np.abs(a - a.conj().T).max() > ATOL:
-        return False
-    eigs = np.linalg.eigvalsh(a)
-    return eigs.min() >= -PSD_TOL and eigs.max() <= 1.0 + PSD_TOL
-
-
-def is_valid_state_p(p: np.ndarray, r_identity: np.ndarray) -> bool:
-    """Entries in [0, 1] and normalization coefficient in [0, 1].
-
-    Conversion routines accept anything; this predicate is where policy
-    about physicality lives.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.min(initial=0.0) < -PSD_TOL or p.max(initial=0.0) > 1.0 + PSD_TOL:
-        return False
-    mu = normalization(p, r_identity)
-    return -PSD_TOL <= mu <= 1.0 + PSD_TOL
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,62 @@ def test_pipelines_not_a_list_of_objects_is_usage_error(tmp_path, capsys, pipeli
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["convert", "--in", "nope.json", "--from", "p", "--to", "r"],
+     ["report", "--config", "nope.cfg", "--out-dir", "d"]],
+    ids=["convert", "report"],
+)
+def test_missing_input_file_is_one_line_naming_it(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {argv[2]}: ") and err.count("\n") == 1
+    assert "Error(" not in err  # the reason, not the exception's repr
+    assert not (tmp_path / "d").exists()
+
+
+def test_os_error_without_a_file_name_prints_its_message(capsys, monkeypatch):
+    def fail(path):
+        raise OSError("device not ready")
+
+    monkeypatch.setattr(serialize, "read_json", fail)
+    code, _, err = run_cli(capsys, "convert", "--in", "v.json", "--from", "p", "--to", "r")
+    assert (code, err) == (2, "error: device not ready\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--theory", "quantum", "--n", "x"],
+         "error: gpt verify: argument --n: invalid int value: 'x'"),
+        (["frame", "--n", "2", "--bogus"], "error: gpt: unrecognized arguments: --bogus"),
+        (["verify", "--n", "2"], "error: gpt verify: the following arguments are required: --theory"),
+        (["verify", "--theory", "real", "--n", "2"],
+         "error: gpt verify: argument --theory: invalid choice: 'real'"),
+        ([], "error: gpt: the following arguments are required: command"),
+        (["frame", "--n", "2", "a\nb"], "error: gpt: unrecognized arguments: a b"),
+    ],
+    ids=["bad-int", "unknown-flag", "missing-required-flag", "bad-theory-choice", "no-subcommand",
+         "argument-with-newline"],
+)
+def test_usage_error_is_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
+def test_help_keeps_full_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: gpt verify") and "--theory" in out and "--seed" in out
+
+
 class TestFrameAndDMatrix:
     def test_frame_json_to_stdout(self, capsys):
         code, out, _ = run_cli(capsys, "frame", "--n", "2")
@@ -202,6 +258,17 @@ class TestConvert:
         )
         assert code == 0
         assert json.loads(out)["values"] == [0.25, 0.75]
+
+
+    @pytest.mark.parametrize("src, dst", [("rho", "p"), ("r", "rho")])
+    def test_classical_theory_refuses_rho(self, tmp_path, capsys, src, dst):
+        infile = tmp_path / "in.json"
+        payload = (serialize.operator_to_dict(np.eye(2) / 2.0) if src == "rho"
+                   else serialize.vector_to_dict(np.array([0.25, 0.75]), 2, "state", "r"))
+        serialize.write_json(infile, payload)
+        result = run_cli(capsys, "convert", "--in", str(infile), "--from", src, "--to", dst,
+                         "--theory", "classical")
+        assert result == (2, "", "error: classical theory has no operator representation\n")
 
 
 class TestBloch:

@@ -1,6 +1,8 @@
 """Fuzz the input boundary of ``gpt``: whatever a file or config holds, the
 CLI returns 0, 1 or 2 without raising, and an exit code of 2 comes with
-exactly one ``error:`` line on stderr.
+exactly one ``error:`` line on stderr. A report run that exits 0 or 1 leaves
+a ``report.json`` that parses, and it exits 1 exactly when a section in that
+file failed or errored.
 
 Every integer the strategies can produce is at most 6, so no generated
 dimension or ``n`` builds a large theory, and the report configs run under
@@ -155,7 +157,7 @@ def _render(config: list, as_json: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run(argv: list[str]) -> None:
+def _run(argv: list[str]) -> int:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -165,6 +167,7 @@ def _run(argv: list[str]) -> None:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
     else:
         assert not lines, lines
+    return code
 
 
 @settings(max_examples=150, deadline=None)
@@ -188,4 +191,8 @@ def test_report_any_config(config, as_json, seed):
         path = base / ("r.json" if as_json else "r.cfg")
         path.write_text(_render(config, as_json))
         argv = ["report", "--config", str(path), "--out-dir", str(base / "out")]
-        _run(argv + (["--seed", seed] if seed else []))
+        code = _run(argv + (["--seed", seed] if seed else []))
+        if code != 2:
+            report = json.loads((base / "out" / "report.json").read_text())
+            statuses = {section["status"] for section in report["pipelines"]}
+            assert (code == 1) == bool(statuses & {"fail", "error"}), statuses

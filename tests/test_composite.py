@@ -7,14 +7,10 @@ from gptkit import (
     KrausSet,
     classical_theory,
     composite_from_density,
-    conditional_state,
-    density_from_composite,
     dof_count_check,
     joint_normalization,
     local_transform,
     p_from_density,
-    partial_transpose,
-    product_state,
     quantum_theory,
     z_from_kraus,
     z_from_unitary,
@@ -29,31 +25,12 @@ for _i in (0, 3):
         BELL[_i, _j] = 0.5
 
 
-class TestProductState:
-    def test_outer_product_definition(self, rng):
-        p_a, p_b = rng.random(4), rng.random(9)
-        pt = product_state(p_a, p_b)
-        for i in range(4):
-            for j in range(9):
-                assert pt[i, j] == pytest.approx(p_a[i] * p_b[j])
-
-    def test_basis_pair(self):
-        pt = product_state(QT2.basis_p[0], QT2.basis_p[0])
-        assert pt[0, 0] == pytest.approx(1.0)
-        assert np.linalg.matrix_rank(pt) == 1
-
-    def test_null_factor_gives_zero(self):
-        assert_allclose(product_state(np.zeros(4), np.ones(4)), np.zeros((4, 4)))
-
-
 class TestCompositeFromDensity:
     def test_product_density_factorizes(self, rng):
         rho_a = random_density(rng, 2)
         rho_b = random_density(rng, 2, trace=rng.random())
         pt = composite_from_density(np.kron(rho_a, rho_b), QT2.frame, QT2.frame)
-        expected = product_state(
-            p_from_density(rho_a, QT2.frame), p_from_density(rho_b, QT2.frame)
-        )
+        expected = np.outer(p_from_density(rho_a, QT2.frame), p_from_density(rho_b, QT2.frame))
         assert np.abs(pt - expected).max() <= 1e-12
 
     def test_bell_state_entries(self):
@@ -81,8 +58,8 @@ class TestLocalTransform:
         u = haar_unitary(rng, 2)
         z = z_from_unitary(u, QT2)
         p_a, p_b = QT2.basis_p[0], QT2.basis_p[1]
-        lhs = local_transform(product_state(p_a, p_b), z, np.eye(4))
-        rhs = product_state(z.z @ p_a, p_b)
+        lhs = local_transform(np.outer(p_a, p_b), z, np.eye(4))
+        rhs = np.outer(z.z @ p_a, p_b)
         assert np.abs(lhs - rhs).max() <= 1e-12
 
     def test_entangled_state_with_local_unitaries(self, rng):
@@ -119,23 +96,10 @@ class TestLocalTransform:
 
 
 class TestConditionalState:
-    def test_product_state_column_scaling(self, rng):
-        p_a, p_b = rng.random(4), rng.random(4)
-        pt = product_state(p_a, p_b)
-        for j in range(4):
-            assert_allclose(conditional_state(pt, j), p_a * p_b[j])
-
     def test_bell_conditional_has_half_normalization(self):
+        # the A-state given a positive first fiducial outcome at B is column 0 of p_tilde
         pt = composite_from_density(BELL, QT2.frame, QT2.frame)
-        cond = conditional_state(pt, 0)
-        assert float(QT2.r_identity @ cond) == pytest.approx(0.5, abs=1e-12)
-
-    def test_zero_composite(self):
-        assert_allclose(conditional_state(np.zeros((4, 4)), 2), np.zeros(4))
-
-    def test_index_out_of_range(self):
-        with pytest.raises(DimensionError):
-            conditional_state(np.zeros((4, 4)), 4)
+        assert float(QT2.r_identity @ pt[:, 0]) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestDofCount:
@@ -160,18 +124,6 @@ class TestDofCount:
 
 
 class TestEntanglementWitness:
-    def test_bell_state_reconstruction_has_negative_partial_transpose(self):
-        pt = composite_from_density(BELL, QT2.frame, QT2.frame)
-        rho = density_from_composite(pt, QT2, QT2)
-        assert np.abs(rho - BELL).max() <= 1e-10
-        eigs = np.linalg.eigvalsh(partial_transpose(rho, 2, 2))
-        assert eigs.min() < -0.4  # exact value is -1/2
-
-    def test_product_state_stays_ppt(self, rng):
-        rho = np.kron(random_density(rng, 2), random_density(rng, 2))
-        eigs = np.linalg.eigvalsh(partial_transpose(rho, 2, 2))
-        assert eigs.min() >= -1e-12
-
     def test_joint_normalization_of_bell(self):
         pt = composite_from_density(BELL, QT2.frame, QT2.frame)
         assert joint_normalization(pt, QT2.r_identity, QT2.r_identity) == pytest.approx(1.0)

@@ -109,7 +109,7 @@ class TestGramMatrix:
     def test_basis_only_subframe_gives_identity(self):
         n = 4
         projectors = np.stack([np.diag(row).astype(complex) for row in np.eye(n)])
-        frame = FiducialFrame(dimension=n, projectors=projectors)
+        frame = FiducialFrame(dimension=n, projectors=projectors, labels=canonical_labels(n)[:n])
         assert_allclose(gram_matrix(frame), np.eye(n))
 
     def test_duplicate_projector_raises_degenerate(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gptkit import DimensionError, GptError, build_canonical_frame, gram_matrix
+from gptkit import GptError, build_canonical_frame, gram_matrix
 from gptkit import serialize
 from conftest import random_density, random_kraus
 
@@ -25,9 +25,9 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "decode, payload",
         [
-            (serialize.dmatrix_from_dict, {"matrix": [[1.0, 0.0], [0.0]]}),
             (serialize.vector_from_dict, {"values": [0.5, "a"], "k": 2}),
-            (serialize.composite_from_dict, {"rows": [[1.0], [{}]], "k_a": 2, "k_b": 1}),
+            (serialize.operator_from_dict, {"matrix": [[[1.0, 0.0]], [[0.0]]], "dimension": 2}),
+            (serialize.kraus_from_dict, {"kraus": [[[[1.0, {}]]]]}),
         ],
     )
     def test_ragged_or_non_numeric_array_is_gpt_error(self, decode, payload):
@@ -40,20 +40,13 @@ class TestFrameFiles:
         frame = build_canonical_frame(3)
         path = tmp_path / "three.frame.json"
         serialize.write_json(path, serialize.frame_to_dict(frame))
-        loaded = serialize.frame_from_dict(serialize.read_json(path))
-        assert loaded.dimension == 3
-        assert_allclose(loaded.projectors, frame.projectors)
-        assert loaded.labels == frame.labels
+        payload = serialize.read_json(path)
+        assert (payload["dimension"], payload["k"]) == (3, 9)
+        assert_allclose(serialize.complex_from_json(payload["projectors"]), frame.projectors)
 
     def test_labels_are_human_readable(self):
         payload = serialize.frame_to_dict(build_canonical_frame(3))
         assert payload["labels"] == ["1", "2", "3", "12x", "12y", "13x", "13y", "23x", "23y"]
-
-    def test_wrong_shape_rejected(self):
-        payload = serialize.frame_to_dict(build_canonical_frame(2))
-        payload["dimension"] = 3
-        with pytest.raises(DimensionError):
-            serialize.frame_from_dict(payload)
 
 
 class TestMatrixAndVectorFiles:
@@ -61,7 +54,9 @@ class TestMatrixAndVectorFiles:
         d = gram_matrix(build_canonical_frame(2))
         path = tmp_path / "two.dmat.json"
         serialize.write_json(path, serialize.dmatrix_to_dict(d, 2))
-        assert_allclose(serialize.dmatrix_from_dict(serialize.read_json(path)), d)
+        payload = serialize.read_json(path)
+        assert (payload["dimension"], payload["k"]) == (2, 4)
+        assert_allclose(payload["matrix"], d)
 
     def test_vector_header(self):
         payload = serialize.vector_to_dict(np.array([1.0, 0.0, 0.5, 0.5]), 2, "state", "p")
@@ -86,7 +81,7 @@ class TestMatrixAndVectorFiles:
         pt = rng.random((4, 9))
         payload = serialize.composite_to_dict(pt)
         assert payload["k_a"] == 4 and payload["k_b"] == 9
-        assert_allclose(serialize.composite_from_dict(payload), pt)
+        assert_allclose(payload["rows"], pt)
 
     def test_counts_null_outcome_first(self):
         payload = serialize.counts_to_dict(np.array([3, 5, 2]), shots=10, seed=1)
