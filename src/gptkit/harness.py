@@ -2,8 +2,9 @@
 
 An experiment is the preparation -> transformation -> measurement
 pipeline: a p-vector, an optional Z, and a partition of the identity
-measurement into outcome r-vectors. Shot sampling is vectorized and
-deterministic given the experiment seed.
+measurement into outcome r-vectors. The counts of a run are one exact
+multinomial draw over the outcomes, so sampling costs O(outcomes), not
+O(shots), and is deterministic given the experiment seed.
 
 ``PIPELINES`` holds the one implementation of each workflow (frame,
 verify, bloch, transform, composite, simulate); the ``gpt`` subcommands
@@ -105,6 +106,8 @@ class Experiment:
             raise InvalidExperimentError("partition does not sum to the identity measurement")
         if self.shots < 0:
             raise InvalidExperimentError(f"negative shot count {self.shots}")
+        if self.shots > np.iinfo(np.int64).max:  # the largest count numpy can draw
+            raise InvalidExperimentError(f"shot count {self.shots} exceeds 2**63 - 1")
         object.__setattr__(self, "preparation", prep)
         object.__setattr__(self, "partition", rs)
         object.__setattr__(self, "r_identity", r_identity)
@@ -146,13 +149,12 @@ def outcome_probabilities(exp: Experiment) -> np.ndarray:
 
 
 def simulate(exp: Experiment) -> OutcomeCounts:
-    """Sample the experiment shot by shot; deterministic given the seed."""
+    """Draw the outcome counts of ``exp.shots`` shots as one exact
+    Multinomial(shots, probs) sample, in O(outcomes); deterministic given
+    the seed. The probabilities may sum to 1 + ATOL, more than numpy's
+    multinomial accepts, so they are normalised first."""
     probs = outcome_probabilities(exp)
-    edges = np.cumsum(probs)
-    rng = np.random.default_rng(exp.seed)
-    draws = rng.random(exp.shots)
-    indices = np.minimum(np.searchsorted(edges, draws, side="right"), probs.size - 1)
-    counts = np.bincount(indices, minlength=probs.size)
+    counts = np.random.default_rng(exp.seed).multinomial(exp.shots, probs / probs.sum())
     return OutcomeCounts(counts=counts, shots=exp.shots, seed=exp.seed)
 
 

@@ -15,10 +15,9 @@ import pytest
 from gptkit import harness
 from gptkit.harness import haar_unitary  # noqa: F401  (re-exported to the tests)
 
-# A budget small enough to run a whole suite in a fraction of a second.
+# A budget small enough to run a whole suite in a fraction of a second; the
+# axiom-1 sampler keeps its shipped budget, since a draw costs O(outcomes).
 SMALL_BUDGET = {
-    "FREQUENCY_TRIALS": 2,
-    "FREQUENCY_SCALES": (1_000,),
     "CONTINUITY_PAIRS": 2,
     "CONTINUITY_STEPS": 20,
     "COMPOSITE_LAW_SAMPLES": 3,

@@ -329,7 +329,7 @@ def test_criterion_09_power_law():
 
 
 def test_criterion_10_frequency_convergence_and_reproducibility(tmp_path, budget):
-    budget(FREQUENCY_TRIALS=2, CONTINUITY_STEPS=20)
+    budget(CONTINUITY_STEPS=20)
     start = time.monotonic()
     shots = 1_000_000
     preparations = {

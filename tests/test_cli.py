@@ -385,14 +385,14 @@ def test_negative_seed_flag_is_usage_error(tmp_path, capsys, monkeypatch, argv):
 
 class TestVerify:
     def test_classical_verify_passes(self, capsys, budget):
-        budget(FREQUENCY_TRIALS=2, CONTINUITY_STEPS=20)
+        budget(CONTINUITY_STEPS=20)
         code, out, _ = run_cli(capsys, "verify", "--theory", "classical", "--n", "2")
         assert code == 0
         payload = json.loads(out)
         assert payload["passed"] is True
 
     def test_quantum_verify_passes(self, capsys, budget):
-        budget(FREQUENCY_TRIALS=2, CONTINUITY_STEPS=20, CONTINUITY_PAIRS=2)
+        budget(CONTINUITY_STEPS=20, CONTINUITY_PAIRS=2)
         code, out, _ = run_cli(capsys, "verify", "--theory", "quantum", "--n", "2")
         assert code == 0
         assert json.loads(out)["passed"] is True
@@ -441,6 +441,21 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    def test_shot_count_beyond_int64_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text("[experiment]\nn = 2\nshots = 100000000000000000000000\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config), "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: shot count 100000000000000000000000 exceeds 2**63 - 1\n"
+
+    def test_ten_trillion_shots(self, tmp_path, capsys):
+        # a uniform per shot would take 72.8 TiB; one multinomial draw takes none
+        config = tmp_path / "exp.cfg"
+        config.write_text("[experiment]\nn = 2\npreparation = mix:0.25\nshots = 10000000000000\n")
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(config), "--seed", "1")
+        assert code == 0
+        assert sum(json.loads(out)["counts"]) == 10**13
+
 
 class TestReport:
     def test_report_command(self, tmp_path, capsys):
@@ -452,6 +467,19 @@ class TestReport:
         assert code == 0
         assert (tmp_path / "out" / "report.json").exists()
         assert (tmp_path / "out" / "report.csv").exists()
+
+    def test_shot_count_beyond_int64_errors_only_its_section(self, tmp_path, capsys):
+        config = tmp_path / "r.cfg"
+        config.write_text("[simulate huge]\nn = 2\nshots = 100000000000000000000000\n\n"
+                          "[simulate small]\nn = 2\nshots = 10\n")
+        code, _, err = run_cli(
+            capsys, "report", "--config", str(config), "--out-dir", str(tmp_path / "out")
+        )
+        assert (code, err) == (1, "")
+        huge, small = json.loads((tmp_path / "out" / "report.json").read_text())["pipelines"]
+        assert huge["status"] == "error"
+        assert huge["details"] == {"error": "shot count 100000000000000000000000 exceeds 2**63 - 1"}
+        assert small["status"] == "pass" and sum(small["details"]["counts"]) == 10
 
     @pytest.mark.parametrize(
         "name, text",

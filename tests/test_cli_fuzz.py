@@ -5,9 +5,11 @@ a ``report.json`` that parses, and it exits 1 exactly when a section in that
 file failed or errored.
 
 Every integer the strategies can produce is at most 6, so no generated
-dimension or ``n`` builds a large theory, and the report configs run under
-the tests' small sample budget, so a ``verify`` section's axiom suite does
-not sample 10^6 shots per trial.
+dimension or ``n`` builds a large theory. The exceptions are the shot counts
+10^13 and 10^23 in ``SECTION_WORDS``: sampling draws the counts in
+O(outcomes), so 10^13 shots cost no more than ten, and 10^23 is past the
+2**63 - 1 shots that numpy can draw. The report configs run under the tests'
+small continuity and composite-law budgets.
 """
 
 import contextlib
@@ -110,6 +112,7 @@ SECTION_WORDS = [
     "basis", "identity", "null", "maximally-mixed", "mix:0.5", "basis:2", "file:v.json",
     "file:rho.json", "file:bad.json", "file:part.json", "file:missing.json", "unitary:u.json",
     "kraus:k.json", "none", "u.json", "k.json", "rho.json", "bad.json", "list.json", "out.json",
+    "10000000000000", "100000000000000000000000",
 ]
 section_values = st.one_of(
     st.sampled_from(SECTION_WORDS),

@@ -18,8 +18,10 @@ from gptkit import (
     simulate,
 )
 from gptkit.cli import main
+from gptkit.frames import ATOL
 
 QT2 = quantum_theory(2)
+QT3 = quantum_theory(3)
 
 
 def basis_experiment(prep, shots, seed):
@@ -52,6 +54,11 @@ class TestExperimentValidation:
     def test_negative_shots_rejected(self):
         with pytest.raises(InvalidExperimentError):
             basis_experiment(QT2.basis_p[0], shots=-1, seed=0)
+
+    def test_shots_beyond_int64_rejected(self):
+        basis_experiment(QT2.basis_p[0], shots=2**63 - 1, seed=0)
+        with pytest.raises(InvalidExperimentError, match="exceeds 2\\*\\*63 - 1"):
+            basis_experiment(QT2.basis_p[0], shots=2**63, seed=0)
 
 
 class TestSimulate:
@@ -101,11 +108,32 @@ class TestSimulate:
         envelope = 5.0 / np.sqrt(shots)
         assert np.abs(two_stage - direct.frequencies()).max() < envelope
 
+    def test_three_outcomes_with_null_match_their_probabilities(self):
+        shots = 1_000_000
+        prep = 0.9 * mix(list(QT3.basis_p), [0.5, 0.3, 0.2])
+        exp = Experiment(preparation=prep, partition=tuple(QT3.basis_r),
+                         r_identity=QT3.r_identity, shots=shots, seed=21)
+        probs = np.array([0.1, 0.45, 0.27, 0.18])
+        assert harness.outcome_probabilities(exp) == pytest.approx(probs)
+        sigma = np.sqrt(probs * (1.0 - probs) / shots)
+        assert (np.abs(simulate(exp).frequencies() - probs) < 5.0 * sigma).all()
+
+    def test_probabilities_up_to_one_plus_atol_are_normalised(self):
+        # numpy's multinomial refuses a probability above 1; outcome_probabilities allows 1 + ATOL
+        prep = (1.0 + 0.9 * ATOL) * QT2.basis_p[0]
+        counts = simulate(basis_experiment(prep, shots=1_000, seed=4))
+        assert counts.counts.tolist() == [0, 1_000, 0]
+
+    def test_zero_shots_give_zero_counts(self):
+        prep = mix([QT2.basis_p[0], QT2.basis_p[1]], [0.5, 0.5])
+        counts = simulate(basis_experiment(prep, shots=0, seed=1))
+        assert counts.counts.tolist() == [0, 0, 0]
+        assert counts.frequencies().tolist() == [0.0, 0.0, 0.0]
+
 
 class TestAxiomSuite:
     @pytest.mark.parametrize("n", [2, 3])
-    def test_quantum_instances_pass(self, n, budget):
-        budget(FREQUENCY_TRIALS=4)
+    def test_quantum_instances_pass(self, n):
         report = run_axiom_suite("quantum", n, seed=123)
         assert report.passed
         statuses = {c.name: c.status for c in report.checks}
@@ -114,13 +142,11 @@ class TestAxiomSuite:
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_larger_quantum_instances_pass(self, n, budget):
-        budget(FREQUENCY_TRIALS=2, FREQUENCY_SCALES=(1000, 100_000), CONTINUITY_PAIRS=2,
-               CONTINUITY_STEPS=40)
+        budget(CONTINUITY_PAIRS=2, CONTINUITY_STEPS=40)
         report = run_axiom_suite("quantum", n, seed=123)
         assert report.passed
 
-    def test_classical_instance_passes_with_expected_continuity_failure(self, budget):
-        budget(FREQUENCY_TRIALS=4)
+    def test_classical_instance_passes_with_expected_continuity_failure(self):
         report = run_axiom_suite("classical", 2, seed=123)
         assert report.passed
         statuses = {c.name: c.status for c in report.checks}
@@ -135,7 +161,7 @@ class TestAxiomSuite:
             return dataclasses.replace(probe(*args, **kwargs), endpoint_deviation=0.5)
 
         monkeypatch.setattr(harness, "continuity_probe", missed_endpoint)
-        budget(FREQUENCY_TRIALS=2, FREQUENCY_SCALES=(1000,), CONTINUITY_PAIRS=2, CONTINUITY_STEPS=20)
+        budget(CONTINUITY_PAIRS=2, CONTINUITY_STEPS=20)
         report = run_axiom_suite("quantum", 3, seed=123)
         continuity = next(c for c in report.checks if c.name == "axiom5-continuity")
         assert continuity.status == "fail"
@@ -159,14 +185,13 @@ class TestAxiomSuite:
             return dataclasses.replace(report, violations=("forced",))
 
         monkeypatch.setattr(harness, "check_subspace_axiom", off_identity)
-        budget(FREQUENCY_TRIALS=2, FREQUENCY_SCALES=(1000,), CONTINUITY_STEPS=20)
+        budget(CONTINUITY_STEPS=20)
         report = run_axiom_suite("classical", 3, seed=123)
         subspaces = next(c for c in report.checks if c.name == "axiom3-subspaces")
         assert subspaces.status == "fail"
         assert not report.passed
 
-    def test_report_serializes(self, budget):
-        budget(FREQUENCY_TRIALS=2, FREQUENCY_SCALES=(1000, 10_000))
+    def test_report_serializes(self):
         report = run_axiom_suite("classical", 2, seed=5)
         payload = report.to_json()
         assert payload["passed"] is True
@@ -217,7 +242,7 @@ out = counts.json
 
 class TestRunReport:
     def test_ini_config_executes_and_reproduces(self, tmp_path, budget):
-        budget(FREQUENCY_TRIALS=2, CONTINUITY_STEPS=20, CONTINUITY_PAIRS=2)
+        budget(CONTINUITY_STEPS=20, CONTINUITY_PAIRS=2)
         config = tmp_path / "suite.cfg"
         config.write_text(INI_CONFIG)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -238,7 +263,7 @@ class TestRunReport:
         )
 
     def test_classical_continuity_marked_expected_fail(self, tmp_path, budget):
-        budget(FREQUENCY_TRIALS=2, CONTINUITY_STEPS=20)
+        budget(CONTINUITY_STEPS=20)
         config = tmp_path / "c.cfg"
         config.write_text("[verify c]\ntheory = classical\nn = 2\n")
         code, report = run_report(config, tmp_path / "out", seed=7)
@@ -248,7 +273,7 @@ class TestRunReport:
         assert by_name["axiom5-continuity"] == "expected-fail"
 
     def test_verify_budget_keys_are_ignored(self, tmp_path, budget):
-        budget(FREQUENCY_TRIALS=2, FREQUENCY_SCALES=(1000,), CONTINUITY_PAIRS=2, CONTINUITY_STEPS=20)
+        budget(CONTINUITY_PAIRS=2, CONTINUITY_STEPS=20)
         config = tmp_path / "v.cfg"
         config.write_text("[verify v]\nn = 2\ntrials = 0\npairs = 0\nsteps = 0\n")
         code, report = run_report(config, tmp_path / "out", seed=7)

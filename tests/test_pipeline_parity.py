@@ -54,7 +54,7 @@ def workdir(tmp_path, monkeypatch, rng):
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: "-".join(argv[:2]))
 def test_subcommand_prints_its_report_section(argv, workdir, capsys, budget):
-    budget(COMPOSITE_LAW_SAMPLES=3, FREQUENCY_TRIALS=2, CONTINUITY_PAIRS=2, CONTINUITY_STEPS=20)
+    budget(COMPOSITE_LAW_SAMPLES=3, CONTINUITY_PAIRS=2, CONTINUITY_STEPS=20)
     code = main(argv)
     printed = json.loads(capsys.readouterr().out)
     (workdir / "r.cfg").write_text(f"[report]\nseed = 5\n\n{section(argv)}")
