@@ -151,8 +151,9 @@ def outcome_probabilities(exp: Experiment) -> np.ndarray:
 def simulate(exp: Experiment) -> OutcomeCounts:
     """Draw the outcome counts of ``exp.shots`` shots as one exact
     Multinomial(shots, probs) sample, in O(outcomes); deterministic given
-    the seed. The probabilities may sum to 1 + ATOL, more than numpy's
-    multinomial accepts, so they are normalised first."""
+    the seed. Each branch probability is allowed ATOL of slack, so they may
+    sum to slightly more than 1, which numpy's multinomial refuses; they are
+    normalised first."""
     probs = outcome_probabilities(exp)
     counts = np.random.default_rng(exp.seed).multinomial(exp.shots, probs / probs.sum())
     return OutcomeCounts(counts=counts, shots=exp.shots, seed=exp.seed)

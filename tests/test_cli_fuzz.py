@@ -5,8 +5,8 @@ a ``report.json`` that parses, and it exits 1 exactly when a section in that
 file failed or errored.
 
 Every integer the strategies can produce is at most 6, so no generated
-dimension or ``n`` builds a large theory. The exceptions are the shot counts
-10^13 and 10^23 in ``SECTION_WORDS``: sampling draws the counts in
+dimension or ``n`` builds a large theory. The one exception is the ``shots``
+key, which may also draw ``HUGE_SHOTS``: sampling draws the counts in
 O(outcomes), so 10^13 shots cost no more than ten, and 10^23 is past the
 2**63 - 1 shots that numpy can draw. The report configs run under the tests'
 small continuity and composite-law budgets.
@@ -112,19 +112,25 @@ SECTION_WORDS = [
     "basis", "identity", "null", "maximally-mixed", "mix:0.5", "basis:2", "file:v.json",
     "file:rho.json", "file:bad.json", "file:part.json", "file:missing.json", "unitary:u.json",
     "kraus:k.json", "none", "u.json", "k.json", "rho.json", "bad.json", "list.json", "out.json",
-    "10000000000000", "100000000000000000000000",
 ]
+HUGE_SHOTS = ["10000000000000", "100000000000000000000000"]  # 10^13 and 10^23
 section_values = st.one_of(
     st.sampled_from(SECTION_WORDS),
     json_leaves,
     st.lists(json_leaves, max_size=2),
 )
+shot_values = st.one_of(section_values, st.sampled_from(HUGE_SHOTS))
+
+
+@st.composite
+def section_params(draw):
+    """Up to five keys of one section; only ``shots`` may draw a huge count."""
+    keys = draw(st.lists(st.sampled_from(SECTION_KEYS), max_size=5, unique=True))
+    return {key: draw(shot_values if key == "shots" else section_values) for key in keys}
+
+
 sections = st.lists(
-    st.tuples(
-        st.sampled_from(SECTION_KINDS),
-        st.sampled_from(["", "s1", "s2"]),
-        st.dictionaries(st.sampled_from(SECTION_KEYS), section_values, max_size=5),
-    ),
+    st.tuples(st.sampled_from(SECTION_KINDS), st.sampled_from(["", "s1", "s2"]), section_params()),
     max_size=3,
 )
 

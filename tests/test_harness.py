@@ -124,6 +124,15 @@ class TestSimulate:
         counts = simulate(basis_experiment(prep, shots=1_000, seed=4))
         assert counts.counts.tolist() == [0, 1_000, 0]
 
+    def test_clipped_branches_summing_past_one_plus_atol_are_normalised(self):
+        # two branches at -0.9 ATOL clip to 0 and lift the null to 0.9 ATOL: the sum is 1 + 1.8 ATOL
+        r_id = QT2.r_identity
+        partition = ((1.0 + 0.9 * ATOL) * r_id, -0.9 * ATOL * r_id, -0.9 * ATOL * r_id)
+        exp = Experiment(preparation=QT2.basis_p[0], partition=partition,
+                         r_identity=r_id, shots=1_000, seed=4)
+        assert harness.outcome_probabilities(exp).sum() > 1.0 + 1.5 * ATOL
+        assert simulate(exp).counts.tolist() == [0, 1_000, 0, 0]
+
     def test_zero_shots_give_zero_counts(self):
         prep = mix([QT2.basis_p[0], QT2.basis_p[1]], [0.5, 0.5])
         counts = simulate(basis_experiment(prep, shots=0, seed=1))
