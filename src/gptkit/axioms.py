@@ -20,7 +20,6 @@ from .frames import (
     LINEARITY_SAMPLES,
     LINEARITY_TOL,
     canonical_labels,
-    label_support,
     table_n_max,
 )
 from .states import Theory
@@ -118,9 +117,10 @@ def check_subspace_axiom(theory: Theory, subset: set[int]) -> SubspaceReport:
         labels, reference = canonical_labels(n)[:n], np.eye(len(w))
     else:
         labels, reference = theory.frame.labels, build_general_d(len(w))
-    wset = frozenset(w)
-    inside = [i for i, lab in enumerate(labels) if label_support(lab) <= wset]
-    disjoint = [i for i, lab in enumerate(labels) if not (label_support(lab) & wset)]
+    support = np.array(list(zip(*labels))[1:])  # (2, K): the basis indices of each fiducial
+    in_w = np.isin(support, w)
+    inside = np.flatnonzero(in_w.all(axis=0))
+    disjoint = np.flatnonzero(~in_w.any(axis=0))
 
     d = np.asarray(theory.d, dtype=float)
     sub_dev = float(np.abs(d[np.ix_(inside, inside)] - reference).max())
@@ -133,7 +133,7 @@ def check_subspace_axiom(theory: Theory, subset: set[int]) -> SubspaceReport:
         violations.append(f"disjoint fiducial sees W-supported state with probability {dis_dev:.3g}")
     return SubspaceReport(
         subset=w,
-        fiducial_indices=tuple(inside),
+        fiducial_indices=tuple(inside.tolist()),
         submatrix_deviation=sub_dev,
         disjoint_probability=dis_dev,
         tolerance=ATOL,

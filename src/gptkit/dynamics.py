@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, GptError
-from .frames import COND_CUTOFF, PSD_TOL, PURITY_TOL, FiducialFrame
-from .states import Theory, density_from_r, p_from_density, r_from_p
+from .frames import COND_CUTOFF, PSD_TOL, PURITY_TOL, FiducialFrame, canonical_vectors
+from .states import Theory, density_from_r, r_from_p
 
 
 @dataclass(frozen=True)
@@ -72,17 +72,20 @@ class TransformMatrix:
 def z_from_kraus(kraus: KrausSet, theory: Theory) -> TransformMatrix:
     """Vector-level transformation Z with Z p(rho) = p(sum M rho M^dag).
 
-    Z = tr(P $(P)^T) D^{-1}, evaluated as a factorized solve.
+    Built in the Heisenberg picture: p_k($(rho)) = tr($^dag(P_k) rho), so
+    row k of Z is the r-vector of $^dag(P_k) = sum_l M_l^dag P_k M_l. With
+    P_k = |u_k><u_k| / <u_k|u_k> (``canonical_vectors``) each term is the
+    rank-one dyad of w = M_l^dag u_k, and ``Theory.r_of`` reads the rows
+    off the entries, so no solve against D is needed.
     """
-    frame = theory.frame
-    if kraus.dimension != frame.dimension:
-        raise DimensionError(
-            f"Kraus dimension {kraus.dimension} does not match frame dimension {frame.dimension}"
-        )
-    mapped = np.stack([kraus.apply(p) for p in frame.projectors])
-    m = np.einsum("iab,jba->ij", frame.projectors, mapped).real
-    z = np.linalg.solve(np.asarray(theory.d, dtype=float), m.T).T
-    return TransformMatrix(z=z, dimension=frame.dimension, provenance="from-kraus")
+    n = theory.dimension
+    if kraus.dimension != n:
+        raise DimensionError(f"Kraus dimension {kraus.dimension} does not match frame dimension {n}")
+    vectors = canonical_vectors(n)
+    norms = np.einsum("ki,ki->k", vectors.conj(), vectors).real
+    w = vectors @ kraus.operators.conj()  # w[l, k] = M_l^dag u_k, as a row
+    heisenberg = np.einsum("lki,lkj->kij", w, w.conj()) / norms[:, None, None]
+    return TransformMatrix(z=theory.r_of(heisenberg), dimension=n, provenance="from-kraus")
 
 
 def z_from_unitary(u: np.ndarray, theory: Theory) -> TransformMatrix:
@@ -162,18 +165,15 @@ def is_reversible(z: TransformMatrix, witnesses: list[np.ndarray], theory: Theor
     svals = np.linalg.svd(z.z, compute_uv=False)
     if svals[-1] * COND_CUTOFF <= svals[0]:
         return False
-    r_identity = np.asarray(theory.r_identity, dtype=float)
-    for p in witnesses:
-        pre = np.linalg.solve(z.z, np.asarray(p, dtype=float))
-        if pre.min() < -PURITY_TOL or pre.max() > 1.0 + PURITY_TOL:
+    stacked = np.asarray(witnesses, dtype=float).reshape(len(witnesses), z.k)
+    pre = np.linalg.solve(z.z, stacked.T).T  # one pre-image per row
+    mus = pre @ np.asarray(theory.r_identity, dtype=float)
+    for values in (pre, mus):
+        if not (values.min(initial=0.0) >= -PURITY_TOL and values.max(initial=0.0) <= 1.0 + PURITY_TOL):
             return False
-        mu = float(r_identity @ pre)
-        if not -PURITY_TOL <= mu <= 1.0 + PURITY_TOL:
-            return False
-        rho = density_from_r(r_from_p(pre, theory.d), theory.frame)
-        if np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min() < -PURITY_TOL:
-            return False
-    return True
+    rhos = density_from_r(r_from_p(pre, theory.d), theory.frame)
+    hermitian = (rhos + rhos.conj().swapaxes(-1, -2)) / 2.0
+    return bool(np.linalg.eigvalsh(hermitian).min(initial=0.0) >= -PURITY_TOL)
 
 
 @dataclass(frozen=True)
@@ -290,9 +290,11 @@ def continuity_probe(theory: Theory, r_a: np.ndarray, r_b: np.ndarray, steps: in
     plane span{psi_a, psi_b}. exp(t theta G) is the one-parameter unitary
     group that Hardy's axiom 5 asks for; for theta = 0 the path is
     constant. The report gives the worst purity deviation along the way
-    and how far r(1) lands from r_b. Without a frame (classical) the probe
-    walks the straight segment between two basis states, where every
-    interior point is a proper mixture, so the report shows the failure.
+    and how far r(1) lands from r_b; the path's r-vectors come from
+    ``Theory.r_of``, with no solve against D. Without a frame (classical)
+    the probe walks the straight segment between two basis states, where
+    every interior point is a proper mixture, so the report shows the
+    failure.
 
     Either path is evaluated in one batch at ``steps`` evenly spaced
     t in [0, 1] plus t = 1/2, the last row.
@@ -323,8 +325,7 @@ def continuity_probe(theory: Theory, r_a: np.ndarray, r_b: np.ndarray, steps: in
         theta = np.arctan2(sin_ab, cos_ab)  # arccos |<psi_a|psi_b>|, accurate near 0
         phi = ortho / sin_ab if sin_ab > 0.0 else ortho
         psis = np.outer(np.cos(ts * theta), psi_a) + np.outer(np.sin(ts * theta), phi)
-        rhos = np.einsum("ti,tj->tij", psis, psis.conj())
-        path = r_from_p(p_from_density(rhos, theory.frame), theory.d)
+        path = theory.r_of(np.einsum("ti,tj->tij", psis, psis.conj()))
         d_path = path @ theory.d  # rows (D r)^T, D symmetric
         purities = np.einsum("ti,ti->t", d_path, path)
         mus = d_path @ theory.r_identity

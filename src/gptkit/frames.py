@@ -21,7 +21,7 @@ from .errors import DegenerateFrameError, DimensionError, NoSignatureError
 # sets them; each report records the tolerance or budget its check used.
 ATOL = 1e-12  # identities that hold exactly up to rounding
 PSD_TOL = 1e-10  # eigenvalue signs, and operator identities after products
-PURITY_TOL = 1e-9  # values that come out of a solve against D or Z
+PURITY_TOL = 1e-9  # purities r^T D r, and values that come out of a solve against D or Z
 INDEPENDENCE_RTOL = 1e-9  # smallest/largest singular value of a frame's projectors
 GRAM_SINGULAR_TOL = 1e-9  # smallest singular value of a D matrix
 COND_CUTOFF = 1e9  # condition number beyond which Z counts as not invertible
@@ -61,10 +61,20 @@ def label_text(label: Label) -> str:
     return f"{i + 1}{j + 1}{kind}"
 
 
-def label_support(label: Label) -> frozenset[int]:
-    """Basis indices a frame entry has support on."""
-    kind, i, j = label
-    return frozenset((i,)) if kind == "b" else frozenset((i, j))
+def canonical_vectors(n: int) -> np.ndarray:
+    """Row k is a vector u_k spanning frame entry k, so that
+    P_k = |u_k><u_k| / <u_k|u_k>.
+
+    A basis entry has u = |i> and a pair entry u = |m> + |n> or
+    |m> + i|n>, so every entry of u is 0, 1 or i and <u|u> is 1 or 2.
+    """
+    labels = canonical_labels(n)
+    vectors = np.zeros((len(labels), n), dtype=complex)
+    for idx, (kind, i, j) in enumerate(labels):
+        vectors[idx, i] = 1.0
+        if kind != "b":
+            vectors[idx, j] = 1.0 if kind == "x" else 1.0j
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -104,7 +114,7 @@ class FiducialFrame:
         herm = np.abs(self.projectors - self.projectors.conj().transpose(0, 2, 1)).max()
         if herm > ATOL:
             raise DegenerateFrameError(f"projector not Hermitian (deviation {herm:.3g})")
-        idem = np.abs(np.einsum("kij,kjl->kil", self.projectors, self.projectors) - self.projectors).max()
+        idem = np.abs(self.projectors @ self.projectors - self.projectors).max()
         if idem > ATOL:
             raise DegenerateFrameError(f"projector not idempotent (deviation {idem:.3g})")
         traces = np.einsum("kii->k", self.projectors)
@@ -128,19 +138,12 @@ def build_canonical_frame(n: int) -> FiducialFrame:
     """
     if n < 1:
         raise DimensionError(f"dimension must be a positive integer, got {n}")
-    labels = canonical_labels(n)
-    projectors = np.zeros((n * n, n, n), dtype=complex)
-    for idx, (kind, i, j) in enumerate(labels):
-        if kind == "b":
-            projectors[idx, i, i] = 1.0
-        else:
-            vec = np.zeros(n, dtype=complex)
-            vec[i] = 1.0
-            vec[j] = 1.0 if kind == "x" else 1.0j
-            # dividing the dyad by the exact squared norm keeps the
-            # entries (and hence D) exactly representable
-            projectors[idx] = np.outer(vec, vec.conj()) / 2.0
-    frame = FiducialFrame(dimension=n, projectors=projectors, labels=labels)
+    vectors = canonical_vectors(n)
+    # dividing the dyads by the exact squared norms (1 or 2) keeps the
+    # entries (and hence D) exactly representable
+    norms = np.einsum("ki,ki->k", vectors.conj(), vectors).real
+    projectors = np.einsum("ki,kj->kij", vectors, vectors.conj()) / norms[:, None, None]
+    frame = FiducialFrame(dimension=n, projectors=projectors, labels=canonical_labels(n))
     frame.validate()
     return frame
 
@@ -150,9 +153,13 @@ def gram_matrix(frame: FiducialFrame) -> np.ndarray:
 
     Raises DegenerateFrameError if the imaginary parts are not negligible,
     the matrix is not symmetric, or it is numerically singular (all of
-    which signal a linearly dependent or corrupted frame).
+    which signal a linearly dependent or corrupted frame). For Hermitian
+    projectors, which ``FiducialFrame.validate`` ensures,
+    tr(P_i P_j) = sum_ab P_i[a, b] conj(P_j[a, b]), one product of the
+    flattened projectors.
     """
-    prods = np.einsum("iab,jba->ij", frame.projectors, frame.projectors)
+    flat = frame.projectors.reshape(frame.k, -1)
+    prods = flat @ flat.conj().T
     if np.abs(prods.imag).max() > ATOL:
         raise DegenerateFrameError("tr(P_i P_j) has a non-negligible imaginary part")
     d = prods.real

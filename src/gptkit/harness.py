@@ -62,7 +62,7 @@ from .frames import (
     FREQUENCY_TRIALS, POWER_LAW_N_MAX, PSD_TOL, build_canonical_frame, gram_matrix,
 )
 from .serialize import _float_array, _number, _required, _seed
-from .states import Theory, mix, p_from_density, quantum_theory, r_from_p, theory_by_name
+from .states import Theory, mix, p_from_density, quantum_theory, theory_by_name
 
 OK_STATUSES = ("pass", "expected-fail")  # statuses that count as passing
 
@@ -319,7 +319,7 @@ def _continuity_check(theory: Theory, seed: int) -> CheckResult:
             psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             psi /= np.linalg.norm(psi)
             rho = np.outer(psi, psi.conj())
-            rs.append(r_from_p(p_from_density(rho, theory.frame), theory.d))
+            rs.append(theory.r_of(rho))
         reports.append(continuity_probe(theory, rs[0], rs[1], steps=CONTINUITY_STEPS))
     return CheckResult(
         name="axiom5-continuity",

@@ -78,8 +78,32 @@ def complex_from_json(data: Any) -> np.ndarray:
 
 
 def dumps(payload: dict) -> str:
-    """The JSON text of every file and printout: indented, keys sorted."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The JSON text of every file and printout: indented, keys sorted.
+
+    The text is ``json.dumps(payload, indent=2, sort_keys=True)``. Lists of
+    finite floats, the bulk of a matrix file, are written by one join of
+    their reprs instead of json's per-item Python encoder.
+    """
+    return _encode(payload, "\n") + "\n"
+
+
+def _encode(value: Any, newline: str) -> str:
+    """json's indent=2 text of ``value``, which starts on a line that
+    ``newline`` (a line break plus the current indent) begins."""
+    inner = newline + "  "
+    if type(value) is list and value and all(type(x) is float for x in value):
+        text = ("," + inner).join(map(float.__repr__, value))
+        if "n" not in text:  # json spells nan and inf as NaN and Infinity
+            return "[" + inner + text + newline + "]"
+    elif type(value) is list and value:
+        return "[" + inner + ("," + inner).join(_encode(v, inner) for v in value) + newline + "]"
+    elif type(value) is dict and value and all(type(k) is str for k in value):
+        items = (json.dumps(k) + ": " + _encode(v, inner) for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    elif not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)  # a scalar's text does not depend on the layout
+    # json writes no raw line break inside a string, so every one is layout
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 
 def write_json(path: str | Path, payload: dict) -> None:

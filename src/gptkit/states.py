@@ -48,11 +48,12 @@ def p_from_r(r: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def density_from_r(r: np.ndarray, frame: FiducialFrame) -> np.ndarray:
     """Reconstruct the operator sum_k r[k] P_k of a state or a measurement
-    (Hermitian for real r)."""
+    (Hermitian for real r), for one r (K,) or a stack (m, K), which gives
+    shape (m, N, N)."""
     r = np.asarray(r, dtype=float)
-    if r.shape != (frame.k,):
-        raise DimensionError(f"r has length {r.shape}, frame has K = {frame.k}")
-    return np.einsum("k,kij->ij", r, frame.projectors)
+    if r.ndim not in (1, 2) or r.shape[-1] != frame.k:
+        raise DimensionError(f"r has shape {r.shape}, frame has K = {frame.k}")
+    return np.einsum("...k,kij->...ij", r, frame.projectors)
 
 
 def probability(r_m: np.ndarray, d: np.ndarray, r_s: np.ndarray) -> float:
@@ -72,8 +73,8 @@ def normalization(p: np.ndarray, r_identity: np.ndarray) -> float:
 def is_pure(r: np.ndarray, theory: Theory) -> bool:
     """True iff r^T D r = 1 and mu = 1, both within ``PURITY_TOL``.
 
-    The tolerance is looser than ``ATOL`` because r typically comes out
-    of a solve against D.
+    The tolerance is looser than ``ATOL`` because r^T D r sums K^2
+    rounded products, and r may itself come out of a solve against D or Z.
     """
     r = np.asarray(r, dtype=float)
     quad = float(r @ np.asarray(theory.d, dtype=float) @ r)
@@ -107,9 +108,10 @@ class Theory:
     ``basis_r`` rows are the N basis measurement/state r-vectors and
     ``basis_p`` rows the corresponding p-vectors; ``r_identity`` is the
     r-vector of the identity measurement. ``frame`` is None for the
-    classical theory. A function that needs two or more of ``frame``,
-    ``d`` and ``r_identity`` takes the Theory, so they always come from
-    one system type.
+    classical theory, and otherwise the canonical frame of dimension N.
+    A function that needs two or more of ``frame``, ``d`` and
+    ``r_identity`` takes the Theory, so they always come from one system
+    type.
     """
 
     name: str
@@ -123,6 +125,35 @@ class Theory:
     @property
     def k(self) -> int:
         return self.d.shape[0]
+
+    def r_of(self, ops: np.ndarray) -> np.ndarray:
+        """r-vectors of one Hermitian operator (N, N) or a stack (m, N, N),
+        which gives shape (m, K): the same values as
+        ``r_from_p(p_from_density(ops, frame), d)``, read off the entries.
+
+        In the canonical frame an operator is sum_k r_k P_k with, for each
+        pair m < n (in ``np.triu_indices`` order, as in
+        ``canonical_labels``), r_x = 2 Re rho_mn and r_y = -2 Im rho_mn,
+        and r_m = rho_mm - 1/2 sum (r_x + r_y) over the pairs that
+        contain m. No solve against D is needed.
+        """
+        if self.frame is None:
+            raise GptError(f"the {self.name} theory has no operator form")
+        ops = np.asarray(ops, dtype=complex)
+        n = self.dimension
+        if ops.ndim not in (2, 3) or ops.shape[-2:] != (n, n):
+            raise DimensionError(f"operator shape {ops.shape} does not match dimension {n}")
+        re, im = ops.real, ops.imag
+        for skew in (re - re.swapaxes(-1, -2), im + im.swapaxes(-1, -2)):
+            if np.abs(skew).max(initial=0.0) > ATOL:
+                raise GptError("operator is not Hermitian")
+        rows, cols = np.triu_indices(n, 1)
+        # 0 - 2 Im rather than -2 Im, so that a real entry gives r_y = +0.0, not -0.0
+        r_xy = np.stack([2.0 * re[..., rows, cols], 0.0 - 2.0 * im[..., rows, cols]], axis=-1)
+        # (r_x + r_y) / 2 = (Re - Im) rho_mn, taken off both r_m and r_n
+        half_sums = np.triu(re - im, 1)
+        r_basis = np.diagonal(re, axis1=-2, axis2=-1) - (half_sums.sum(axis=-1) + half_sums.sum(axis=-2))
+        return np.concatenate([r_basis, r_xy.reshape(ops.shape[:-2] + (n * (n - 1),))], axis=-1)
 
 
 def classical_theory(n: int) -> Theory:

@@ -12,7 +12,7 @@ import functools
 import numpy as np
 import pytest
 
-from gptkit import harness
+from gptkit import Theory, harness, quantum_theory
 from gptkit.harness import haar_unitary  # noqa: F401  (re-exported to the tests)
 
 # A budget small enough to run a whole suite in a fraction of a second; the
@@ -58,6 +58,13 @@ def random_measurement_operator(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random POVM element: Hermitian with spectrum in [0, 1]."""
     u = haar_unitary(rng, n)
     return (u * rng.random(n)) @ u.conj().T
+
+
+@functools.lru_cache(maxsize=None)
+def cached_quantum_theory(n: int) -> Theory:
+    """``quantum_theory(n)``, built once per test session (n = 24 costs about
+    a second)."""
+    return quantum_theory(n)
 
 
 @pytest.fixture

@@ -23,7 +23,16 @@ from gptkit import (
     z_from_kraus,
     z_from_unitary,
 )
-from conftest import haar_state, haar_unitary, random_density, random_kraus
+import gptkit.dynamics
+import gptkit.states
+from conftest import (
+    cached_quantum_theory,
+    haar_state,
+    haar_unitary,
+    random_density,
+    random_kraus,
+    random_trace_preserving_kraus,
+)
 
 QT2 = quantum_theory(2)
 P1 = np.diag([1.0, 0.0]).astype(complex)
@@ -78,6 +87,68 @@ class TestZFromKraus:
         k21 = np.einsum("bij,ajk->baik", k2.operators, k1.operators).reshape(-1, 2, 2)
         z21 = z_from_kraus(KrausSet(k21), QT2)
         assert np.abs(z21.z - z2.z @ z1.z).max() <= 1e-10
+
+
+def schrodinger_z(kraus: KrausSet, theory) -> np.ndarray:
+    """Oracle Z = M D^{-1} with M[i, j] = tr(P_i $(P_j)), the Schrodinger
+    picture: map every fiducial projector, then solve against D."""
+    ops, proj = kraus.operators, theory.frame.projectors
+    mapped = (ops[:, None] @ proj[None] @ ops.conj().transpose(0, 2, 1)[:, None]).sum(axis=0)
+    m = np.einsum("iab,jba->ij", proj, mapped).real
+    return np.linalg.solve(theory.d, m.T).T
+
+
+def kraus_of_kind(kind: str, rng, n: int) -> np.ndarray:
+    if kind == "unitary":
+        return haar_unitary(rng, n)[np.newaxis]
+    if kind == "no-terms":
+        return np.zeros((0, n, n), dtype=complex)
+    terms = {"cptp-l2": 2, "cptp-l4": 4, "trace-increasing": 2}[kind]
+    scale = 1.25 if kind == "trace-increasing" else 1.0
+    return np.sqrt(scale) * random_trace_preserving_kraus(rng, n, terms)
+
+
+class TestHeisenbergZ:
+    """Row k of Z is the r-vector of $^dag(P_k); the oracle maps the
+    projectors forward and solves against D."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("kind", ["unitary", "cptp-l2", "cptp-l4", "trace-increasing", "no-terms"])
+    def test_matches_schrodinger_oracle(self, kind, n, rng):
+        theory = cached_quantum_theory(n)
+        kraus = KrausSet(kraus_of_kind(kind, rng, n))
+        assert_allclose(z_from_kraus(kraus, theory).z, schrodinger_z(kraus, theory), rtol=0, atol=1e-12)
+
+    def test_no_terms_give_the_zero_map(self):
+        z = z_from_kraus(KrausSet(np.zeros((0, 2, 2), dtype=complex)), QT2)
+        assert_allclose(z.z, np.zeros((4, 4)), rtol=0, atol=0)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(GptError, match="does not match"):
+            z_from_kraus(KrausSet(np.eye(3, dtype=complex)), QT2)
+
+    def test_large_kraus_entries_keep_the_images_exactly_hermitian(self, rng):
+        # r_of refuses a non-Hermitian operator; each image is a sum of
+        # dyads w w^dag, so it is Hermitian to the bit at any scale
+        theory = quantum_theory(5)
+        ops = 1e6 * random_kraus(rng, 5, terms=3)
+        expected = schrodinger_z(KrausSet(ops), theory)
+        got = z_from_kraus(KrausSet(ops), theory).z
+        assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    def test_z_and_probe_solve_nothing(self, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called a solve or a p-vector conversion")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        for module in (gptkit.states, gptkit.dynamics):
+            for name in ("r_from_p", "p_from_density"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        theory = quantum_theory(3)
+        z_from_kraus(KrausSet(random_kraus(rng, 3)), theory)
+        z_from_unitary(haar_unitary(rng, 3), theory)
+        r_a, r_b = (theory.r_of(np.outer(psi, psi.conj())) for psi in (haar_state(rng, 3), haar_state(rng, 3)))
+        assert continuity_probe(theory, r_a, r_b, steps=5).pure_path
 
 
 class TestZFromUnitary:
@@ -198,6 +269,30 @@ class TestReversibility:
     def test_identity_is_reversible(self, rng):
         z = z_from_unitary(np.eye(2, dtype=complex), QT2)
         assert is_reversible(z, self._witnesses(rng), QT2)
+
+    def test_no_witnesses_leave_only_the_rank_test(self):
+        assert is_reversible(z_from_unitary(np.eye(2, dtype=complex), QT2), [], QT2)
+
+    def test_batch_is_the_conjunction_of_single_witnesses(self, rng):
+        theory = quantum_theory(3)
+        z = z_from_kraus(KrausSet(random_kraus(rng, 3)), theory)
+        witnesses = [theory.basis_p[0], p_from_density(random_density(rng, 3), theory.frame)]
+        invert = np.linalg.inv(z.z)
+        for wit in witnesses:
+            # a valid pre-image must have entries in [0, 1] and a PSD operator
+            assert is_reversible(z, [wit], theory) == self._valid(invert @ wit, theory)
+        singles = [is_reversible(z, [wit], theory) for wit in witnesses]
+        assert is_reversible(z, witnesses, theory) == all(singles)
+        u = z_from_unitary(haar_unitary(rng, 3), theory)
+        assert is_reversible(u, witnesses, theory)
+        assert not is_reversible(u, witnesses + [np.full(theory.k, 2.0)], theory)
+
+    @staticmethod
+    def _valid(pre, theory) -> bool:
+        rho = np.einsum("k,kij->ij", r_from_p(pre, theory.d), theory.frame.projectors)
+        mu = theory.r_identity @ pre
+        return bool(pre.min() >= -1e-9 and pre.max() <= 1 + 1e-9 and -1e-9 <= mu <= 1 + 1e-9
+                    and np.linalg.eigvalsh(rho).min() >= -1e-9)
 
 
 class TestMeasurementUpdate:

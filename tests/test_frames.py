@@ -14,6 +14,8 @@ from gptkit import (
     gram_matrix,
     signature_from_table,
 )
+from gptkit.frames import canonical_vectors
+from conftest import cached_quantum_theory
 
 DHALFS = np.array(
     [
@@ -97,7 +99,25 @@ class TestBuildCanonicalFrame:
         )
 
 
+class TestCanonicalVectors:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_each_vector_spans_its_projector(self, n):
+        vectors = canonical_vectors(n)
+        assert set(np.unique(vectors)) <= {0, 1, 1j}
+        norms = np.einsum("ki,ki->k", vectors.conj(), vectors).real
+        dyads = np.einsum("ki,kj->kij", vectors, vectors.conj()) / norms[:, None, None]
+        assert np.array_equal(dyads, build_canonical_frame(n).projectors)
+
+
 class TestGramMatrix:
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_flat_product_is_bit_identical_to_the_trace_einsum(self, n):
+        theory = cached_quantum_theory(n)  # its d is gram_matrix(frame)
+        flat = theory.frame.projectors.reshape(theory.k, -1)
+        assert not (flat @ flat.conj().T).imag.any()
+        einsum = np.einsum("iab,jba->ij", theory.frame.projectors, theory.frame.projectors).real
+        assert theory.d.tobytes() == einsum.tobytes()
+
     def test_qubit_gram_is_dhalfs(self):
         d = gram_matrix(build_canonical_frame(2))
         assert np.abs(d - DHALFS).max() <= 1e-12

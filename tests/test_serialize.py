@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from gptkit import GptError, build_canonical_frame, gram_matrix
@@ -87,3 +90,37 @@ class TestMatrixAndVectorFiles:
         payload = serialize.counts_to_dict(np.array([3, 5, 2]), shots=10, seed=1)
         assert payload["counts"][0] == 3
         assert payload["shots"] == 10
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.floats(), min_size=1, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestDumps:
+    """``dumps`` writes float lists by a join of reprs; its text must stay
+    ``json.dumps(payload, indent=2, sort_keys=True)`` byte for byte."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {},
+            {"z": np.arange(6.0).reshape(2, 3).tolist(), "k": 2, "empty": [], "none": {}},
+            {"x": [0.1, -2.5e-300, 1e22, -0.0]},
+            {"nan": [1.0, float("nan")], "inf": [float("inf"), -float("inf")]},
+            {"mixed": [1.0, 2, True, None, "a\nb"], "np": [np.float64(0.5)]},
+            {"nested": {"b": [[1.5, 2.5], [[3.5]]], "a": {"ü": "é"}}},
+            {"int keys": {2: 1.0, 1: [1.0]}},
+            {"tuple": (1.0, 2.0)},
+        ],
+    )
+    def test_matches_json_dumps(self, payload):
+        assert serialize.dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @given(st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=5))
+    def test_matches_json_dumps_on_any_object(self, payload):
+        assert serialize.dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"

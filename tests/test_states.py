@@ -29,7 +29,7 @@ from gptkit import (
     r_from_p,
     theory_by_name,
 )
-from conftest import haar_state, random_density, random_measurement_operator
+from conftest import cached_quantum_theory, haar_state, random_density, random_measurement_operator
 
 QT2 = quantum_theory(2)
 
@@ -91,6 +91,50 @@ class TestRFromP:
             r_from_p(np.zeros((3, 5)), QT2.d)
 
 
+class TestROf:
+    """``Theory.r_of`` reads r-vectors off operator entries; the oracle is
+    the conversion through the fiducial probabilities and a solve against D."""
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_matches_solve_for_one_operator_and_a_stack(self, n, rng):
+        theory = cached_quantum_theory(n)
+        rhos = np.stack([random_density(rng, n) for _ in range(3)])
+        rhos[2] = random_measurement_operator(rng, n)
+        expected = r_from_p(p_from_density(rhos, theory.frame), theory.d)
+        stacked = theory.r_of(rhos)
+        assert stacked.shape == (3, theory.k)
+        assert_allclose(stacked, expected, rtol=0, atol=1e-13)
+        assert_allclose(theory.r_of(rhos[0]), expected[0], rtol=0, atol=1e-13)
+
+    def test_reconstructs_the_operator(self, rng):
+        theory = quantum_theory(4)
+        rho = random_density(rng, 4)
+        assert_allclose(density_from_r(theory.r_of(rho), theory.frame), rho, rtol=0, atol=1e-15)
+
+    def test_fiducial_projectors_give_unit_vectors(self):
+        theory = quantum_theory(3)
+        assert_allclose(theory.r_of(theory.frame.projectors), np.eye(theory.k), rtol=0, atol=1e-15)
+
+    def test_real_entries_give_positive_zeros(self):
+        # a -0.0 would print as "-0.0" in every Z and r file
+        assert not np.signbit(quantum_theory(3).r_of(np.eye(3))).any()
+
+    def test_empty_stack(self):
+        assert QT2.r_of(np.zeros((0, 2, 2))).shape == (0, 4)
+
+    def test_non_hermitian_operator_rejected(self):
+        with pytest.raises(GptError, match="not Hermitian"):
+            QT2.r_of(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            QT2.r_of(np.eye(3))
+
+    def test_classical_theory_has_no_operator_form(self):
+        with pytest.raises(GptError, match="no operator form"):
+            classical_theory(2).r_of(np.eye(2))
+
+
 class TestOperatorReconstruction:
     def test_single_term_sum(self):
         rho = density_from_r(np.array([1.0, 0.0, 0.0, 0.0]), QT2.frame)
@@ -102,6 +146,16 @@ class TestOperatorReconstruction:
     def test_identity_measurement_reconstructs_identity(self):
         op = density_from_r(np.array([1.0, 1.0, 0.0, 0.0]), QT2.frame)
         assert_allclose(op, np.eye(2), atol=1e-15)
+
+    def test_stack_matches_row_by_row(self, rng):
+        theory = quantum_theory(3)
+        rs = rng.standard_normal((4, theory.k))
+        rows = np.stack([density_from_r(r, theory.frame) for r in rs])
+        assert_allclose(density_from_r(rs, theory.frame), rows, rtol=0, atol=1e-15)
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            density_from_r(np.zeros((2, 5)), QT2.frame)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_round_trip_on_random_densities(self, n, rng):
