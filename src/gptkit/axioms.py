@@ -7,6 +7,7 @@ the harness module.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,8 +99,8 @@ class SubspaceReport:
         return not self.violations
 
 
-def check_subspace_axiom(theory: Theory, subset: set[int]) -> SubspaceReport:
-    """Verify that a basis subset behaves as a lower-dimensional system.
+def check_subspace_axiom(theory: Theory, subsets: Sequence[set[int]]) -> list[SubspaceReport]:
+    """Verify that each basis subset W behaves as a lower-dimensional system.
 
     The fiducials supported inside W, taken in canonical order of the
     mapped indices, must reproduce the D matrix of dimension |W|: the
@@ -108,37 +109,67 @@ def check_subspace_axiom(theory: Theory, subset: set[int]) -> SubspaceReport:
     alone. Fiducials of disjoint subspaces must assign probability zero to
     every state supported in W (witnessed by the fiducial states of W,
     i.e. the corresponding columns of D). Both hold to ``ATOL``.
+
+    Returns one report per subset, in order. The fiducial support, the
+    membership masks and one reference D per subset size are built once;
+    the subsets that select equally many fiducials are then read out of D
+    together.
     """
     n = theory.dimension
-    w = tuple(sorted(subset))
-    if not w or any(not 0 <= i < n for i in w):
-        raise GptError(f"subset {subset} is not a set of basis indices for dimension {n}")
+    ws = []
+    for subset in subsets:
+        w = tuple(sorted(subset))
+        if not w or any(not 0 <= i < n for i in w):
+            raise GptError(f"subset {subset} is not a set of basis indices for dimension {n}")
+        ws.append(w)
     if theory.frame is None:
-        labels, reference = canonical_labels(n)[:n], np.eye(len(w))
+        labels, reference = canonical_labels(n)[:n], np.eye
     else:
-        labels, reference = theory.frame.labels, build_general_d(len(w))
+        labels, reference = theory.frame.labels, build_general_d
     support = np.array(list(zip(*labels))[1:])  # (2, K): the basis indices of each fiducial
-    in_w = np.isin(support, w)
-    inside = np.flatnonzero(in_w.all(axis=0))
-    disjoint = np.flatnonzero(~in_w.any(axis=0))
+    members = np.zeros((len(ws), n), dtype=bool)
+    for row, w in enumerate(ws):
+        members[row, list(w)] = True
+    in_w = members[:, support]  # (S, 2, K)
+    inside_mask = in_w.all(axis=1)
+    disjoint_mask = ~in_w.any(axis=1)
 
+    # subsets of one size select equally many fiducials (m^2, or m
+    # classically), so each size is one group of fancy-indexed reads; the
+    # key holds the counts, so that other label sets group correctly too
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    keys = zip(map(len, ws), inside_mask.sum(axis=1).tolist(), disjoint_mask.sum(axis=1).tolist())
+    for row, key in enumerate(keys):
+        groups.setdefault(key, []).append(row)
     d = np.asarray(theory.d, dtype=float)
-    sub_dev = float(np.abs(d[np.ix_(inside, inside)] - reference).max())
-    dis_dev = float(np.abs(d[np.ix_(disjoint, inside)]).max(initial=0.0))
+    sub_dev = np.empty(len(ws))
+    dis_dev = np.empty(len(ws))
+    for (m, k_in, k_dis), rows in groups.items():
+        inside = np.nonzero(inside_mask[rows])[1].reshape(len(rows), k_in, 1)
+        disjoint = np.nonzero(disjoint_mask[rows])[1].reshape(len(rows), k_dis, 1)
+        inside_t = inside.transpose(0, 2, 1)
+        sub_dev[rows] = np.abs(d[inside, inside_t] - reference(m)).max(axis=(1, 2))
+        dis_dev[rows] = np.abs(d[disjoint, inside_t]).max(axis=(1, 2), initial=0.0)
 
-    violations = []
-    if not sub_dev <= ATOL:
-        violations.append(f"restricted D deviates from canonical by {sub_dev:.3g}")
-    if not dis_dev <= ATOL:
-        violations.append(f"disjoint fiducial sees W-supported state with probability {dis_dev:.3g}")
-    return SubspaceReport(
-        subset=w,
-        fiducial_indices=tuple(inside.tolist()),
-        submatrix_deviation=sub_dev,
-        disjoint_probability=dis_dev,
-        tolerance=ATOL,
-        violations=tuple(violations),
-    )
+    reports = []
+    for row, w in enumerate(ws):
+        sub, dis = float(sub_dev[row]), float(dis_dev[row])
+        violations = []
+        if not sub <= ATOL:
+            violations.append(f"restricted D deviates from canonical by {sub:.3g}")
+        if not dis <= ATOL:
+            violations.append(f"disjoint fiducial sees W-supported state with probability {dis:.3g}")
+        reports.append(
+            SubspaceReport(
+                subset=w,
+                fiducial_indices=tuple(np.flatnonzero(inside_mask[row]).tolist()),
+                submatrix_deviation=sub,
+                disjoint_probability=dis,
+                tolerance=ATOL,
+                violations=tuple(violations),
+            )
+        )
+    return reports
 
 
 @dataclass(frozen=True)

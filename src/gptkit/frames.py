@@ -99,13 +99,25 @@ class FiducialFrame:
     def k(self) -> int:
         return self.projectors.shape[0]
 
+    def hermitian_coordinates(self) -> np.ndarray:
+        """The (K, N^2) real coordinates ``Re P + Im P`` of the projectors.
+
+        For a Hermitian P, Re P is symmetric and Im P antisymmetric, and
+        these are orthogonal in the Frobenius product, so the dot product of
+        two rows is tr(P_i P_j), as it is for the (K, 2 N^2) ``[Re | Im]``
+        flattening: both have the same singular values, and this one is
+        square.
+        """
+        return (self.projectors.real + self.projectors.imag).reshape(self.k, -1)
+
     def validate(self) -> None:
         """Raise if any frame invariant fails.
 
         Checks Hermiticity, idempotence and unit trace of every projector,
-        and linear independence of the K projectors as real vectors.
+        and linear independence of the K projectors as real vectors, read
+        from the singular values of their ``hermitian_coordinates``.
         """
-        k, n, n2 = self.projectors.shape
+        _, n, n2 = self.projectors.shape
         if n != n2 or n != self.dimension:
             raise DimensionError(
                 f"projector block has shape {self.projectors.shape}, "
@@ -120,10 +132,7 @@ class FiducialFrame:
         traces = np.einsum("kii->k", self.projectors)
         if np.abs(traces - 1.0).max() > ATOL:
             raise DegenerateFrameError("projector trace differs from 1")
-        flat = np.concatenate(
-            [self.projectors.real.reshape(k, -1), self.projectors.imag.reshape(k, -1)], axis=1
-        )
-        svals = np.linalg.svd(flat, compute_uv=False)
+        svals = np.linalg.svd(self.hermitian_coordinates(), compute_uv=False)
         if svals[-1] <= INDEPENDENCE_RTOL * svals[0]:
             raise DegenerateFrameError(
                 f"projectors are linearly dependent (sv ratio {svals[-1] / svals[0]:.3g})"
@@ -165,9 +174,9 @@ def gram_matrix(frame: FiducialFrame) -> np.ndarray:
     d = prods.real
     if np.abs(d - d.T).max() > ATOL:
         raise DegenerateFrameError("Gram matrix is not symmetric")
-    svals = np.linalg.svd(d, compute_uv=False)
-    if svals[-1] <= GRAM_SINGULAR_TOL:
-        raise DegenerateFrameError(f"Gram matrix singular (smallest sv {svals[-1]:.3g})")
+    smallest = np.abs(np.linalg.eigvalsh(d)).min()  # D is symmetric: its svs are |eigenvalues|
+    if smallest <= GRAM_SINGULAR_TOL:
+        raise DegenerateFrameError(f"Gram matrix singular (smallest sv {smallest:.3g})")
     return d
 
 

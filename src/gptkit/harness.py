@@ -52,7 +52,6 @@ from .dynamics import (
     is_reversible,
     is_trace_nonincreasing,
     is_trace_preserving,
-    kraus_to_superoperator,
     z_from_kraus,
     z_from_unitary,
 )
@@ -85,11 +84,12 @@ class Experiment:
     """One preparation/transformation/measurement specification.
 
     ``partition`` lists the outcome r-vectors; they must sum to the
-    identity measurement, so the null-outcome probability is 1 - mu.
+    identity measurement, so the null-outcome probability is 1 - mu. It is
+    stored as one (L, K) array, with one row per outcome.
     """
 
     preparation: np.ndarray
-    partition: tuple[np.ndarray, ...]
+    partition: np.ndarray
     r_identity: np.ndarray
     shots: int
     seed: int
@@ -97,19 +97,24 @@ class Experiment:
 
     def __post_init__(self) -> None:
         prep = np.asarray(self.preparation, dtype=float)
-        rs = tuple(np.asarray(r, dtype=float) for r in self.partition)
+        rs = [np.asarray(r, dtype=float) for r in self.partition]
         r_identity = np.asarray(self.r_identity, dtype=float)
         if not rs:
             raise InvalidExperimentError("empty measurement partition")
-        total = np.sum(rs, axis=0)
-        if np.abs(total - r_identity).max() > ATOL:
+        for name, vector in [*(("partition vector", r) for r in rs), ("preparation", prep)]:
+            if vector.shape != r_identity.shape:
+                raise InvalidExperimentError(
+                    f"{name} has shape {vector.shape}, the identity measurement {r_identity.shape}"
+                )
+        partition = np.array(rs)
+        if np.abs(partition.sum(axis=0) - r_identity).max() > ATOL:
             raise InvalidExperimentError("partition does not sum to the identity measurement")
         if self.shots < 0:
             raise InvalidExperimentError(f"negative shot count {self.shots}")
         if self.shots > np.iinfo(np.int64).max:  # the largest count numpy can draw
             raise InvalidExperimentError(f"shot count {self.shots} exceeds 2**63 - 1")
         object.__setattr__(self, "preparation", prep)
-        object.__setattr__(self, "partition", rs)
+        object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "r_identity", r_identity)
 
 
@@ -139,7 +144,7 @@ def outcome_probabilities(exp: Experiment) -> np.ndarray:
     p = exp.preparation
     if exp.transform is not None:
         p = apply_transform(exp.transform, p)
-    probs = np.array([float(np.asarray(r) @ p) for r in exp.partition])
+    probs = exp.partition @ p
     if probs.min() < -ATOL or probs.max() > 1.0 + ATOL:
         raise InvalidExperimentError(f"branch probability outside [0, 1]: {probs}")
     null = 1.0 - probs.sum()
@@ -266,7 +271,7 @@ def _subspace_check(theory: Theory) -> CheckResult:
     subsets = [{i, j} for i in range(n) for j in range(i + 1, n)]
     if theory.frame is not None and n >= 3:
         subsets.append(set(range(3)))
-    reports = [check_subspace_axiom(theory, w) for w in subsets]
+    reports = check_subspace_axiom(theory, subsets)
     return CheckResult(
         name="axiom3-subspaces",
         status="pass" if all(r.passed for r in reports) else "fail",
@@ -601,7 +606,7 @@ def _run_transform_pipeline(params: dict[str, Any], seed: int, base: Path, out_d
         else z_from_kraus(kraus, theory)
     )
     witnesses = [*theory.basis_p, theory.basis_p.mean(axis=0)]
-    cp = is_completely_positive(kraus_to_superoperator(kraus))
+    cp = is_completely_positive(kraus)  # a Kraus form is its own proof of complete positivity
     nonincreasing = is_trace_nonincreasing(kraus)
     details = {
         "dimension": n,

@@ -7,16 +7,20 @@ from hypothesis import given, settings, strategies as st
 from gptkit import (
     GptError,
     MonotonicityError,
+    SubspaceReport,
+    build_general_d,
     build_canonical_frame,
     check_basis_distinguishability,
     check_frequency_convergence,
     check_linearity,
+    canonical_labels,
     check_subspace_axiom,
     classical_theory,
     fit_power_law,
     gram_matrix,
     is_completely_multiplicative,
     quantum_theory,
+    theory_by_name,
 )
 
 DHALFS = gram_matrix(build_canonical_frame(2))
@@ -80,10 +84,47 @@ class TestPowerLaw:
         assert fit_power_law(t) == 2
 
 
+def per_subset_oracle(theory, subset):
+    """The one-subset axiom-3 check, written out directly: the fiducials
+    supported inside W by np.isin, D restricted with np.ix_, and the
+    reference D built for |W|."""
+    n = theory.dimension
+    w = tuple(sorted(subset))
+    if theory.frame is None:
+        labels, reference = canonical_labels(n)[:n], np.eye(len(w))
+    else:
+        labels, reference = theory.frame.labels, build_general_d(len(w))
+    support = np.array(list(zip(*labels))[1:])
+    in_w = np.isin(support, w)
+    inside = np.flatnonzero(in_w.all(axis=0))
+    disjoint = np.flatnonzero(~in_w.any(axis=0))
+    d = np.asarray(theory.d, dtype=float)
+    sub_dev = float(np.abs(d[np.ix_(inside, inside)] - reference).max())
+    dis_dev = float(np.abs(d[np.ix_(disjoint, inside)]).max(initial=0.0))
+    violations = []
+    if not sub_dev <= 1e-12:
+        violations.append(f"restricted D deviates from canonical by {sub_dev:.3g}")
+    if not dis_dev <= 1e-12:
+        violations.append(f"disjoint fiducial sees W-supported state with probability {dis_dev:.3g}")
+    return SubspaceReport(
+        subset=w,
+        fiducial_indices=tuple(inside.tolist()),
+        submatrix_deviation=sub_dev,
+        disjoint_probability=dis_dev,
+        tolerance=1e-12,
+        violations=tuple(violations),
+    )
+
+
+def singles_pairs_and_triple(n):
+    subsets = [{i} for i in range(n)] + [{i, j} for i in range(n) for j in range(i + 1, n)]
+    return subsets + ([{0, 1, 2}] if n >= 3 else [])
+
+
 class TestSubspaceAxiom:
     def test_pair_restriction_equals_dhalfs(self):
         theory = quantum_theory(3)
-        report = check_subspace_axiom(theory, {0, 1})
+        [report] = check_subspace_axiom(theory, [{0, 1}])
         assert report.passed
         assert report.submatrix_deviation <= 1e-12
         sub = theory.d[np.ix_(report.fiducial_indices, report.fiducial_indices)]
@@ -91,7 +132,7 @@ class TestSubspaceAxiom:
 
     def test_single_basis_state_invisible_to_disjoint_fiducials(self):
         theory = quantum_theory(3)
-        report = check_subspace_axiom(theory, {0})
+        [report] = check_subspace_axiom(theory, [{0}])
         assert report.passed
         # direct oracle: tr(P_23x |1><1|) = 0
         p23x = theory.frame.projectors[7]
@@ -100,36 +141,45 @@ class TestSubspaceAxiom:
         assert report.disjoint_probability <= 1e-12
 
     def test_full_set_restriction_is_d_itself(self):
-        report = check_subspace_axiom(quantum_theory(3), {0, 1, 2})
+        [report] = check_subspace_axiom(quantum_theory(3), [{0, 1, 2}])
         assert report.passed
         assert report.fiducial_indices == tuple(range(9))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_every_pair_behaves_two_dimensionally(self, n):
-        theory = quantum_theory(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                assert check_subspace_axiom(theory, {i, j}).passed
+        pairs = [{i, j} for i in range(n) for j in range(i + 1, n)]
+        reports = check_subspace_axiom(quantum_theory(n), pairs)
+        assert [r.subset for r in reports] == [tuple(sorted(w)) for w in pairs]
+        assert all(r.passed for r in reports)
 
     def test_corrupted_d_detected(self):
         theory = quantum_theory(3)
         d = theory.d.copy()
         d[3, 4] = 0.75
         d[4, 3] = 0.75
-        assert not check_subspace_axiom(dataclasses.replace(theory, d=d), {0, 1}).passed
+        [report] = check_subspace_axiom(dataclasses.replace(theory, d=d), [{0, 1}])
+        assert not report.passed
 
     def test_invalid_subset_rejected(self):
         with pytest.raises(GptError):
-            check_subspace_axiom(quantum_theory(3), {0, 7})
+            check_subspace_axiom(quantum_theory(3), [{0, 7}])
+
+    @pytest.mark.parametrize("subsets", [[{0, 1}, {0, 7}], [{0, 1}, set()]])
+    def test_any_invalid_subset_in_the_list_rejected(self, subsets):
+        with pytest.raises(GptError, match="is not a set of basis indices"):
+            check_subspace_axiom(quantum_theory(3), subsets)
+
+    def test_no_subsets_give_no_reports(self):
+        assert check_subspace_axiom(quantum_theory(3), []) == []
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_classical_subsets_pass_against_the_identity(self, n):
-        theory = classical_theory(n)
-        for i in range(n):
-            for j in range(i, n):
-                report = check_subspace_axiom(theory, {i, j})
-                assert report.passed
-                assert report.fiducial_indices == tuple(sorted({i, j}))
+        subsets = [{i, j} for i in range(n) for j in range(i, n)]
+        reports = check_subspace_axiom(classical_theory(n), subsets)
+        assert len(reports) == len(subsets)
+        for subset, report in zip(subsets, reports):
+            assert report.passed
+            assert report.fiducial_indices == tuple(sorted(subset))
 
     @pytest.mark.parametrize(
         "entry, violation",
@@ -138,9 +188,29 @@ class TestSubspaceAxiom:
     def test_classical_d_off_the_identity_fails(self, entry, violation):
         d = np.eye(3)
         d[entry] = d[entry[::-1]] = 0.1
-        report = check_subspace_axiom(dataclasses.replace(classical_theory(3), d=d), {0, 1})
+        [report] = check_subspace_axiom(dataclasses.replace(classical_theory(3), d=d), [{0, 1}])
         assert not report.passed
         assert report.violations[0].startswith(violation)
+
+    @pytest.mark.parametrize(
+        "name, n", [("quantum", n) for n in range(1, 7)] + [("classical", n) for n in range(1, 5)]
+    )
+    def test_batched_reports_equal_the_per_subset_oracle(self, name, n):
+        theory = theory_by_name(name, n)
+        subsets = singles_pairs_and_triple(n)
+        k = theory.k
+        rng = np.random.default_rng(n)
+        entries = [divmod(int(e), k) for e in rng.choice(k * k, size=min(k * k, 40), replace=False)]
+        failing = []
+        for entry in [None, *entries]:
+            d = theory.d.copy()
+            if entry is not None:
+                d[entry] += 0.3  # one entry, so D is no longer symmetric
+            corrupted = dataclasses.replace(theory, d=d)
+            expected = [per_subset_oracle(corrupted, w) for w in subsets]
+            assert check_subspace_axiom(corrupted, subsets) == expected
+            failing.append(sum(not r.passed for r in expected))
+        assert failing[0] == 0 and max(failing[1:]) > 0
 
 
 class TestBasisDistinguishability:

@@ -318,6 +318,19 @@ class TestTransform:
         assert code == 1
         assert json.loads(out)["trace_nonincreasing"] is False
 
+    def test_large_kraus_entries_stay_completely_positive(self, tmp_path, capsys):
+        # a Kraus form is CP by construction; the Choi test of its superoperator
+        # trips on rounding at this scale (smallest eigenvalue about -1e-9)
+        rng = np.random.default_rng(0)
+        ops = 1e3 * (rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4)))
+        k_file = tmp_path / "large.kraus.json"
+        serialize.write_json(k_file, serialize.kraus_to_dict(ops))
+        code, out, _ = run_cli(capsys, "transform", "--kraus", str(k_file))
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["completely_positive"] is True
+        assert payload["trace_nonincreasing"] is False
+
     def test_projection_kraus_passes_but_is_irreversible(self, tmp_path, capsys):
         k_file = tmp_path / "proj.kraus.json"
         proj = np.diag([1.0, 0.0]).astype(complex)[np.newaxis]

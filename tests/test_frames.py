@@ -4,14 +4,19 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from gptkit import (
+    D2Params,
     DegenerateFrameError,
     DimensionError,
     FiducialFrame,
     NoSignatureError,
     Signature,
     build_canonical_frame,
+    c_bounds,
     canonical_labels,
+    d2_assemble,
+    frame_from_phases,
     gram_matrix,
+    recover_phases,
     signature_from_table,
 )
 from gptkit.frames import canonical_vectors
@@ -109,7 +114,68 @@ class TestCanonicalVectors:
         assert np.array_equal(dyads, build_canonical_frame(n).projectors)
 
 
+def re_im_singular_values(frame):
+    """Singular values of the (K, 2 N^2) [Re | Im] flattening of the projectors."""
+    flat = np.concatenate(
+        [frame.projectors.real.reshape(frame.k, -1), frame.projectors.imag.reshape(frame.k, -1)],
+        axis=1,
+    )
+    return np.linalg.svd(flat, compute_uv=False)
+
+
+def assert_same_spectrum(svals, expected):
+    """Equal to 1e-13 relative to the largest singular value, the scale of
+    the rounding of a backward-stable SVD or eigensolver."""
+    assert svals.shape == expected.shape
+    assert np.abs(svals - expected).max() <= 1e-13 * expected[0]
+
+
+def family_frames():
+    """Frames of the 4x4 (a, b, c) family, inside its bounds."""
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        a, b = rng.uniform(0.05, 0.95, size=2)
+        lo, hi = c_bounds(float(a), float(b))
+        c = lo + (hi - lo) * rng.uniform(0.05, 0.95)
+        yield frame_from_phases(recover_phases(d2_assemble(D2Params(float(a), float(b), float(c)))))
+
+
+class TestHermitianCoordinates:
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_singular_values_equal_those_of_the_re_im_flattening(self, n):
+        frame = cached_quantum_theory(n).frame
+        coords = frame.hermitian_coordinates()
+        assert coords.shape == (n * n, n * n)
+        assert_same_spectrum(np.linalg.svd(coords, compute_uv=False), re_im_singular_values(frame))
+
+    def test_singular_values_of_recovered_family_frames(self):
+        for frame in family_frames():
+            svals = np.linalg.svd(frame.hermitian_coordinates(), compute_uv=False)
+            assert_same_spectrum(svals, re_im_singular_values(frame))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_row_products_are_the_gram_matrix(self, n):
+        theory = cached_quantum_theory(n)
+        coords = theory.frame.hermitian_coordinates()
+        assert np.abs(coords @ coords.T - theory.d).max() <= 1e-15
+
+    def test_validate_refuses_a_duplicated_projector(self):
+        base = build_canonical_frame(2)
+        projectors = base.projectors.copy()
+        projectors[3] = projectors[2]
+        frame = FiducialFrame(dimension=2, projectors=projectors, labels=base.labels)
+        with pytest.raises(DegenerateFrameError, match="linearly dependent"):
+            frame.validate()
+
+
 class TestGramMatrix:
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_eigenvalue_moduli_are_the_singular_values(self, n):
+        # gram_matrix reads D's smallest singular value as min |eigvalsh(D)|
+        d = cached_quantum_theory(n).d
+        moduli = np.sort(np.abs(np.linalg.eigvalsh(d)))[::-1]
+        assert_same_spectrum(moduli, np.linalg.svd(d, compute_uv=False))
+
     @pytest.mark.parametrize("n", range(1, 25))
     def test_flat_product_is_bit_identical_to_the_trace_einsum(self, n):
         theory = cached_quantum_theory(n)  # its d is gram_matrix(frame)

@@ -55,6 +55,26 @@ class TestExperimentValidation:
         with pytest.raises(InvalidExperimentError):
             basis_experiment(QT2.basis_p[0], shots=-1, seed=0)
 
+    def test_partition_vector_shorter_than_the_identity_rejected(self):
+        with pytest.raises(InvalidExperimentError, match="partition vector has shape \\(3,\\)"):
+            Experiment(preparation=QT2.basis_p[0], partition=tuple(QT2.basis_r[:, :3]),
+                       r_identity=QT2.r_identity, shots=10, seed=0)
+
+    def test_ragged_partition_rejected(self):
+        partition = [QT2.basis_r[0].tolist(), [*QT2.basis_r[1].tolist(), 0.0]]
+        with pytest.raises(InvalidExperimentError, match="partition vector has shape \\(5,\\)"):
+            Experiment(preparation=QT2.basis_p[0], partition=partition,
+                       r_identity=QT2.r_identity, shots=10, seed=0)
+
+    def test_preparation_of_the_wrong_length_rejected(self):
+        with pytest.raises(InvalidExperimentError, match="preparation has shape \\(9,\\)"):
+            basis_experiment(QT3.basis_p[0], shots=10, seed=0)
+
+    def test_partition_is_stacked_once(self):
+        exp = basis_experiment(QT2.basis_p[0], shots=10, seed=0)
+        assert exp.partition.shape == (2, 4)
+        assert np.array_equal(exp.partition, QT2.basis_r)
+
     def test_shots_beyond_int64_rejected(self):
         basis_experiment(QT2.basis_p[0], shots=2**63 - 1, seed=0)
         with pytest.raises(InvalidExperimentError, match="exceeds 2\\*\\*63 - 1"):
@@ -190,8 +210,8 @@ class TestAxiomSuite:
 
     def test_classical_subspace_check_reads_check_subspace_axiom(self, monkeypatch, budget):
         def off_identity(*args, **kwargs):
-            report = check_subspace_axiom(*args, **kwargs)
-            return dataclasses.replace(report, violations=("forced",))
+            reports = check_subspace_axiom(*args, **kwargs)
+            return [dataclasses.replace(report, violations=("forced",)) for report in reports]
 
         monkeypatch.setattr(harness, "check_subspace_axiom", off_identity)
         budget(CONTINUITY_STEPS=20)

@@ -385,7 +385,7 @@ class TestNamedTolerances:
         assert suite["axiom5-continuity"] == {"pairs": f.CONTINUITY_PAIRS, "steps": f.CONTINUITY_STEPS}
         assert suite["measurement-linearity"] == {"samples": f.LINEARITY_SAMPLES}
         theory = quantum_theory(2)
-        assert gptkit.axioms.check_subspace_axiom(theory, {0, 1}).tolerance == f.ATOL
+        assert gptkit.axioms.check_subspace_axiom(theory, [{0, 1}])[0].tolerance == f.ATOL
         assert gptkit.axioms.check_basis_distinguishability(theory).tolerance == f.ATOL
         linearity = gptkit.axioms.check_linearity(theory.r_identity, list(theory.basis_p), rng)
         assert (linearity.samples, linearity.tolerance) == (f.LINEARITY_SAMPLES, f.LINEARITY_TOL)
