@@ -86,7 +86,6 @@ from .harness import (
 )
 from .states import (
     Theory,
-    classical_pure_states,
     classical_theory,
     density_from_r,
     is_pure,

@@ -20,7 +20,6 @@ from .frames import (
     FREQUENCY_PASS_FRACTION,
     LINEARITY_SAMPLES,
     LINEARITY_TOL,
-    canonical_labels,
     table_n_max,
 )
 from .states import Theory
@@ -103,12 +102,11 @@ def check_subspace_axiom(theory: Theory, subsets: Sequence[set[int]]) -> list[Su
     """Verify that each basis subset W behaves as a lower-dimensional system.
 
     The fiducials supported inside W, taken in canonical order of the
-    mapped indices, must reproduce the D matrix of dimension |W|: the
-    subspace-rules D of ``build_general_d`` for a theory with a frame, the
-    identity for the classical theory, whose fiducials are the basis
-    alone. Fiducials of disjoint subspaces must assign probability zero to
-    every state supported in W (witnessed by the fiducial states of W,
-    i.e. the corresponding columns of D). Both hold to ``ATOL``.
+    mapped indices, must reproduce the subspace-rules D of dimension |W|
+    over the theory's units (``build_general_d``). Fiducials of disjoint
+    subspaces must assign probability zero to every state supported in W
+    (witnessed by the fiducial states of W, i.e. the corresponding columns
+    of D). Both hold to ``ATOL``.
 
     Returns one report per subset, in order. The fiducial support, the
     membership masks and one reference D per subset size are built once;
@@ -122,11 +120,7 @@ def check_subspace_axiom(theory: Theory, subsets: Sequence[set[int]]) -> list[Su
         if not w or any(not 0 <= i < n for i in w):
             raise GptError(f"subset {subset} is not a set of basis indices for dimension {n}")
         ws.append(w)
-    if theory.frame is None:
-        labels, reference = canonical_labels(n)[:n], np.eye
-    else:
-        labels, reference = theory.frame.labels, build_general_d
-    support = np.array(list(zip(*labels))[1:])  # (2, K): the basis indices of each fiducial
+    support = np.array(list(zip(*theory.frame.labels))[1:])  # (2, K): the basis indices of each fiducial
     members = np.zeros((len(ws), n), dtype=bool)
     for row, w in enumerate(ws):
         members[row, list(w)] = True
@@ -144,11 +138,13 @@ def check_subspace_axiom(theory: Theory, subsets: Sequence[set[int]]) -> list[Su
     d = np.asarray(theory.d, dtype=float)
     sub_dev = np.empty(len(ws))
     dis_dev = np.empty(len(ws))
+    fiducials: dict[int, tuple[int, ...]] = {}
     for (m, k_in, k_dis), rows in groups.items():
         inside = np.nonzero(inside_mask[rows])[1].reshape(len(rows), k_in, 1)
+        fiducials.update(zip(rows, map(tuple, inside[:, :, 0].tolist())))
         disjoint = np.nonzero(disjoint_mask[rows])[1].reshape(len(rows), k_dis, 1)
         inside_t = inside.transpose(0, 2, 1)
-        sub_dev[rows] = np.abs(d[inside, inside_t] - reference(m)).max(axis=(1, 2))
+        sub_dev[rows] = np.abs(d[inside, inside_t] - build_general_d(m, theory.units)).max(axis=(1, 2))
         dis_dev[rows] = np.abs(d[disjoint, inside_t]).max(axis=(1, 2), initial=0.0)
 
     reports = []
@@ -162,7 +158,7 @@ def check_subspace_axiom(theory: Theory, subsets: Sequence[set[int]]) -> list[Su
         reports.append(
             SubspaceReport(
                 subset=w,
-                fiducial_indices=tuple(np.flatnonzero(inside_mask[row]).tolist()),
+                fiducial_indices=fiducials[row],
                 submatrix_deviation=sub,
                 disjoint_probability=dis,
                 tolerance=ATOL,

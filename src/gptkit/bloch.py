@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, GptError, PhaseRecoveryError
-from .frames import ATOL, PSD_TOL, FiducialFrame, canonical_labels
+from .frames import ATOL, PSD_TOL, FiducialFrame, canonical_labels, canonical_vectors
 
 
 @dataclass(frozen=True)
@@ -181,34 +181,20 @@ def frame_from_phases(rec: PhaseRecovery) -> FiducialFrame:
     return frame
 
 
-def build_general_d(n: int) -> np.ndarray:
-    """Assemble the K x K canonical D matrix from subspace rules alone.
+def build_general_d(n: int, units: str = "xy") -> np.ndarray:
+    """Assemble the K x K canonical D matrix of dimension n over a set of
+    ``PAIR_UNITS`` from subspace rules alone.
 
-    Unit diagonal; 0 between distinct basis entries and between entries of
-    disjoint subspaces; 1/2 between a basis entry and a subspace that
-    contains it and within one two-dimensional subspace; 1/4 between
-    distinct overlapping two-dimensional subspaces.
+    Unit diagonal; off it, the number of basis indices the two fiducials'
+    supports share over the product of the support sizes: 0 between
+    distinct basis entries and between entries of disjoint subspaces, 1/2
+    between a basis entry and a pair that contains it and within one pair,
+    1/4 between distinct overlapping pairs. Without units it is the identity.
     """
     if n < 1:
         raise DimensionError(f"dimension must be a positive integer, got {n}")
-    labels = canonical_labels(n)
-    k = len(labels)
-    d = np.eye(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            ki, kj = labels[i], labels[j]
-            si = {ki[1], ki[2]}
-            sj = {kj[1], kj[2]}
-            if ki[0] == "b" and kj[0] == "b":
-                val = 0.0
-            elif ki[0] == "b" or kj[0] == "b":
-                basis, pair = (si, sj) if ki[0] == "b" else (sj, si)
-                val = 0.5 if basis <= pair else 0.0
-            elif si == sj:
-                val = 0.5
-            elif si & sj:
-                val = 0.25
-            else:
-                val = 0.0
-            d[i, j] = d[j, i] = val
+    support = (canonical_vectors(n, units) != 0).astype(float)  # (K, N) 0/1 rows
+    sizes = support.sum(axis=1)
+    d = (support @ support.T) / np.outer(sizes, sizes)
+    np.fill_diagonal(d, 1.0)
     return d

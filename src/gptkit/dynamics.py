@@ -146,14 +146,17 @@ def is_completely_positive(superop: KrausSet | np.ndarray) -> bool:
     A Kraus set is CP by construction; a superoperator matrix
     (column-stacking convention) is CP iff its Choi matrix is positive
     semidefinite. A non-Hermitian Choi matrix (map not
-    Hermiticity-preserving) is reported as not CP.
+    Hermiticity-preserving) is reported as not CP. Both tests allow
+    ``PSD_TOL`` times the Choi matrix's largest entry, the scale of its
+    rounding.
     """
     if isinstance(superop, KrausSet):
         return True
     choi = choi_matrix(superop)
-    if np.abs(choi - choi.conj().T).max() > PSD_TOL:
+    tol = PSD_TOL * np.abs(choi).max()
+    if np.abs(choi - choi.conj().T).max() > tol:
         return False
-    return bool(np.linalg.eigvalsh(choi).min() >= -PSD_TOL)
+    return bool(np.linalg.eigvalsh(choi).min() >= -tol)
 
 
 def is_reversible(z: TransformMatrix, witnesses: list[np.ndarray], theory: Theory) -> bool:
@@ -281,7 +284,7 @@ def _pure_state_vector(r: np.ndarray, frame: FiducialFrame) -> np.ndarray:
 def continuity_probe(theory: Theory, r_a: np.ndarray, r_b: np.ndarray, steps: int) -> PathReport:
     """Probe for a continuous path of pure states from r_a to r_b.
 
-    For a theory with an operator frame (quantum) the probe follows the
+    For the quantum theory (pair units 1 and i) the probe follows the
     great circle through the endpoint state vectors. With the phase of
     psi_b fixed so that <psi_a|psi_b> >= 0, theta = arccos <psi_a|psi_b>
     and phi the normalised part of psi_b orthogonal to psi_a, the path is
@@ -291,7 +294,7 @@ def continuity_probe(theory: Theory, r_a: np.ndarray, r_b: np.ndarray, steps: in
     group that Hardy's axiom 5 asks for; for theta = 0 the path is
     constant. The report gives the worst purity deviation along the way
     and how far r(1) lands from r_b; the path's r-vectors come from
-    ``Theory.r_of``, with no solve against D. Without a frame (classical)
+    ``Theory.r_of``, with no solve against D. Without pair units (classical)
     the probe walks the straight segment between two basis states, where
     every interior point is a proper mixture, so the report shows the
     failure.
@@ -304,15 +307,13 @@ def continuity_probe(theory: Theory, r_a: np.ndarray, r_b: np.ndarray, steps: in
     ts = np.append(np.linspace(0.0, 1.0, steps), 0.5)
     r_b = np.asarray(r_b, dtype=float)
 
-    if theory.frame is None:
+    if not theory.units:  # classical: D = I
         r_a = np.asarray(r_a, dtype=float)
         for r in (r_a, r_b):
             in_bounds = r.min() >= -PURITY_TOL and r.max() <= 1.0 + PURITY_TOL
             if not in_bounds or abs(r @ r - 1.0) > PURITY_TOL or abs(r.sum() - 1.0) > PURITY_TOL:
                 raise GptError("classical endpoint is not a pure (basis) state")
         path = np.outer(1.0 - ts, r_a) + np.outer(ts, r_b)
-        purities = np.einsum("ti,ti->t", path, path)  # D = I
-        mus = path.sum(axis=1)
     else:
         psi_a = _pure_state_vector(r_a, theory.frame)
         psi_b = _pure_state_vector(r_b, theory.frame)
@@ -326,9 +327,9 @@ def continuity_probe(theory: Theory, r_a: np.ndarray, r_b: np.ndarray, steps: in
         phi = ortho / sin_ab if sin_ab > 0.0 else ortho
         psis = np.outer(np.cos(ts * theta), psi_a) + np.outer(np.sin(ts * theta), phi)
         path = theory.r_of(np.einsum("ti,tj->tij", psis, psis.conj()))
-        d_path = path @ theory.d  # rows (D r)^T, D symmetric
-        purities = np.einsum("ti,ti->t", d_path, path)
-        mus = d_path @ theory.r_identity
+    d_path = path @ theory.d  # rows (D r)^T, D symmetric
+    purities = np.einsum("ti,ti->t", d_path, path)
+    mus = d_path @ theory.r_identity
 
     return PathReport(
         theory=theory.name,

@@ -1,9 +1,12 @@
 """Canonical projector frames and their Gram (D) matrices.
 
-A frame for dimension N consists of K = N^2 rank-one projectors: the N
-basis projectors |n><n| followed, for every pair m < n in lexicographic
-order, by the projectors onto (|m> + |n>)/sqrt(2) and (|m> + i|n>)/sqrt(2).
-This ordering is fixed so that D matrices are bit-comparable across runs.
+A frame for dimension N is parametrised by a set of units, the string of
+``PAIR_UNITS`` keys placed on every pair of basis indices. It consists of
+the N basis projectors |n><n| followed, for every pair m < n in
+lexicographic order and every unit u in the set, by the projector onto
+(|m> + u|n>)/sqrt(2). Classical theory has no units (K = N), and quantum
+theory the units "xy", 1 and i (K = N^2). This ordering is fixed so that
+D matrices are bit-comparable across runs.
 """
 
 from __future__ import annotations
@@ -36,20 +39,26 @@ CONTINUITY_PAIRS = 5  # random pure-state pairs the quantum continuity check con
 CONTINUITY_STEPS = 100  # points sampled along each continuity path
 COMPOSITE_LAW_SAMPLES = 10  # random local unitary pairs in the composite transformation law
 
+# The K * N^2 complex entries of a frame's dense projector block: 2**26 (1 GiB)
+# admits classical N <= 406 and quantum N <= 90, and a larger N is an input error
+MAX_FRAME_ENTRIES = 2**26
+
+PAIR_UNITS = {"x": 1, "y": 1j}  # unit u -> the coefficient of |n> in |m> + u|n>
+
 Label = tuple[str, int, int]
 
 
-def canonical_labels(n: int) -> tuple[Label, ...]:
-    """Frame entry labels for dimension n, in canonical order.
+def canonical_labels(n: int, units: str = "xy") -> tuple[Label, ...]:
+    """Frame entry labels for dimension n and a set of ``PAIR_UNITS``, in
+    canonical order.
 
-    Each label is ("b", i, i) for a basis projector or ("x"|"y", m, n)
-    for a two-dimensional subspace projector; indices are 0-based.
+    Each label is ("b", i, i) for a basis projector or (u, m, n) for the
+    projector of unit u on the pair m < n; indices are 0-based.
     """
     labels: list[Label] = [("b", i, i) for i in range(n)]
     for m in range(n):
         for nn in range(m + 1, n):
-            labels.append(("x", m, nn))
-            labels.append(("y", m, nn))
+            labels.extend((unit, m, nn) for unit in units)
     return tuple(labels)
 
 
@@ -61,25 +70,25 @@ def label_text(label: Label) -> str:
     return f"{i + 1}{j + 1}{kind}"
 
 
-def canonical_vectors(n: int) -> np.ndarray:
+def canonical_vectors(n: int, units: str = "xy") -> np.ndarray:
     """Row k is a vector u_k spanning frame entry k, so that
     P_k = |u_k><u_k| / <u_k|u_k>.
 
-    A basis entry has u = |i> and a pair entry u = |m> + |n> or
-    |m> + i|n>, so every entry of u is 0, 1 or i and <u|u> is 1 or 2.
+    A basis entry has u_k = |i> and a pair entry u_k = |m> + u|n> for its
+    unit u, so every entry of u_k is 0, 1 or a unit and <u_k|u_k> is 1 or 2.
     """
-    labels = canonical_labels(n)
+    labels = canonical_labels(n, units)
     vectors = np.zeros((len(labels), n), dtype=complex)
     for idx, (kind, i, j) in enumerate(labels):
         vectors[idx, i] = 1.0
         if kind != "b":
-            vectors[idx, j] = 1.0 if kind == "x" else 1.0j
+            vectors[idx, j] = PAIR_UNITS[kind]
     return vectors
 
 
 @dataclass(frozen=True)
 class FiducialFrame:
-    """Ordered set of K = N^2 rank-one projectors spanning Hermitian space.
+    """Ordered set of K linearly independent rank-one projectors.
 
     Attributes
     ----------
@@ -139,22 +148,29 @@ class FiducialFrame:
             )
 
 
-def build_canonical_frame(n: int) -> FiducialFrame:
-    """Build the canonical N^2-projector frame for dimension ``n``.
+def build_canonical_frame(n: int, units: str = "xy") -> FiducialFrame:
+    """Build the canonical frame of dimension ``n`` over a set of ``PAIR_UNITS``.
 
     Basis projectors come first, then for each pair m < n the projector
-    onto (|m> + |n>)/sqrt(2) followed by the one onto (|m> + i|n>)/sqrt(2).
+    onto (|m> + u|n>)/sqrt(2) for each unit u, in the order of ``units``.
+    A frame of more than ``MAX_FRAME_ENTRIES`` projector entries is refused
+    before any label is made. The frame is not validated: its projectors are
+    Hermitian, idempotent and of unit trace by construction, and
+    ``gram_matrix`` tests their independence.
     """
     if n < 1:
         raise DimensionError(f"dimension must be a positive integer, got {n}")
-    vectors = canonical_vectors(n)
+    k = n + len(units) * (n * (n - 1) // 2)
+    if k * n * n > MAX_FRAME_ENTRIES:
+        raise DimensionError(f"dimension {n} needs {k} x {n} x {n} projector entries, "
+                             f"more than MAX_FRAME_ENTRIES = {MAX_FRAME_ENTRIES}")
+    vectors = canonical_vectors(n, units)
     # dividing the dyads by the exact squared norms (1 or 2) keeps the
     # entries (and hence D) exactly representable
     norms = np.einsum("ki,ki->k", vectors.conj(), vectors).real
-    projectors = np.einsum("ki,kj->kij", vectors, vectors.conj()) / norms[:, None, None]
-    frame = FiducialFrame(dimension=n, projectors=projectors, labels=canonical_labels(n))
-    frame.validate()
-    return frame
+    projectors = vectors[:, :, None] * vectors.conj()[:, None, :]
+    projectors /= norms[:, None, None]
+    return FiducialFrame(dimension=n, projectors=projectors, labels=canonical_labels(n, units))
 
 
 def gram_matrix(frame: FiducialFrame) -> np.ndarray:
@@ -163,11 +179,16 @@ def gram_matrix(frame: FiducialFrame) -> np.ndarray:
     Raises DegenerateFrameError if the imaginary parts are not negligible,
     the matrix is not symmetric, or it is numerically singular (all of
     which signal a linearly dependent or corrupted frame). For Hermitian
-    projectors, which ``FiducialFrame.validate`` ensures,
+    projectors, which canonical frames are by construction and
+    ``FiducialFrame.validate`` tests for others,
     tr(P_i P_j) = sum_ab P_i[a, b] conj(P_j[a, b]), one product of the
-    flattened projectors.
+    flattened projectors, restricted to the entries that some projector
+    uses (the diagonal alone, in a classical frame).
     """
     flat = frame.projectors.reshape(frame.k, -1)
+    used = flat.any(axis=0)
+    if not used.all():
+        flat = flat[:, used]
     prods = flat @ flat.conj().T
     if np.abs(prods.imag).max() > ATOL:
         raise DegenerateFrameError("tr(P_i P_j) has a non-negligible imaginary part")

@@ -58,7 +58,8 @@ from .dynamics import (
 from .errors import GptError, InvalidExperimentError
 from .frames import (
     ATOL, COMPOSITE_LAW_SAMPLES, CONTINUITY_PAIRS, CONTINUITY_STEPS, FREQUENCY_SCALES,
-    FREQUENCY_TRIALS, POWER_LAW_N_MAX, PSD_TOL, build_canonical_frame, gram_matrix,
+    FREQUENCY_TRIALS, POWER_LAW_N_MAX, PSD_TOL, build_canonical_frame, canonical_labels,
+    gram_matrix,
 )
 from .serialize import _float_array, _number, _required, _seed
 from .states import Theory, mix, p_from_density, quantum_theory, theory_by_name
@@ -249,12 +250,8 @@ def _frequency_check(theory: Theory, seed: int) -> CheckResult:
 
 
 def _power_law_check(theory: Theory) -> CheckResult:
-    if theory.name == "quantum":
-        table = {n: build_canonical_frame(n).k for n in range(1, POWER_LAW_N_MAX + 1)}
-        expected = 2
-    else:
-        table = {n: n for n in range(1, POWER_LAW_N_MAX + 1)}
-        expected = 1
+    table = {m: len(canonical_labels(m, theory.units)) for m in range(1, POWER_LAW_N_MAX + 1)}
+    expected = 2 if theory.units else 1
     mult = is_completely_multiplicative(table)
     r = fit_power_law(table) if mult.ok else None
     ok = mult.ok and r == expected
@@ -269,7 +266,7 @@ def _power_law_check(theory: Theory) -> CheckResult:
 def _subspace_check(theory: Theory) -> CheckResult:
     n = theory.dimension
     subsets = [{i, j} for i in range(n) for j in range(i + 1, n)]
-    if theory.frame is not None and n >= 3:
+    if theory.units and n >= 3:
         subsets.append(set(range(3)))
     reports = check_subspace_axiom(theory, subsets)
     return CheckResult(
@@ -296,7 +293,7 @@ def _composite_check(theory: Theory) -> CheckResult:
 
 
 def _continuity_check(theory: Theory, seed: int) -> CheckResult:
-    if theory.frame is None:
+    if not theory.units:
         if theory.dimension < 2:
             return CheckResult(
                 name="axiom5-continuity",
@@ -474,7 +471,7 @@ def _resolve_preparation(spec: str, theory: Theory, base: Path) -> np.ndarray:
     if spec.startswith("file:"):
         payload = _read_input(base, spec.split(":", 1)[1])
         if "matrix" in payload:  # operator file
-            if theory.frame is None:
+            if theory.units != "xy":
                 raise GptError("operator preparations need a quantum theory")
             return p_from_density(serialize.operator_from_dict(payload), theory.frame)
         values, _, _, kind = serialize.vector_from_dict(payload)
@@ -503,7 +500,7 @@ def _resolve_partition(spec: str, theory: Theory, base: Path) -> tuple[np.ndarra
 def _resolve_transform(spec: str, theory: Theory, base: Path) -> TransformMatrix | None:
     if spec in ("", "none"):
         return None
-    if theory.frame is None:
+    if theory.units != "xy":
         raise GptError("transformations on classical experiments are not supported here")
     kind, _, path = spec.partition(":")
     payload = _read_input(base, path)

@@ -103,24 +103,29 @@ def mix(states: list[np.ndarray], weights: list[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Theory:
-    """A concrete theory instance: frame data plus its basis vectors.
+    """A concrete theory instance: the canonical frame over a set of pair
+    units, its D matrix and its basis vectors.
 
-    ``basis_r`` rows are the N basis measurement/state r-vectors and
-    ``basis_p`` rows the corresponding p-vectors; ``r_identity`` is the
-    r-vector of the identity measurement. ``frame`` is None for the
-    classical theory, and otherwise the canonical frame of dimension N.
-    A function that needs two or more of ``frame``, ``d`` and
-    ``r_identity`` takes the Theory, so they always come from one system
-    type.
+    ``units`` is the string of ``PAIR_UNITS`` keys of the frame: "" for
+    the classical theory and "xy" for the quantum one. ``basis_r`` rows
+    are the N basis measurement/state r-vectors and ``basis_p`` rows the
+    corresponding p-vectors; ``r_identity`` is the r-vector of the
+    identity measurement. A function that needs two or more of ``frame``,
+    ``d`` and ``r_identity`` takes the Theory, so they always come from
+    one system type.
     """
 
     name: str
-    dimension: int
+    units: str
+    frame: FiducialFrame
     d: np.ndarray
     r_identity: np.ndarray
     basis_r: np.ndarray
     basis_p: np.ndarray
-    frame: FiducialFrame | None = None
+
+    @property
+    def dimension(self) -> int:
+        return self.frame.dimension
 
     @property
     def k(self) -> int:
@@ -137,7 +142,7 @@ class Theory:
         and r_m = rho_mm - 1/2 sum (r_x + r_y) over the pairs that
         contain m. No solve against D is needed.
         """
-        if self.frame is None:
+        if self.units != "xy":
             raise GptError(f"the {self.name} theory has no operator form")
         ops = np.asarray(ops, dtype=complex)
         n = self.dimension
@@ -156,40 +161,28 @@ class Theory:
         return np.concatenate([r_basis, r_xy.reshape(ops.shape[:-2] + (n * (n - 1),))], axis=-1)
 
 
+def _theory(name: str, n: int, units: str) -> Theory:
+    """The theory over the canonical frame of dimension n with ``units``.
+
+    The first N fiducials are the basis projectors, so the basis
+    measurements have r-vectors e_1, ..., e_N and the identity measurement
+    is their sum.
+    """
+    frame = build_canonical_frame(n, units)
+    d = gram_matrix(frame)
+    basis_r = np.eye(n, frame.k)
+    return Theory(name=name, units=units, frame=frame, d=d, r_identity=basis_r.sum(axis=0),
+                  basis_r=basis_r, basis_p=basis_r @ d.T)
+
+
 def classical_theory(n: int) -> Theory:
-    """Classical probability theory for dimension n: K = N and D = I."""
-    if n < 1:
-        raise DimensionError(f"dimension must be a positive integer, got {n}")
-    eye = np.eye(n)
-    return Theory(
-        name="classical",
-        dimension=n,
-        d=eye,
-        r_identity=np.ones(n),
-        basis_r=eye.copy(),
-        basis_p=eye.copy(),
-    )
+    """Classical probability theory for dimension n: no pair units, K = N and D = I."""
+    return _theory("classical", n, "")
 
 
 def quantum_theory(n: int) -> Theory:
-    """Quantum theory for dimension n over the canonical frame: K = N^2."""
-    frame = build_canonical_frame(n)
-    d = gram_matrix(frame)
-    k = frame.k
-    r_identity = np.zeros(k)
-    r_identity[:n] = 1.0
-    basis_r = np.zeros((n, k))
-    basis_r[:, :n] = np.eye(n)
-    basis_p = basis_r @ d.T
-    return Theory(
-        name="quantum",
-        dimension=n,
-        d=d,
-        r_identity=r_identity,
-        basis_r=basis_r,
-        basis_p=basis_p,
-        frame=frame,
-    )
+    """Quantum theory for dimension n: units 1 and i on every pair, K = N^2."""
+    return _theory("quantum", n, "xy")
 
 
 def theory_by_name(name: str, n: int) -> Theory:
@@ -199,15 +192,3 @@ def theory_by_name(name: str, n: int) -> Theory:
     if name == "classical":
         return classical_theory(n)
     raise GptError(f"unknown theory {name!r}")
-
-
-def classical_pure_states(n: int) -> list[np.ndarray]:
-    """The pure states of the classical theory: exactly the N unit vectors.
-
-    Solutions of sum p_k^2 = 1 with sum p_k = 1 and 0 <= p_k <= 1 sit at
-    the simplex vertices, since sum p_k^2 <= max_k p_k with equality only
-    at a vertex.
-    """
-    if n < 1:
-        raise DimensionError(f"dimension must be a positive integer, got {n}")
-    return [np.eye(n)[i] for i in range(n)]

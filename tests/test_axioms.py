@@ -13,7 +13,6 @@ from gptkit import (
     check_basis_distinguishability,
     check_frequency_convergence,
     check_linearity,
-    canonical_labels,
     check_subspace_axiom,
     classical_theory,
     fit_power_law,
@@ -87,14 +86,10 @@ class TestPowerLaw:
 def per_subset_oracle(theory, subset):
     """The one-subset axiom-3 check, written out directly: the fiducials
     supported inside W by np.isin, D restricted with np.ix_, and the
-    reference D built for |W|."""
-    n = theory.dimension
+    reference D built for |W| over the theory's units."""
     w = tuple(sorted(subset))
-    if theory.frame is None:
-        labels, reference = canonical_labels(n)[:n], np.eye(len(w))
-    else:
-        labels, reference = theory.frame.labels, build_general_d(len(w))
-    support = np.array(list(zip(*labels))[1:])
+    reference = build_general_d(len(w), theory.units)
+    support = np.array(list(zip(*theory.frame.labels))[1:])
     in_w = np.isin(support, w)
     inside = np.flatnonzero(in_w.all(axis=0))
     disjoint = np.flatnonzero(~in_w.any(axis=0))
@@ -227,7 +222,7 @@ class TestBasisDistinguishability:
         basis_r[0, 2] = 0.05
         broken = type(theory)(
             name=theory.name,
-            dimension=theory.dimension,
+            units=theory.units,
             d=theory.d,
             r_identity=theory.r_identity,
             basis_r=basis_r,

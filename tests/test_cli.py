@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,31 @@ def test_usage_error_is_one_line(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
+HUGE_N = "10000000000000"  # 10^13
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--theory", "classical", "--n", HUGE_N],
+        ["verify", "--theory", "quantum", "--n", HUGE_N],
+        ["frame", "--n", HUGE_N],
+        ["composite", "--rho", "bell.op.json", "--na", HUGE_N, "--nb", "2"],
+        ["frame", "--n", "100000"],
+    ],
+    ids=["verify-classical", "verify-quantum", "frame", "composite-na", "frame-1e5"],
+)
+def test_dimension_beyond_the_frame_bound_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    serialize.write_json("bell.op.json", serialize.operator_to_dict(np.eye(4, dtype=complex) / 4))
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: dimension ") and "MAX_FRAME_ENTRIES" in err
+    assert err.count("\n") == 1
 
 
 def test_help_keeps_full_usage(capsys):

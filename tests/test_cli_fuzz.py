@@ -4,12 +4,14 @@ exactly one ``error:`` line on stderr. A report run that exits 0 or 1 leaves
 a ``report.json`` that parses, and it exits 1 exactly when a section in that
 file failed or errored.
 
-Every integer the strategies can produce is at most 6, so no generated
-dimension or ``n`` builds a large theory. The one exception is the ``shots``
-key, which may also draw ``HUGE_SHOTS``: sampling draws the counts in
-O(outcomes), so 10^13 shots cost no more than ten, and 10^23 is past the
-2**63 - 1 shots that numpy can draw. The report configs run under the tests'
-small continuity and composite-law budgets.
+Every other integer the strategies can produce is at most 6, but the
+``shots`` key and the dimension keys ``n``, ``na`` and ``nb`` may also draw
+``HUGE_INTEGERS``. Sampling draws the counts in O(outcomes), so 10^13 shots
+cost no more than ten, and 10^23 is past the 2**63 - 1 shots that numpy can
+draw. A dimension of 10^13 or 10^23 is past ``frames.MAX_FRAME_ENTRIES``,
+which the frame build checks before it allocates anything, so it errors at
+once. The report configs run under the tests' small continuity and
+composite-law budgets.
 """
 
 import contextlib
@@ -113,20 +115,21 @@ SECTION_WORDS = [
     "file:rho.json", "file:bad.json", "file:part.json", "file:missing.json", "unitary:u.json",
     "kraus:k.json", "none", "u.json", "k.json", "rho.json", "bad.json", "list.json", "out.json",
 ]
-HUGE_SHOTS = ["10000000000000", "100000000000000000000000"]  # 10^13 and 10^23
+HUGE_INTEGERS = ["10000000000000", "100000000000000000000000"]  # 10^13 and 10^23
+HUGE_KEYS = {"shots", "n", "na", "nb"}
 section_values = st.one_of(
     st.sampled_from(SECTION_WORDS),
     json_leaves,
     st.lists(json_leaves, max_size=2),
 )
-shot_values = st.one_of(section_values, st.sampled_from(HUGE_SHOTS))
+huge_values = st.one_of(section_values, st.sampled_from(HUGE_INTEGERS))
 
 
 @st.composite
 def section_params(draw):
-    """Up to five keys of one section; only ``shots`` may draw a huge count."""
+    """Up to five keys of one section; the ``HUGE_KEYS`` may draw a huge integer."""
     keys = draw(st.lists(st.sampled_from(SECTION_KEYS), max_size=5, unique=True))
-    return {key: draw(shot_values if key == "shots" else section_values) for key in keys}
+    return {key: draw(huge_values if key in HUGE_KEYS else section_values) for key in keys}
 
 
 sections = st.lists(

@@ -225,6 +225,18 @@ class TestCompletePositivity:
     def test_identity_map_accepted(self):
         assert is_completely_positive(np.eye(4))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_kraus_superoperators_accepted(self, seed):
+        # Choi entries of about 2e6 put rounding of about -1e-9 on its smallest
+        # eigenvalue, beyond an absolute PSD_TOL but not a relative one
+        rng = np.random.default_rng(seed)
+        ops = 1e3 * (rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4)))
+        assert is_completely_positive(kraus_to_superoperator(KrausSet(ops)))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_scaled_transpose_map_rejected(self, scale):
+        assert not is_completely_positive(scale * transpose_superoperator(2))
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_kraus_superoperators_accepted(self, n, rng):
         for _ in range(20):

@@ -11,6 +11,7 @@ from gptkit import (
     NoSignatureError,
     Signature,
     build_canonical_frame,
+    build_general_d,
     c_bounds,
     canonical_labels,
     d2_assemble,
@@ -19,7 +20,8 @@ from gptkit import (
     recover_phases,
     signature_from_table,
 )
-from gptkit.frames import canonical_vectors
+from gptkit import frames
+from gptkit.frames import MAX_FRAME_ENTRIES, canonical_vectors
 from conftest import cached_quantum_theory
 
 DHALFS = np.array(
@@ -112,6 +114,61 @@ class TestCanonicalVectors:
         norms = np.einsum("ki,ki->k", vectors.conj(), vectors).real
         dyads = np.einsum("ki,kj->kij", vectors, vectors.conj()) / norms[:, None, None]
         assert np.array_equal(dyads, build_canonical_frame(n).projectors)
+
+
+# The unit sets of the classical, real and complex theories, with the signature
+# (x1, x2) of K(N) = sum_j C(N, j) x_j that each must give
+UNIT_SETS = {"": (1,), "x": (1, 1), "xy": (1, 2)}
+
+
+class TestUnitSets:
+    @pytest.mark.parametrize("units, counts", UNIT_SETS.items())
+    def test_label_count_table_has_the_unit_sets_signature(self, units, counts):
+        table = {n: len(canonical_labels(n, units)) for n in range(1, 7)}
+        assert signature_from_table(table) == Signature(counts)
+
+    def test_real_table_is_n_choose_2_plus_n(self):
+        # the real_table of acceptance criterion 9
+        assert {n: len(canonical_labels(n, "x")) for n in range(1, 7)} == {
+            n: n * (n + 1) // 2 for n in range(1, 7)
+        }
+
+    @pytest.mark.parametrize("units", UNIT_SETS)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_subspace_rules_give_the_gram_matrix_exactly(self, units, n):
+        assert np.array_equal(build_general_d(n, units), gram_matrix(build_canonical_frame(n, units)))
+
+    @pytest.mark.parametrize("units", UNIT_SETS)
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_canonical_frames_pass_validate(self, units, n):
+        # the build skips validate(): each invariant holds by construction
+        build_canonical_frame(n, units).validate()
+
+    def test_classical_frame_is_the_basis(self):
+        frame = build_canonical_frame(3, "")
+        assert frame.labels == canonical_labels(3)[:3]
+        assert np.array_equal(frame.projectors, np.eye(3)[:, :, None] * np.eye(3)[:, None, :])
+        assert np.array_equal(build_general_d(3, ""), np.eye(3))
+
+
+class TestFrameBound:
+    @pytest.mark.parametrize("units, n_max", [("", 406), ("xy", 90)])
+    def test_largest_admitted_dimension(self, units, n_max):
+        assert len(canonical_labels(n_max, units)) * n_max**2 <= MAX_FRAME_ENTRIES
+        with pytest.raises(DimensionError, match="MAX_FRAME_ENTRIES"):
+            build_canonical_frame(n_max + 1, units)
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(frames, "MAX_FRAME_ENTRIES", 3**4)
+        assert build_canonical_frame(3).k == 9  # 9 x 3 x 3 = 81 entries
+        assert build_canonical_frame(4, "").k == 4  # 64 entries
+        with pytest.raises(DimensionError):
+            build_canonical_frame(4)  # 256 entries
+
+    def test_huge_dimension_is_refused_before_any_label(self, monkeypatch):
+        monkeypatch.setattr(frames, "canonical_labels", None)  # calling it would raise TypeError
+        with pytest.raises(DimensionError, match="MAX_FRAME_ENTRIES"):
+            build_canonical_frame(10**13, "")
 
 
 def re_im_singular_values(frame):

@@ -16,7 +16,6 @@ import gptkit.states
 from gptkit import (
     DimensionError,
     GptError,
-    classical_pure_states,
     classical_theory,
     density_from_r,
     is_pure,
@@ -324,8 +323,9 @@ def _simplex_grid_solutions(n: int, resolution: float = 1e-3) -> set[tuple[float
 class TestClassicalPureStates:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_grid_oracle(self, n):
+        """The classical pure states are the basis states: the rows of basis_p."""
         expected = _simplex_grid_solutions(n)
-        got = {tuple(np.round(p, 6)) for p in classical_pure_states(n)}
+        got = {tuple(np.round(p, 6)) for p in classical_theory(n).basis_p}
         assert got == expected
         assert len(got) == n
 
