@@ -20,6 +20,7 @@ from .frames import (
     FREQUENCY_PASS_FRACTION,
     LINEARITY_SAMPLES,
     LINEARITY_TOL,
+    canonical_labels,
     table_n_max,
 )
 from .states import Theory
@@ -120,7 +121,7 @@ def check_subspace_axiom(theory: Theory, subsets: Sequence[set[int]]) -> list[Su
         if not w or any(not 0 <= i < n for i in w):
             raise GptError(f"subset {subset} is not a set of basis indices for dimension {n}")
         ws.append(w)
-    support = np.array(list(zip(*theory.frame.labels))[1:])  # (2, K): the basis indices of each fiducial
+    support = np.array(list(zip(*canonical_labels(n, theory.units)))[1:])  # (2, K): the basis indices of each fiducial
     members = np.zeros((len(ws), n), dtype=bool)
     for row, w in enumerate(ws):
         members[row, list(w)] = True

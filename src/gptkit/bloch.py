@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, GptError, PhaseRecoveryError
-from .frames import ATOL, PSD_TOL, FiducialFrame, canonical_labels, canonical_vectors
+from .frames import ATOL, PSD_TOL, FiducialFrame, canonical_labels, check_frame_entries
 
 
 @dataclass(frozen=True)
@@ -183,18 +183,24 @@ def frame_from_phases(rec: PhaseRecovery) -> FiducialFrame:
 
 def build_general_d(n: int, units: str = "xy") -> np.ndarray:
     """Assemble the K x K canonical D matrix of dimension n over a set of
-    ``PAIR_UNITS`` from subspace rules alone.
+    ``PAIR_UNITS`` from subspace rules alone, with no projectors.
 
     Unit diagonal; off it, the number of basis indices the two fiducials'
     supports share over the product of the support sizes: 0 between
     distinct basis entries and between entries of disjoint subspaces, 1/2
     between a basis entry and a pair that contains it and within one pair,
     1/4 between distinct overlapping pairs. Without units it is the identity.
+    A D of more than ``MAX_FRAME_ENTRIES`` entries is refused before any
+    label is made.
     """
     if n < 1:
         raise DimensionError(f"dimension must be a positive integer, got {n}")
-    support = (canonical_vectors(n, units) != 0).astype(float)  # (K, N) 0/1 rows
-    sizes = support.sum(axis=1)
-    d = (support @ support.T) / np.outer(sizes, sizes)
+    k = n + len(units) * (n * (n - 1) // 2)
+    check_frame_entries(n, "D", k, k)
+    first, second = np.array([label[1:] for label in canonical_labels(n, units)]).T  # support indices
+    share = np.zeros((n, k))  # share[a, j] = 1 / (2 |support j|) for each index a in support j
+    share[first, np.arange(k)] = share[second, np.arange(k)] = 0.5 / (1.0 + (first != second))
+    d = share[first]
+    d += share[second]  # row i: 2 share summed over support i / |support i| (a basis index is read twice)
     np.fill_diagonal(d, 1.0)
     return d

@@ -18,10 +18,11 @@ from pathlib import Path
 from typing import Callable, NoReturn
 
 from . import serialize
+from .bloch import build_general_d
 from .errors import GptError
-from .frames import build_canonical_frame, gram_matrix
+from .frames import build_canonical_frame, has_operator_form
 from .harness import OK_STATUSES, PIPELINES, load_experiment, run_report
-from .states import density_from_r, p_from_density, quantum_theory, r_from_p, theory_by_name
+from .states import THEORY_UNITS, density_from_r, p_from_density, quantum_theory, r_from_p, theory_by_name
 
 
 def _emit(payload: dict, out: str | None, rows: list[list] | None = None) -> None:
@@ -43,14 +44,14 @@ def _cmd_frame(args: argparse.Namespace) -> int:
 
 
 def _cmd_dmatrix(args: argparse.Namespace) -> int:
-    d = gram_matrix(build_canonical_frame(args.n))
+    d = build_general_d(args.n)
     _emit(serialize.dmatrix_to_dict(d, args.n), args.out, [list(row) for row in d])
     return 0
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    if args.theory == "classical" and "rho" in (args.src, args.dst):
-        raise GptError("classical theory has no operator representation")
+    if not has_operator_form(THEORY_UNITS[args.theory]) and "rho" in (args.src, args.dst):
+        raise GptError(f"{args.theory} theory has no operator representation")
     payload = serialize.read_json(args.infile)
     if args.src == "rho":
         rho = serialize.operator_from_dict(payload)

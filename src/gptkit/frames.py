@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
-from .errors import DegenerateFrameError, DimensionError, NoSignatureError
+from .errors import DegenerateFrameError, DimensionError, GptError, NoSignatureError
 
 # The tolerance and sample budget of every check in gptkit, one constant per
 # meaning. The checks read these names, and no argument, flag or config key
@@ -39,8 +39,8 @@ CONTINUITY_PAIRS = 5  # random pure-state pairs the quantum continuity check con
 CONTINUITY_STEPS = 100  # points sampled along each continuity path
 COMPOSITE_LAW_SAMPLES = 10  # random local unitary pairs in the composite transformation law
 
-# The K * N^2 complex entries of a frame's dense projector block: 2**26 (1 GiB)
-# admits classical N <= 406 and quantum N <= 90, and a larger N is an input error
+# Entries of a frame's K x K D matrix and of its K x N x N projector block: 2**26 admits
+# classical N <= 8192 and quantum N <= 90 (both arrays N^4), and a larger N is an input error
 MAX_FRAME_ENTRIES = 2**26
 
 PAIR_UNITS = {"x": 1, "y": 1j}  # unit u -> the coefficient of |n> in |m> + u|n>
@@ -48,15 +48,29 @@ PAIR_UNITS = {"x": 1, "y": 1j}  # unit u -> the coefficient of |n> in |m> + u|n>
 Label = tuple[str, int, int]
 
 
+def has_operator_form(units: str) -> bool:
+    """True for the units "xy" (1 and i), whose projectors span every Hermitian operator."""
+    return units == "".join(PAIR_UNITS)
+
+
+def check_frame_entries(n: int, what: str, *shape: int) -> None:
+    """Refuse an array of ``shape`` with more than ``MAX_FRAME_ENTRIES`` entries."""
+    if prod(shape) > MAX_FRAME_ENTRIES:
+        raise DimensionError(f"dimension {n} needs {' x '.join(map(str, shape))} {what} entries, "
+                             f"more than MAX_FRAME_ENTRIES = {MAX_FRAME_ENTRIES}")
+
+
 def canonical_labels(n: int, units: str = "xy") -> tuple[Label, ...]:
-    """Frame entry labels for dimension n and a set of ``PAIR_UNITS``, in
-    canonical order.
+    """Frame entry labels for dimension n over a set of ``PAIR_UNITS``, in canonical order.
 
     Each label is ("b", i, i) for a basis projector or (u, m, n) for the
-    projector of unit u on the pair m < n; indices are 0-based.
+    projector of unit u on the pair m < n; indices are 0-based. Distinct
+    units (1 and i are independent over the reals) give independent projectors.
     """
+    if len(set(units)) != len(units) or not set(units) <= PAIR_UNITS.keys():
+        raise GptError(f"units {units!r} are not distinct keys of PAIR_UNITS")
     labels: list[Label] = [("b", i, i) for i in range(n)]
-    for m in range(n):
+    for m in range(n if units else 0):  # without units, no pair is visited
         for nn in range(m + 1, n):
             labels.extend((unit, m, nn) for unit in units)
     return tuple(labels)
@@ -71,8 +85,7 @@ def label_text(label: Label) -> str:
 
 
 def canonical_vectors(n: int, units: str = "xy") -> np.ndarray:
-    """Row k is a vector u_k spanning frame entry k, so that
-    P_k = |u_k><u_k| / <u_k|u_k>.
+    """Row k is a vector u_k spanning frame entry k: P_k = |u_k><u_k| / <u_k|u_k>.
 
     A basis entry has u_k = |i> and a pair entry u_k = |m> + u|n> for its
     unit u, so every entry of u_k is 0, 1 or a unit and <u_k|u_k> is 1 or 2.
@@ -151,19 +164,14 @@ class FiducialFrame:
 def build_canonical_frame(n: int, units: str = "xy") -> FiducialFrame:
     """Build the canonical frame of dimension ``n`` over a set of ``PAIR_UNITS``.
 
-    Basis projectors come first, then for each pair m < n the projector
-    onto (|m> + u|n>)/sqrt(2) for each unit u, in the order of ``units``.
-    A frame of more than ``MAX_FRAME_ENTRIES`` projector entries is refused
+    A projector block of more than ``MAX_FRAME_ENTRIES`` entries is refused
     before any label is made. The frame is not validated: its projectors are
-    Hermitian, idempotent and of unit trace by construction, and
-    ``gram_matrix`` tests their independence.
+    Hermitian, idempotent and of unit trace by construction, and independent
+    because ``canonical_labels`` admits only distinct units.
     """
     if n < 1:
         raise DimensionError(f"dimension must be a positive integer, got {n}")
-    k = n + len(units) * (n * (n - 1) // 2)
-    if k * n * n > MAX_FRAME_ENTRIES:
-        raise DimensionError(f"dimension {n} needs {k} x {n} x {n} projector entries, "
-                             f"more than MAX_FRAME_ENTRIES = {MAX_FRAME_ENTRIES}")
+    check_frame_entries(n, "projector", n + len(units) * (n * (n - 1) // 2), n, n)
     vectors = canonical_vectors(n, units)
     # dividing the dyads by the exact squared norms (1 or 2) keeps the
     # entries (and hence D) exactly representable
@@ -182,13 +190,10 @@ def gram_matrix(frame: FiducialFrame) -> np.ndarray:
     projectors, which canonical frames are by construction and
     ``FiducialFrame.validate`` tests for others,
     tr(P_i P_j) = sum_ab P_i[a, b] conj(P_j[a, b]), one product of the
-    flattened projectors, restricted to the entries that some projector
-    uses (the diagonal alone, in a classical frame).
+    flattened projectors. A canonical frame's D is ``bloch.build_general_d``,
+    which needs no projectors.
     """
     flat = frame.projectors.reshape(frame.k, -1)
-    used = flat.any(axis=0)
-    if not used.all():
-        flat = flat[:, used]
     prods = flat @ flat.conj().T
     if np.abs(prods.imag).max() > ATOL:
         raise DegenerateFrameError("tr(P_i P_j) has a non-negligible imaginary part")

@@ -36,6 +36,7 @@ from .bloch import (
     D2Params,
     SurfaceKind,
     a_matrix,
+    build_general_d,
     c_bounds,
     classify_surface,
     d2_assemble,
@@ -58,8 +59,7 @@ from .dynamics import (
 from .errors import GptError, InvalidExperimentError
 from .frames import (
     ATOL, COMPOSITE_LAW_SAMPLES, CONTINUITY_PAIRS, CONTINUITY_STEPS, FREQUENCY_SCALES,
-    FREQUENCY_TRIALS, POWER_LAW_N_MAX, PSD_TOL, build_canonical_frame, canonical_labels,
-    gram_matrix,
+    FREQUENCY_TRIALS, POWER_LAW_N_MAX, PSD_TOL, build_canonical_frame, canonical_labels, has_operator_form,
 )
 from .serialize import _float_array, _number, _required, _seed
 from .states import Theory, mix, p_from_density, quantum_theory, theory_by_name
@@ -471,7 +471,7 @@ def _resolve_preparation(spec: str, theory: Theory, base: Path) -> np.ndarray:
     if spec.startswith("file:"):
         payload = _read_input(base, spec.split(":", 1)[1])
         if "matrix" in payload:  # operator file
-            if theory.units != "xy":
+            if not has_operator_form(theory.units):
                 raise GptError("operator preparations need a quantum theory")
             return p_from_density(serialize.operator_from_dict(payload), theory.frame)
         values, _, _, kind = serialize.vector_from_dict(payload)
@@ -500,7 +500,7 @@ def _resolve_partition(spec: str, theory: Theory, base: Path) -> tuple[np.ndarra
 def _resolve_transform(spec: str, theory: Theory, base: Path) -> TransformMatrix | None:
     if spec in ("", "none"):
         return None
-    if theory.units != "xy":
+    if not has_operator_form(theory.units):
         raise GptError("transformations on classical experiments are not supported here")
     kind, _, path = spec.partition(":")
     payload = _read_input(base, path)
@@ -539,7 +539,7 @@ def _flag(params: dict[str, Any], key: str) -> bool:
 def _run_frame_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: Path) -> dict[str, Any]:
     n = _number(params, "n")
     frame = build_canonical_frame(n)
-    d = gram_matrix(frame)
+    d = build_general_d(n)
     details: dict[str, Any] = {"dimension": n, "k": frame.k}
     if "out" in params:
         _write_output(out_dir, params, "out", serialize.frame_to_dict(frame))

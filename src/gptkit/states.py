@@ -9,11 +9,13 @@ frame projectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .bloch import build_general_d
 from .errors import DimensionError, GptError
-from .frames import ATOL, PURITY_TOL, FiducialFrame, build_canonical_frame, gram_matrix
+from .frames import ATOL, PURITY_TOL, FiducialFrame, build_canonical_frame, has_operator_form
 
 
 def p_from_density(rho: np.ndarray, frame: FiducialFrame) -> np.ndarray:
@@ -117,7 +119,6 @@ class Theory:
 
     name: str
     units: str
-    frame: FiducialFrame
     d: np.ndarray
     r_identity: np.ndarray
     basis_r: np.ndarray
@@ -125,11 +126,16 @@ class Theory:
 
     @property
     def dimension(self) -> int:
-        return self.frame.dimension
+        return self.basis_r.shape[0]
 
     @property
     def k(self) -> int:
         return self.d.shape[0]
+
+    @cached_property
+    def frame(self) -> FiducialFrame:
+        """The canonical frame, built on first read: only operator forms need it."""
+        return build_canonical_frame(self.dimension, self.units)
 
     def r_of(self, ops: np.ndarray) -> np.ndarray:
         """r-vectors of one Hermitian operator (N, N) or a stack (m, N, N),
@@ -142,7 +148,7 @@ class Theory:
         and r_m = rho_mm - 1/2 sum (r_x + r_y) over the pairs that
         contain m. No solve against D is needed.
         """
-        if self.units != "xy":
+        if not has_operator_form(self.units):
             raise GptError(f"the {self.name} theory has no operator form")
         ops = np.asarray(ops, dtype=complex)
         n = self.dimension
@@ -161,34 +167,33 @@ class Theory:
         return np.concatenate([r_basis, r_xy.reshape(ops.shape[:-2] + (n * (n - 1),))], axis=-1)
 
 
-def _theory(name: str, n: int, units: str) -> Theory:
-    """The theory over the canonical frame of dimension n with ``units``.
+THEORY_UNITS = {"classical": "", "quantum": "xy"}  # theory name -> its pair units
 
-    The first N fiducials are the basis projectors, so the basis
-    measurements have r-vectors e_1, ..., e_N and the identity measurement
-    is their sum.
-    """
-    frame = build_canonical_frame(n, units)
-    d = gram_matrix(frame)
-    basis_r = np.eye(n, frame.k)
-    return Theory(name=name, units=units, frame=frame, d=d, r_identity=basis_r.sum(axis=0),
-                  basis_r=basis_r, basis_p=basis_r @ d.T)
+
+def _theory(name: str, n: int) -> Theory:
+    """The theory of dimension n over the units of ``name``, with D from
+    subspace rules. The first N fiducials are the basis projectors, so the
+    basis measurements are e_1, ..., e_N, the identity is their sum, and the
+    basis states' p-vectors D e_i are the first N rows of the symmetric D."""
+    units = THEORY_UNITS[name]
+    d = build_general_d(n, units)
+    basis_r = np.eye(n, d.shape[0])
+    return Theory(name=name, units=units, d=d, r_identity=basis_r.sum(axis=0),
+                  basis_r=basis_r, basis_p=d[:n].copy())
 
 
 def classical_theory(n: int) -> Theory:
     """Classical probability theory for dimension n: no pair units, K = N and D = I."""
-    return _theory("classical", n, "")
+    return _theory("classical", n)
 
 
 def quantum_theory(n: int) -> Theory:
     """Quantum theory for dimension n: units 1 and i on every pair, K = N^2."""
-    return _theory("quantum", n, "xy")
+    return _theory("quantum", n)
 
 
 def theory_by_name(name: str, n: int) -> Theory:
     """The ``quantum`` or ``classical`` theory instance of dimension n."""
-    if name == "quantum":
-        return quantum_theory(n)
-    if name == "classical":
-        return classical_theory(n)
-    raise GptError(f"unknown theory {name!r}")
+    if name not in THEORY_UNITS:
+        raise GptError(f"unknown theory {name!r}")
+    return quantum_theory(n) if name == "quantum" else classical_theory(n)

@@ -227,7 +227,6 @@ class TestBasisDistinguishability:
             r_identity=theory.r_identity,
             basis_r=basis_r,
             basis_p=theory.basis_p,
-            frame=theory.frame,
         )
         assert not check_basis_distinguishability(broken).passed
 

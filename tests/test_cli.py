@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gptkit.states
 from gptkit import serialize
 from gptkit.cli import main
 from conftest import random_density
@@ -194,6 +195,20 @@ def test_dimension_beyond_the_frame_bound_is_usage_error(tmp_path, capsys, monke
     assert (code, out) == (2, "")
     assert err.startswith("error: dimension ") and "MAX_FRAME_ENTRIES" in err
     assert err.count("\n") == 1
+
+
+def test_classical_commands_build_no_projector_block(tmp_path, capsys, monkeypatch):
+    # classical theory has no operator form, so nothing reads its projectors;
+    # N = 1000 is past the N = 406 a classical projector block admits
+    def refuse(*args):
+        raise AssertionError("a classical command built the projector block")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(gptkit.states, "build_canonical_frame", refuse)
+    serialize.write_json("p.json", serialize.vector_to_dict(np.full(1000, 1e-3), 1000, "state", "p"))
+    code, out, _ = run_cli(capsys, "convert", "--in", "p.json", "--from", "p", "--to", "r", "--theory", "classical")
+    assert code == 0 and json.loads(out)["values"] == [1e-3] * 1000
+    assert run_cli(capsys, "verify", "--theory", "classical", "--n", "4")[0] == 0
 
 
 def test_help_keeps_full_usage(capsys):

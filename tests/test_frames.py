@@ -21,7 +21,9 @@ from gptkit import (
     signature_from_table,
 )
 from gptkit import frames
+from gptkit.errors import GptError
 from gptkit.frames import MAX_FRAME_ENTRIES, canonical_vectors
+from gptkit.states import classical_theory, quantum_theory
 from conftest import cached_quantum_theory
 
 DHALFS = np.array(
@@ -144,6 +146,12 @@ class TestUnitSets:
         # the build skips validate(): each invariant holds by construction
         build_canonical_frame(n, units).validate()
 
+    @pytest.mark.parametrize("units", ["xx", "z", "xyx"])
+    def test_repeated_or_unknown_units_are_refused(self, units):
+        # a repeated unit would repeat a projector, so the frame would be dependent
+        with pytest.raises(GptError, match="PAIR_UNITS"):
+            canonical_labels(3, units)
+
     def test_classical_frame_is_the_basis(self):
         frame = build_canonical_frame(3, "")
         assert frame.labels == canonical_labels(3)[:3]
@@ -153,10 +161,25 @@ class TestUnitSets:
 
 class TestFrameBound:
     @pytest.mark.parametrize("units, n_max", [("", 406), ("xy", 90)])
-    def test_largest_admitted_dimension(self, units, n_max):
+    def test_largest_admitted_projector_block(self, units, n_max):
         assert len(canonical_labels(n_max, units)) * n_max**2 <= MAX_FRAME_ENTRIES
-        with pytest.raises(DimensionError, match="MAX_FRAME_ENTRIES"):
+        with pytest.raises(DimensionError, match="projector entries"):
             build_canonical_frame(n_max + 1, units)
+
+    @pytest.mark.parametrize("build, units, n_max", [(classical_theory, "", 8192), (quantum_theory, "xy", 90)])
+    def test_largest_admitted_theory(self, build, units, n_max):
+        # a theory builds its K x K D but not the frame's projector block
+        assert len(canonical_labels(n_max, units)) ** 2 <= MAX_FRAME_ENTRIES
+        with pytest.raises(DimensionError, match="D entries"):
+            build(n_max + 1)
+
+    def test_theory_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(frames, "MAX_FRAME_ENTRIES", 16**2)
+        assert classical_theory(16).k == 16
+        assert quantum_theory(4).k == 16
+        for build, n in [(classical_theory, 17), (quantum_theory, 5)]:
+            with pytest.raises(DimensionError):
+                build(n)
 
     def test_bound_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(frames, "MAX_FRAME_ENTRIES", 3**4)
