@@ -20,6 +20,7 @@ from .frames import (
     FREQUENCY_PASS_FRACTION,
     LINEARITY_SAMPLES,
     LINEARITY_TOL,
+    SUBSPACE_CHUNK_ENTRIES,
     canonical_labels,
     table_n_max,
 )
@@ -109,10 +110,10 @@ def check_subspace_axiom(theory: Theory, subsets: Sequence[set[int]]) -> list[Su
     (witnessed by the fiducial states of W, i.e. the corresponding columns
     of D). Both hold to ``ATOL``.
 
-    Returns one report per subset, in order. The fiducial support, the
-    membership masks and one reference D per subset size are built once;
-    the subsets that select equally many fiducials are then read out of D
-    together.
+    Returns one report per subset, in order. The fiducial support and one
+    reference D per subset size are built once; the subsets of one size,
+    which select equally many fiducials, are then read out of D together,
+    in chunks of rows of at most ``SUBSPACE_CHUNK_ENTRIES`` entries.
     """
     n = theory.dimension
     ws = []
@@ -122,31 +123,31 @@ def check_subspace_axiom(theory: Theory, subsets: Sequence[set[int]]) -> list[Su
             raise GptError(f"subset {subset} is not a set of basis indices for dimension {n}")
         ws.append(w)
     support = np.array(list(zip(*canonical_labels(n, theory.units)))[1:])  # (2, K): the basis indices of each fiducial
-    members = np.zeros((len(ws), n), dtype=bool)
+    groups: dict[int, list[int]] = {}
     for row, w in enumerate(ws):
-        members[row, list(w)] = True
-    in_w = members[:, support]  # (S, 2, K)
-    inside_mask = in_w.all(axis=1)
-    disjoint_mask = ~in_w.any(axis=1)
-
-    # subsets of one size select equally many fiducials (m^2, or m
-    # classically), so each size is one group of fancy-indexed reads; the
-    # key holds the counts, so that other label sets group correctly too
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    keys = zip(map(len, ws), inside_mask.sum(axis=1).tolist(), disjoint_mask.sum(axis=1).tolist())
-    for row, key in enumerate(keys):
-        groups.setdefault(key, []).append(row)
+        groups.setdefault(len(w), []).append(row)
     d = np.asarray(theory.d, dtype=float)
     sub_dev = np.empty(len(ws))
     dis_dev = np.empty(len(ws))
     fiducials: dict[int, tuple[int, ...]] = {}
-    for (m, k_in, k_dis), rows in groups.items():
-        inside = np.nonzero(inside_mask[rows])[1].reshape(len(rows), k_in, 1)
-        fiducials.update(zip(rows, map(tuple, inside[:, :, 0].tolist())))
-        disjoint = np.nonzero(disjoint_mask[rows])[1].reshape(len(rows), k_dis, 1)
-        inside_t = inside.transpose(0, 2, 1)
-        sub_dev[rows] = np.abs(d[inside, inside_t] - build_general_d(m, theory.units)).max(axis=(1, 2))
-        dis_dev[rows] = np.abs(d[disjoint, inside_t]).max(axis=(1, 2), initial=0.0)
+    for m, group in groups.items():
+        reference = build_general_d(m, theory.units)
+        k_in = len(reference)
+        # a row reads at most K x k_in entries of D and indexes fewer than K fiducials
+        step = max(1, SUBSPACE_CHUNK_ENTRIES // (theory.k * (k_in + 1)))
+        for lo in range(0, len(group), step):
+            rows = group[lo:lo + step]
+            members = np.zeros((len(rows), n), dtype=bool)
+            for at, row in enumerate(rows):
+                members[at, list(ws[row])] = True
+            in_w = members[:, support]  # (rows, 2, K)
+            inside = np.nonzero(in_w.all(axis=1))[1].reshape(len(rows), k_in, 1)
+            fiducials.update(zip(rows, map(tuple, inside[:, :, 0].tolist())))
+            disjoint = np.nonzero(~in_w.any(axis=1))[1]
+            disjoint = disjoint.reshape(len(rows), len(disjoint) // len(rows), 1)
+            inside_t = inside.transpose(0, 2, 1)
+            sub_dev[rows] = np.abs(d[inside, inside_t] - reference).max(axis=(1, 2))
+            dis_dev[rows] = np.abs(d[disjoint, inside_t]).max(axis=(1, 2), initial=0.0)
 
     reports = []
     for row, w in enumerate(ws):

@@ -42,6 +42,9 @@ COMPOSITE_LAW_SAMPLES = 10  # random local unitary pairs in the composite transf
 # Entries of a frame's K x K D matrix and of its K x N x N projector block: 2**26 admits
 # classical N <= 8192 and quantum N <= 90 (both arrays N^4), and a larger N is an input error
 MAX_FRAME_ENTRIES = 2**26
+# D entries (and index entries) that check_subspace_axiom reads out of D at once: a group of
+# equal-sized subsets is read in chunks of rows, so its memory does not grow with their number
+SUBSPACE_CHUNK_ENTRIES = 2**22
 
 PAIR_UNITS = {"x": 1, "y": 1j}  # unit u -> the coefficient of |n> in |m> + u|n>
 

@@ -11,10 +11,12 @@ extension and D-matrix files ``.dmat.json`` by convention.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Any
 
 import numpy as np
+import orjson
 
 from .errors import DimensionError, GptError
 from .frames import FiducialFrame, label_text
@@ -80,30 +82,77 @@ def complex_from_json(data: Any) -> np.ndarray:
 def dumps(payload: dict) -> str:
     """The JSON text of every file and printout: indented, keys sorted.
 
-    The text is ``json.dumps(payload, indent=2, sort_keys=True)``. Lists of
-    finite floats, the bulk of a matrix file, are written by one join of
-    their reprs instead of json's per-item Python encoder.
+    The text is ``json.dumps(payload, indent=2, sort_keys=True)`` byte for
+    byte. Each number array, the bulk of a matrix file, is written by one
+    orjson call (``_number_list``) instead of json's per-item Python encoder.
     """
     return _encode(payload, "\n") + "\n"
 
 
 def _encode(value: Any, newline: str) -> str:
     """json's indent=2 text of ``value``, which starts on a line that
-    ``newline`` (a line break plus the current indent) begins."""
+    ``newline`` (a line break plus the current indent) begins.
+
+    A non-empty list of finite floats and ints, nested to any depth, is
+    one ``_number_list`` call; any other list is encoded item by item.
+    """
     inner = newline + "  "
-    if type(value) is list and value and all(type(x) is float for x in value):
-        text = ("," + inner).join(map(float.__repr__, value))
-        if "n" not in text:  # json spells nan and inf as NaN and Infinity
-            return "[" + inner + text + newline + "]"
-    elif type(value) is list and value:
+    if type(value) is list and value:
+        text = _number_list(value) if type(value[0]) in (float, int, list) else None
+        if text is not None:
+            return text.replace("\n", newline)
         return "[" + inner + ("," + inner).join(_encode(v, inner) for v in value) + newline + "]"
-    elif type(value) is dict and value and all(type(k) is str for k in value):
+    if type(value) is dict and value and all(type(k) is str for k in value):
         items = (json.dumps(k) + ": " + _encode(v, inner) for k, v in sorted(value.items()))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    elif not isinstance(value, (dict, list, tuple)):
+    if not isinstance(value, (dict, list, tuple)):
         return json.dumps(value)  # a scalar's text does not depend on the layout
     # json writes no raw line break inside a string, so every one is layout
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+
+
+_EXPONENT = re.compile(r"e(-?)(\d+)")
+
+
+def _exponent(match: re.Match) -> str:
+    """repr's layout of an exponent: a sign always, at least two digits."""
+    return "e" + (match[1] or "+") + match[2].zfill(2)
+
+
+def _number_list(value: list) -> str | None:
+    """json's indent=2 text of ``value`` from one orjson call, or None when
+    ``value`` holds anything but finite floats, ints within 64 bits and
+    lists of them.
+
+    orjson prints the same shortest round-trip digits as ``repr``; only the
+    exponent layout differs. It writes ``1e16`` and ``1.2e-7`` where repr
+    writes ``1e+16`` and ``1.2e-07``, which one regex pass rewrites, and it
+    writes [1e-5, 1e-4) positionally (``0.00001``) where repr writes
+    ``1e-05``. Each token holding ``0.0000`` is therefore rewritten as the
+    repr of its float, which leaves the other such tokens as they are.
+    """
+    try:
+        text = orjson.dumps(value, option=orjson.OPT_INDENT_2).decode()
+    except TypeError:  # numpy scalars, ints beyond 64 bits
+        return None
+    if any(c in text for c in '"{tfn'):  # strings, objects, true, false; null for NaN and inf
+        return None
+    if "e" in text:  # every e is an exponent: the text holds only numbers
+        text = _EXPONENT.sub(_exponent, text)
+    pieces, done = [], 0
+    at = text.find("0.0000")
+    while at >= 0:
+        start = text.rfind(" ", 0, at) + 1  # each number is on its own indented line
+        end = text.find("\n", at)
+        end -= text[end - 1] == ","  # every item but a list's last is followed by a comma
+        pieces += text[done:start], repr(float(text[start:end]))
+        done = end
+        at = text.find("0.0000", end)
+    if not pieces:
+        return text
+    pieces.append(text[done:])
+    del text  # the pieces copy all of it: free it before the join builds the result
+    return "".join(pieces)
 
 
 def write_json(path: str | Path, payload: dict) -> None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gptkit import axioms
 from gptkit import (
     GptError,
     MonotonicityError,
@@ -206,6 +207,30 @@ class TestSubspaceAxiom:
             assert check_subspace_axiom(corrupted, subsets) == expected
             failing.append(sum(not r.passed for r in expected))
         assert failing[0] == 0 and max(failing[1:]) > 0
+
+    @pytest.mark.parametrize("name", ["quantum", "classical"])
+    def test_chunked_reads_equal_one_chunk(self, name, monkeypatch):
+        """Subsets of one size are read in chunks of rows under
+        SUBSPACE_CHUNK_ENTRIES; two pair rows per chunk give the same reports."""
+        theory = theory_by_name(name, 6)
+        subsets = singles_pairs_and_triple(6)
+        one_chunk = check_subspace_axiom(theory, subsets)
+        k_in = len(build_general_d(2, theory.units))
+        monkeypatch.setattr(axioms, "SUBSPACE_CHUNK_ENTRIES", 2 * theory.k * (k_in + 1))
+        assert check_subspace_axiom(theory, subsets) == one_chunk
+
+    def test_corrupted_entry_in_the_last_chunk_fails(self, monkeypatch):
+        """One D entry read only by the last pair {4, 5}, alone in the last
+        of eight chunks, fails that pair and no other."""
+        theory = quantum_theory(6)
+        pairs = [{i, j} for i in range(6) for j in range(i + 1, 6)]
+        monkeypatch.setattr(axioms, "SUBSPACE_CHUNK_ENTRIES", 2 * theory.k * (4 + 1))
+        d = theory.d.copy()
+        d[0, theory.frame.labels.index(("y", 4, 5))] = 0.25  # basis fiducial 0 is disjoint from {4, 5}
+        reports = check_subspace_axiom(dataclasses.replace(theory, d=d), pairs)
+        assert [r.passed for r in reports] == [True] * 14 + [False]
+        assert reports[-1].violations[0].startswith("disjoint fiducial")
+        assert check_subspace_axiom(theory, pairs)[-1].passed
 
 
 class TestBasisDistinguishability:

@@ -96,14 +96,15 @@ JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(st.floats(), min_size=1, max_size=4)
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.integers(), min_size=1, max_size=4)
     | st.dictionaries(st.text(max_size=5), inner, max_size=4),
     max_leaves=20,
 )
 
 
 class TestDumps:
-    """``dumps`` writes float lists by a join of reprs; its text must stay
-    ``json.dumps(payload, indent=2, sort_keys=True)`` byte for byte."""
+    """``dumps`` writes each number array by one orjson call; its text must
+    stay ``json.dumps(payload, indent=2, sort_keys=True)`` byte for byte."""
 
     @pytest.mark.parametrize(
         "payload",
@@ -116,10 +117,34 @@ class TestDumps:
             {"nested": {"b": [[1.5, 2.5], [[3.5]]], "a": {"ü": "é"}}},
             {"int keys": {2: 1.0, 1: [1.0]}},
             {"tuple": (1.0, 2.0)},
+            {"x": [1e-05]},
+            {"x": [9.999e-05, -9.999e-05]},
+            {"x": [0.0001]},
+            {"x": [1e16]},
+            {"x": [9999999999999998.0]},
+            {"x": [781337550.0000437]},
+            {"x": [5e-324]},
+            {"x": [1.7976931348623157e308]},
+            {"x": [-0.0]},
+            {"x": [1.5, 2**64, -(2**64), 2**63, 0.5]},
+            {"x": [[], [1e-7]]},
+            {"x": [1.0, True, 2]},
         ],
     )
     def test_matches_json_dumps(self, payload):
         assert serialize.dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_matrix_files_take_the_orjson_path(self, rng):
+        """A Z-like matrix with round-off entries and a (K, N, N, 2)
+        projector list are each one orjson call, so a silent fall back to
+        the item-by-item path fails here."""
+        z = np.round(rng.standard_normal((256, 256)), 2)
+        z.flat[rng.choice(z.size, 100, replace=False)] = rng.standard_normal(100) * 1e-17
+        projectors = serialize.complex_to_json(build_canonical_frame(4).projectors)
+        assert np.shape(projectors) == (16, 4, 4, 2)
+        for matrix in (z.tolist(), projectors):
+            assert serialize._number_list(matrix) == json.dumps(matrix, indent=2)
+            assert serialize.dumps({"m": matrix}) == json.dumps({"m": matrix}, indent=2) + "\n"
 
     @given(st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=5))
     def test_matches_json_dumps_on_any_object(self, payload):
