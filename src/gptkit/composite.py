@@ -63,7 +63,14 @@ def dof_count_check(d_a: np.ndarray, d_b: np.ndarray) -> int:
     their rank is returned (K_A * K_B when both fiducial sets are
     independent). It is computed as rank(D_A) * rank(D_B), which equals
     rank(kron(D_A, D_B)) and needs no SVD of the K_A K_B x K_A K_B matrix.
+    A D is a Gram matrix, so each rank is read from its eigenvalues
+    (``matrix_rank(hermitian=True)``, the SVD's tolerance rule); a D whose
+    asymmetry exceeds ``ATOL`` is refused.
     """
-    d_a = np.asarray(d_a, dtype=float)
-    d_b = np.asarray(d_b, dtype=float)
-    return int(np.linalg.matrix_rank(d_a)) * int(np.linalg.matrix_rank(d_b))
+    ranks = 1
+    for name, d in (("D_A", d_a), ("D_B", d_b)):
+        d = np.asarray(d, dtype=float)
+        if d.ndim != 2 or d.shape[0] != d.shape[1] or np.abs(d - d.T).max(initial=0.0) > ATOL:
+            raise DimensionError(f"{name} of shape {d.shape} is not symmetric to {ATOL}")
+        ranks *= int(np.linalg.matrix_rank(d, hermitian=True))
+    return ranks

@@ -34,7 +34,7 @@ FREQUENCY_ENVELOPE = 5.0  # frequency bound at n shots: FREQUENCY_ENVELOPE / sqr
 FREQUENCY_PASS_FRACTION = 0.95  # share of trials that must fall inside that bound
 POWER_LAW_N_MAX = 6  # dimensions 1..N_max of the power-law table
 FREQUENCY_SCALES = (1_000, 10_000, 100_000, 1_000_000)  # shots per trial, one scale each
-FREQUENCY_TRIALS = 8  # seeded trials per target probability and scale
+FREQUENCY_TRIALS = 8  # trials per target probability and scale, drawn from one seeded stream
 CONTINUITY_PAIRS = 5  # random pure-state pairs the quantum continuity check connects
 CONTINUITY_STEPS = 100  # points sampled along each continuity path
 COMPOSITE_LAW_SAMPLES = 10  # random local unitary pairs in the composite transformation law

@@ -117,10 +117,35 @@ class TestDofCount:
     def test_matches_rank_of_kronecker_product(self, rng):
         for _ in range(40):
             (ka, kb), (ra, rb) = rng.integers(1, 7, size=2), rng.integers(0, 7, size=2)
-            a = rng.standard_normal((ka, ra)) @ rng.standard_normal((ra, ka))
-            b = rng.standard_normal((kb, rb)) @ rng.standard_normal((rb, kb))
+            ga, gb = rng.standard_normal((ka, ra)), rng.standard_normal((kb, rb))
+            a, b = ga @ ga.T, gb @ gb.T  # symmetric, like every Gram matrix D
             expected = np.linalg.matrix_rank(np.kron(a, b))
             assert dof_count_check(a, b) == expected == min(ka, ra) * min(kb, rb)
+
+    @pytest.mark.parametrize("build", [classical_theory, quantum_theory])
+    def test_equals_the_svd_rank_product(self, build):
+        other = build(2).d
+        for n in range(1, 9):
+            d = build(n).d
+            svd_rank = np.linalg.matrix_rank(d) * np.linalg.matrix_rank(other)
+            assert dof_count_check(d, other) == svd_rank == len(d) * len(other)
+
+    def test_duplicated_fiducial_drops_the_rank(self):
+        d = QT2.d.copy()
+        d[3, :] = d[0, :]  # fiducial 4 replaced by fiducial 1, in its row and its column
+        d[:, 3] = d[:, 0]
+        assert np.array_equal(d, d.T)
+        assert dof_count_check(d, QT2.d) == 3 * 4
+
+    @pytest.mark.parametrize("case", ["skew", "rect"])
+    def test_non_symmetric_input_is_refused(self, case):
+        d = QT2.d.copy()
+        if case == "skew":
+            d[0, 1] += 1e-9
+        else:
+            d = d[:3]
+        with pytest.raises(DimensionError, match="not symmetric"):
+            dof_count_check(QT2.d, d)
 
 
 class TestEntanglementWitness:

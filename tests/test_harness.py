@@ -8,6 +8,7 @@ from gptkit import harness, serialize
 from gptkit import (
     Experiment,
     InvalidExperimentError,
+    check_frequency_convergence,
     check_subspace_axiom,
     classical_theory,
     derive_seed,
@@ -228,6 +229,66 @@ class TestAxiomSuite:
             "axiom1-frequency-convergence",
             "axiom5-continuity",
         }
+
+
+class TestFrequencyCheck:
+    def test_an_off_target_sampler_fails_at_a_million_shots(self, monkeypatch):
+        real = harness.outcome_probabilities
+
+        def shifted(exp):  # moves 0.01 of probability onto or off outcome 1
+            probs = real(exp)
+            step = 0.01 if probs[1] < 0.5 else -0.01
+            return probs + step * np.array([0.0, 1.0, -1.0])
+
+        monkeypatch.setattr(harness, "outcome_probabilities", shifted)
+        result = harness._frequency_check(QT2, seed=3)
+        assert result.status == "fail"
+        for scales in result.witnesses["targets"].values():
+            million = scales[str(10**6)]
+            assert million["max_deviation"] > million["bound"]
+
+    def test_counts_are_one_draw_in_target_scale_trial_order(self, monkeypatch):
+        seen = []
+
+        def recording(counts_by_shots, p_true):
+            seen.append((p_true, counts_by_shots))
+            return check_frequency_convergence(counts_by_shots, p_true)
+
+        monkeypatch.setattr(harness, "check_frequency_convergence", recording)
+        harness._frequency_check(QT2, seed=11)
+        scales, trials = harness.FREQUENCY_SCALES, harness.FREQUENCY_TRIALS
+        targets = [p for p, _ in seen]
+        probs = np.array([[0.0, p, 1.0 - p] for p in targets])
+        shots = np.repeat(scales, trials).reshape(len(scales), trials)
+        expected = np.random.default_rng(derive_seed(11, 1)).multinomial(shots, probs[:, None, None, :])
+        assert targets == [0.0, 0.25, 0.5, 1.0]
+        for t_idx, (p_true, counts_by_shots) in enumerate(seen):
+            assert list(counts_by_shots) == list(scales)
+            for s_idx, n in enumerate(scales):
+                assert np.array_equal(counts_by_shots[n], expected[t_idx, s_idx, :, 1])
+                if 0.0 < p_true < 1.0:
+                    assert len(set(counts_by_shots[n].tolist())) > 1
+                else:
+                    assert set(counts_by_shots[n].tolist()) == {int(p_true * n)}
+
+    def test_same_seed_same_witnesses_other_seed_other_witnesses(self):
+        first = harness._frequency_check(QT3, seed=5).to_json()
+        assert json.dumps(harness._frequency_check(QT3, seed=5).to_json()) == json.dumps(first)
+        other = harness._frequency_check(QT3, seed=6).to_json()
+        assert other["status"] == first["status"] == "pass"
+        assert other["witnesses"] != first["witnesses"]
+
+    def test_suite_derives_three_seeds(self, monkeypatch, budget):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return derive_seed(*args)
+
+        monkeypatch.setattr(harness, "derive_seed", counting)
+        budget(CONTINUITY_PAIRS=2, CONTINUITY_STEPS=20)
+        assert run_axiom_suite("quantum", 2, seed=9).passed
+        assert sorted(calls) == [(9, 1), (9, 5), (9, 6)]
 
 
 class TestDeriveSeed:
