@@ -18,6 +18,7 @@ from .frames import (
     ATOL,
     FREQUENCY_ENVELOPE,
     FREQUENCY_PASS_FRACTION,
+    LINEARITY_BLOCK_ENTRIES,
     LINEARITY_SAMPLES,
     LINEARITY_TOL,
     SUBSPACE_CHUNK_ENTRIES,
@@ -266,8 +267,10 @@ def check_linearity(
     ``r_m`` is one measurement (K,) or a stack (M, K). All
     ``LINEARITY_SAMPLES`` draws (two pool states, a weight lambda in
     [0, 1) and a scale nu in [0, 2)) are made in one batch and applied to
-    every measurement. Both identities hold exactly for a linear
-    functional; ``LINEARITY_TOL`` only absorbs floating-point rounding.
+    every measurement, in blocks of draws of at most
+    ``LINEARITY_BLOCK_ENTRIES`` mixture entries. Both identities hold
+    exactly for a linear functional; ``LINEARITY_TOL`` only absorbs
+    floating-point rounding.
     """
     if len(states) < 2:
         raise GptError("need at least two states to form mixtures")
@@ -278,12 +281,18 @@ def check_linearity(
     ia, ib = rng.integers(0, len(states), size=(2, LINEARITY_SAMPLES))
     lam = rng.random((LINEARITY_SAMPLES, 1))
     nu = 2.0 * rng.random((LINEARITY_SAMPLES, 1))
-    mixed = lam * pool[ia] + (1.0 - lam) * pool[ib]
-    affine = np.abs(mixed @ r_t - (lam * f[ia] + (1.0 - lam) * f[ib]))
-    homog = np.abs((nu * pool[ia]) @ r_t - nu * f[ia])
+    affine = homog = 0.0
+    step = max(1, LINEARITY_BLOCK_ENTRIES // pool.shape[1])
+    for lo in range(0, LINEARITY_SAMPLES, step):
+        block = slice(lo, lo + step)
+        a, b, weight, scale = ia[block], ib[block], lam[block], nu[block]
+        mixed = weight * pool[a] + (1.0 - weight) * pool[b]
+        expected = weight * f[a] + (1.0 - weight) * f[b]
+        affine = np.maximum(affine, np.abs(mixed @ r_t - expected).max(initial=0.0))  # NaN stays NaN
+        homog = np.maximum(homog, np.abs((scale * pool[a]) @ r_t - scale * f[a]).max(initial=0.0))
     return LinearityReport(
         samples=LINEARITY_SAMPLES,
-        max_affine_deviation=float(affine.max(initial=0.0)),
-        max_homogeneity_deviation=float(homog.max(initial=0.0)),
+        max_affine_deviation=float(affine),
+        max_homogeneity_deviation=float(homog),
         tolerance=LINEARITY_TOL,
     )

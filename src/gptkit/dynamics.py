@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, GptError
-from .frames import COND_CUTOFF, PSD_TOL, PURITY_TOL, FiducialFrame, canonical_vectors
-from .states import Theory, density_from_r, r_from_p
+from .frames import COND_CUTOFF, PSD_TOL, PURITY_TOL, canonical_vectors
+from .states import Theory, r_from_p
 
 
 @dataclass(frozen=True)
@@ -174,9 +174,8 @@ def is_reversible(z: TransformMatrix, witnesses: list[np.ndarray], theory: Theor
     for values in (pre, mus):
         if not (values.min(initial=0.0) >= -PURITY_TOL and values.max(initial=0.0) <= 1.0 + PURITY_TOL):
             return False
-    rhos = density_from_r(r_from_p(pre, theory.d), theory.frame)
-    hermitian = (rhos + rhos.conj().swapaxes(-1, -2)) / 2.0
-    return bool(np.linalg.eigvalsh(hermitian).min(initial=0.0) >= -PURITY_TOL)
+    rhos = theory.operator_of(r_from_p(pre, theory.d))  # exactly Hermitian
+    return bool(np.linalg.eigvalsh(rhos).min(initial=0.0) >= -PURITY_TOL)
 
 
 @dataclass(frozen=True)
@@ -273,9 +272,8 @@ class PathReport:
         return self.max_deviation <= self.tolerance and self.endpoint_deviation <= self.tolerance
 
 
-def _pure_state_vector(r: np.ndarray, frame: FiducialFrame) -> np.ndarray:
-    rho = density_from_r(np.asarray(r, dtype=float), frame)
-    eigvals, eigvecs = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+def _pure_state_vector(r: np.ndarray, theory: Theory) -> np.ndarray:
+    eigvals, eigvecs = np.linalg.eigh(theory.operator_of(r))
     if abs(eigvals[-1] - 1.0) > PURITY_TOL or np.abs(eigvals[:-1]).max(initial=0.0) > PURITY_TOL:
         raise GptError("endpoint is not a pure state (rank-1, trace-1) to tolerance")
     return eigvecs[:, -1]
@@ -293,14 +291,18 @@ def continuity_probe(theory: Theory, r_a: np.ndarray, r_b: np.ndarray, steps: in
     plane span{psi_a, psi_b}. exp(t theta G) is the one-parameter unitary
     group that Hardy's axiom 5 asks for; for theta = 0 the path is
     constant. The report gives the worst purity deviation along the way
-    and how far r(1) lands from r_b; the path's r-vectors come from
-    ``Theory.r_of``, with no solve against D. Without pair units (classical)
-    the probe walks the straight segment between two basis states, where
-    every interior point is a proper mixture, so the report shows the
-    failure.
+    and how far r(1) lands from r_b. Without pair units (classical) the
+    probe walks the straight segment between two basis states, where every
+    interior point is a proper mixture, so the report shows the failure.
 
-    Either path is evaluated in one batch at ``steps`` evenly spaced
-    t in [0, 1] plus t = 1/2, the last row.
+    Either path is r(t) = w(t)^T R over a span R of a few r-vectors: the
+    segment has R = (r_a, r_b) and w = (1 - t, t). With c = cos(t theta)
+    and s = sin(t theta), the circle's rho(t) is c^2 |psi_a><psi_a| +
+    s^2 |phi><phi| + c s (|psi_a><phi| + |phi><psi_a|), so R holds the
+    r-vectors of these three operators (from ``Theory.r_of``, with no solve
+    against D) and w = (c^2, s^2, c s). The purity r^T D r is then
+    w^T (R D R^T) w and mu is w . (R D r_I), read at ``steps`` evenly
+    spaced t in [0, 1] plus t = 1/2, the last row.
     """
     if steps < 2:
         raise GptError("need at least two path samples")
@@ -313,10 +315,11 @@ def continuity_probe(theory: Theory, r_a: np.ndarray, r_b: np.ndarray, steps: in
             in_bounds = r.min() >= -PURITY_TOL and r.max() <= 1.0 + PURITY_TOL
             if not in_bounds or abs(r @ r - 1.0) > PURITY_TOL or abs(r.sum() - 1.0) > PURITY_TOL:
                 raise GptError("classical endpoint is not a pure (basis) state")
-        path = np.outer(1.0 - ts, r_a) + np.outer(ts, r_b)
+        weights = np.stack([1.0 - ts, ts], axis=1)
+        span = np.stack([r_a, r_b])
     else:
-        psi_a = _pure_state_vector(r_a, theory.frame)
-        psi_b = _pure_state_vector(r_b, theory.frame)
+        psi_a = _pure_state_vector(r_a, theory)
+        psi_b = _pure_state_vector(r_b, theory)
         overlap = psi_a.conj() @ psi_b
         cos_ab = abs(overlap)
         if cos_ab > 0.0:
@@ -325,11 +328,14 @@ def continuity_probe(theory: Theory, r_a: np.ndarray, r_b: np.ndarray, steps: in
         sin_ab = np.linalg.norm(ortho)
         theta = np.arctan2(sin_ab, cos_ab)  # arccos |<psi_a|psi_b>|, accurate near 0
         phi = ortho / sin_ab if sin_ab > 0.0 else ortho
-        psis = np.outer(np.cos(ts * theta), psi_a) + np.outer(np.sin(ts * theta), phi)
-        path = theory.r_of(np.einsum("ti,tj->tij", psis, psis.conj()))
-    d_path = path @ theory.d  # rows (D r)^T, D symmetric
-    purities = np.einsum("ti,ti->t", d_path, path)
-    mus = d_path @ theory.r_identity
+        cos_t, sin_t = np.cos(ts * theta), np.sin(ts * theta)
+        weights = np.stack([cos_t * cos_t, sin_t * sin_t, cos_t * sin_t], axis=1)
+        cross = np.outer(psi_a, phi.conj())
+        span = theory.r_of(np.stack([np.outer(psi_a, psi_a.conj()), np.outer(phi, phi.conj()),
+                                     cross + cross.conj().T]))
+    d_span = span @ theory.d  # rows (D r)^T, D symmetric
+    purities = np.einsum("ti,ti->t", weights @ (d_span @ span.T), weights)
+    mus = weights @ (d_span @ theory.r_identity)
 
     return PathReport(
         theory=theory.name,
@@ -338,6 +344,6 @@ def continuity_probe(theory: Theory, r_a: np.ndarray, r_b: np.ndarray, steps: in
         midpoint_purity=float(purities[-1]),
         max_deviation=float(np.abs(purities[:-1] - 1.0).max()),
         max_mu_deviation=float(np.abs(mus[:-1] - 1.0).max()),
-        endpoint_deviation=float(np.abs(path[steps - 1] - r_b).max()),
+        endpoint_deviation=float(np.abs(weights[steps - 1] @ span - r_b).max()),
         tolerance=PURITY_TOL,
     )

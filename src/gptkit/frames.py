@@ -45,6 +45,9 @@ MAX_FRAME_ENTRIES = 2**26
 # D entries (and index entries) that check_subspace_axiom reads out of D at once: a group of
 # equal-sized subsets is read in chunks of rows, so its memory does not grow with their number
 SUBSPACE_CHUNK_ENTRIES = 2**22
+# Entries of the (draws, K) mixtures that check_linearity evaluates at once: blocks this small
+# reuse the same few pages, where one (LINEARITY_SAMPLES, K) temporary faults in fresh ones
+LINEARITY_BLOCK_ENTRIES = 2**13
 
 PAIR_UNITS = {"x": 1, "y": 1j}  # unit u -> the coefficient of |n> in |m> + u|n>
 

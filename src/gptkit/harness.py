@@ -320,17 +320,14 @@ def _continuity_check(theory: Theory, seed: int) -> CheckResult:
                 "note": "no continuous pure path exists classically",
             },
         )
-    rng = np.random.default_rng(derive_seed(seed, 5))
+    # one draw, in the order of a loop over pairs, then endpoints, then the Re and Im parts
     n = theory.dimension
-    reports = []
-    for _ in range(CONTINUITY_PAIRS):
-        rs = []
-        for _ in range(2):
-            psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            psi /= np.linalg.norm(psi)
-            rho = np.outer(psi, psi.conj())
-            rs.append(theory.r_of(rho))
-        reports.append(continuity_probe(theory, rs[0], rs[1], steps=CONTINUITY_STEPS))
+    rng = np.random.default_rng(derive_seed(seed, 5))
+    gauss = rng.standard_normal((CONTINUITY_PAIRS, 2, 2, n))
+    psis = (gauss[:, :, 0] + 1j * gauss[:, :, 1]).reshape(-1, n)
+    psis /= np.linalg.norm(psis, axis=-1, keepdims=True)
+    rs = theory.r_of(psis[:, :, None] * psis.conj()[:, None, :]).reshape(CONTINUITY_PAIRS, 2, -1)
+    reports = [continuity_probe(theory, r_a, r_b, steps=CONTINUITY_STEPS) for r_a, r_b in rs]
     return CheckResult(
         name="axiom5-continuity",
         status="pass" if all(r.pure_path for r in reports) else "fail",

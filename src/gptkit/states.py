@@ -2,8 +2,9 @@
 
 States carry two equivalent vector descriptions: a p-vector of K fiducial
 probabilities and an r-vector of expansion coefficients over the frame,
-related by p = D r. Operators convert to and from r-vectors through the
-frame projectors.
+related by p = D r. Operators convert to fiducial probabilities through
+the frame projectors, and to and from r-vectors in closed form through
+``Theory.r_of`` and ``Theory.operator_of``.
 """
 
 from __future__ import annotations
@@ -165,6 +166,31 @@ class Theory:
         half_sums = np.triu(re - im, 1)
         r_basis = np.diagonal(re, axis1=-2, axis2=-1) - (half_sums.sum(axis=-1) + half_sums.sum(axis=-2))
         return np.concatenate([r_basis, r_xy.reshape(ops.shape[:-2] + (n * (n - 1),))], axis=-1)
+
+    def operator_of(self, r: np.ndarray) -> np.ndarray:
+        """The operator sum_k r_k P_k of one r-vector (K,) or a stack (m, K),
+        which gives shape (m, N, N): the inverse of ``r_of`` and the same
+        values as ``density_from_r(r, frame)``, with no projector block.
+
+        For each pair m < n, rho_mn = (r_x - i r_y) / 2 and rho_nm its
+        conjugate, and rho_mm = r_m + 1/2 sum (r_x + r_y) over the pairs
+        that contain m, so the result is exactly Hermitian.
+        """
+        if not has_operator_form(self.units):
+            raise GptError(f"the {self.name} theory has no operator form")
+        r = np.asarray(r, dtype=float)
+        if r.ndim not in (1, 2) or r.shape[-1] != self.k:
+            raise DimensionError(f"r has shape {r.shape}, the {self.name} theory has K = {self.k}")
+        n = self.dimension
+        rows, cols = np.triu_indices(n, 1)
+        r_x, r_y = r[..., n::2], r[..., n + 1::2]
+        ops = np.zeros(r.shape[:-1] + (n, n), dtype=complex)
+        ops[..., rows, cols] = upper = (r_x - 1j * r_y) / 2.0
+        ops[..., cols, rows] = upper.conj()
+        half_sums = np.zeros(r.shape[:-1] + (n, n))
+        half_sums[..., rows, cols] = (r_x + r_y) / 2.0
+        ops[..., range(n), range(n)] = r[..., :n] + half_sums.sum(axis=-1) + half_sums.sum(axis=-2)
+        return ops
 
 
 THEORY_UNITS = {"classical": "", "quantum": "xy"}  # theory name -> its pair units

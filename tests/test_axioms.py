@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gptkit import axioms
+from gptkit.frames import LINEARITY_SAMPLES
 from gptkit import (
     GptError,
     MonotonicityError,
@@ -305,6 +306,26 @@ class TestLinearity:
         for name in ("max_affine_deviation", "max_homogeneity_deviation"):
             expected = max(getattr(row, name) for row in rows)
             assert getattr(report, name) == pytest.approx(expected, abs=report.tolerance)
+
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_blocks_match_one_batch(self, n, monkeypatch):
+        theory = quantum_theory(n)
+        stack = np.vstack([theory.basis_r, theory.r_identity])
+        batch_size = LINEARITY_SAMPLES * theory.k
+        reports = []
+        for entries in (batch_size, 7 * theory.k, 1):  # one block, blocks of 7 draws, one draw each
+            monkeypatch.setattr(axioms, "LINEARITY_BLOCK_ENTRIES", entries)
+            reports.append(check_linearity(stack, self._pool(theory), np.random.default_rng(5)))
+        # the pool is dyadic, so every block size evaluates both identities exactly
+        assert all(r.max_affine_deviation == r.max_homogeneity_deviation == 0.0 for r in reports)
+
+    def test_blocks_keep_a_nan_deviation(self):
+        theory = quantum_theory(2)
+        r_m = theory.r_identity.copy()
+        r_m[-1] = np.nan
+        report = check_linearity(r_m, self._pool(theory), np.random.default_rng(5))
+        assert np.isnan(report.max_affine_deviation)
+        assert not report.passed
 
     def test_edge_mixing_weights(self):
         theory = quantum_theory(2)

@@ -285,6 +285,18 @@ class TestReversibility:
     def test_no_witnesses_leave_only_the_rank_test(self):
         assert is_reversible(z_from_unitary(np.eye(2, dtype=complex), QT2), [], QT2)
 
+    def test_builds_no_frame(self, monkeypatch, rng):
+        theory = quantum_theory(3)
+        witnesses = [theory.basis_p[0], theory.basis_p[2]]
+        z = z_from_unitary(haar_unitary(rng, 3), theory)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the projector block")
+
+        monkeypatch.setattr(gptkit.states, "build_canonical_frame", refuse)
+        assert is_reversible(z, witnesses, theory)
+        assert not is_reversible(z, witnesses + [np.full(theory.k, 0.5)], theory)
+
     def test_batch_is_the_conjunction_of_single_witnesses(self, rng):
         theory = quantum_theory(3)
         z = z_from_kraus(KrausSet(random_kraus(rng, 3)), theory)
@@ -375,6 +387,36 @@ class TestContinuityProbe:
             assert report.pure_path
             assert report.purities.shape == (steps,)
             assert report.midpoint_purity == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_span_evaluation_matches_a_per_point_evaluation(self, n, rng):
+        """The probe reads the purities, mu and r(1) off the three-operator
+        span; the oracle takes r_of of each psi(t) psi(t)^dag and r^T D r."""
+        theory = cached_quantum_theory(n)
+        steps = 101
+        for _ in range(3):
+            psi_a, psi_b = haar_state(rng, n), haar_state(rng, n)
+            r_a, r_b = (theory.r_of(np.outer(psi, psi.conj())) for psi in (psi_a, psi_b))
+            report = continuity_probe(theory, r_a, r_b, steps=steps)
+
+            overlap = psi_a.conj() @ psi_b
+            psi_b = psi_b * (abs(overlap) / overlap)
+            ortho = psi_b - abs(overlap) * psi_a
+            theta = np.arctan2(np.linalg.norm(ortho), abs(overlap))
+            phi = ortho / np.linalg.norm(ortho)
+            ts = np.append(np.linspace(0.0, 1.0, steps), 0.5)
+            rs = []
+            for t in ts:
+                psi = np.cos(t * theta) * psi_a + np.sin(t * theta) * phi
+                rs.append(theory.r_of(np.outer(psi, psi.conj())))
+            purities = np.array([r @ theory.d @ r for r in rs])
+            mus = np.array([r @ theory.d @ theory.r_identity for r in rs])
+
+            assert_allclose(report.purities, purities[:-1], rtol=0, atol=1e-13)
+            assert report.midpoint_purity == pytest.approx(purities[-1], rel=0, abs=1e-13)
+            assert report.max_deviation == pytest.approx(np.abs(purities[:-1] - 1.0).max(), rel=0, abs=1e-13)
+            assert report.max_mu_deviation == pytest.approx(np.abs(mus[:-1] - 1.0).max(), rel=0, abs=1e-13)
+            assert report.endpoint_deviation == pytest.approx(np.abs(rs[steps - 1] - r_b).max(), rel=0, abs=1e-13)
 
     def test_phase_multiple_is_a_constant_path(self, rng):
         theory = quantum_theory(3)

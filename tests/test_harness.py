@@ -3,6 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
+
+import gptkit.states
 
 from gptkit import harness, serialize
 from gptkit import (
@@ -200,6 +203,56 @@ class TestAxiomSuite:
         code = main(["verify", "--theory", "quantum", "--n", "3"])
         assert code == 1
         assert json.loads(capsys.readouterr().out)["passed"] is False
+
+    def test_continuity_endpoints_are_the_per_vector_draws(self, monkeypatch):
+        """One (pairs, 2, 2, n) draw yields the numbers, in order, of a loop
+        that draws each endpoint's real and then imaginary parts."""
+        theory, seed = quantum_theory(3), 11
+        make_rng, draws, endpoints = np.random.default_rng, [], []
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+
+            def standard_normal(self, size):
+                draws.append(self.rng.standard_normal(size))
+                return draws[-1]
+
+        def capture(theory, r_a, r_b, steps):
+            endpoints.append((r_a, r_b))
+            return probe(theory, r_a, r_b, steps)
+
+        probe = harness.continuity_probe
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        monkeypatch.setattr(harness, "continuity_probe", capture)
+        assert harness._continuity_check(theory, seed).status == "pass"
+
+        loop_rng = make_rng(derive_seed(seed, 5))
+        loop = [loop_rng.standard_normal(3) + 1j * loop_rng.standard_normal(3)
+                for _ in range(2 * harness.CONTINUITY_PAIRS)]
+        assert len(draws) == 1 and draws[0].shape == (harness.CONTINUITY_PAIRS, 2, 2, 3)
+        assert np.array_equal(draws[0][:, :, 0] + 1j * draws[0][:, :, 1], np.reshape(loop, (-1, 2, 3)))
+        expected = [theory.r_of(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real) for psi in loop]
+        assert_allclose(np.reshape(endpoints, (-1, theory.k)), expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_overlap_mutant_d_fails_continuity(self, n):
+        """D with every 1/4 entry set to 0.3 stays positive definite, and
+        r_of does not read it; the purity r^T D r along each path does."""
+        theory = quantum_theory(n)
+        mutant = theory.d.copy()
+        mutant[mutant == 0.25] = 0.3
+        result = harness._continuity_check(dataclasses.replace(theory, d=mutant), seed=0)
+        assert result.status == "fail"
+        assert result.max_deviation > 0.05
+
+    def test_quantum_n16_suite_builds_no_frame(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the projector block")
+
+        monkeypatch.setattr(gptkit.states, "build_canonical_frame", refuse)
+        report = run_axiom_suite("quantum", 16, seed=3)
+        assert [c.status for c in report.checks] == ["pass"] * 7
 
     def test_classical_d_off_the_identity_fails_the_subspace_check(self):
         d = np.eye(3)

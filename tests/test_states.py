@@ -134,6 +134,44 @@ class TestROf:
             classical_theory(2).r_of(np.eye(2))
 
 
+class TestOperatorOf:
+    """``Theory.operator_of`` inverts ``r_of`` in closed form; the oracle is
+    the sum over the projector block, ``density_from_r``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
+    def test_matches_the_projector_sum_for_one_vector_and_a_stack(self, n, rng):
+        theory = cached_quantum_theory(n)
+        rs = theory.r_of(np.stack([random_density(rng, n), random_measurement_operator(rng, n)]))
+        rs = np.vstack([rs, rng.standard_normal(theory.k)])  # any real r, not only a state's
+        expected = density_from_r(rs, theory.frame)
+        stacked = theory.operator_of(rs)
+        assert stacked.shape == (3, n, n)
+        assert_allclose(stacked, expected, rtol=0, atol=1e-14)
+        assert_allclose(theory.operator_of(rs[0]), expected[0], rtol=0, atol=1e-14)
+
+    def test_inverts_r_of(self, rng):
+        theory = quantum_theory(4)
+        rhos = np.stack([random_density(rng, 4), random_measurement_operator(rng, 4)])
+        assert_allclose(theory.operator_of(theory.r_of(rhos)), rhos, rtol=0, atol=1e-15)
+
+    def test_fiducial_unit_vectors_give_the_projectors(self):
+        theory = quantum_theory(3)
+        assert_allclose(theory.operator_of(np.eye(theory.k)), theory.frame.projectors, rtol=0, atol=0)
+
+    def test_result_is_exactly_hermitian(self, rng):
+        ops = quantum_theory(5).operator_of(rng.standard_normal((4, 25)))
+        assert np.array_equal(ops, ops.conj().swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (2, 3), (1, 2, 4), ()])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            QT2.operator_of(np.zeros(shape))
+
+    def test_classical_theory_has_no_operator_form(self):
+        with pytest.raises(GptError, match="no operator form"):
+            classical_theory(2).operator_of(np.array([1.0, 0.0]))
+
+
 class TestOperatorReconstruction:
     def test_single_term_sum(self):
         rho = density_from_r(np.array([1.0, 0.0, 0.0, 0.0]), QT2.frame)
