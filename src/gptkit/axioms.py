@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import build_general_d
 from .errors import GptError, MonotonicityError, NoSignatureError
 from .frames import (
     ATOL,
@@ -22,7 +21,9 @@ from .frames import (
     LINEARITY_SAMPLES,
     LINEARITY_TOL,
     SUBSPACE_CHUNK_ENTRIES,
+    build_canonical_frame,
     canonical_labels,
+    gram_matrix,
     table_n_max,
 )
 from .states import Theory
@@ -105,8 +106,9 @@ def check_subspace_axiom(theory: Theory, subsets: Sequence[set[int]]) -> list[Su
     """Verify that each basis subset W behaves as a lower-dimensional system.
 
     The fiducials supported inside W, taken in canonical order of the
-    mapped indices, must reproduce the subspace-rules D of dimension |W|
-    over the theory's units (``build_general_d``). Fiducials of disjoint
+    mapped indices, must reproduce the D of dimension |W| over the theory's
+    units, taken from its projectors (``gram_matrix``), a route independent
+    of the subspace rules that build a theory's D. Fiducials of disjoint
     subspaces must assign probability zero to every state supported in W
     (witnessed by the fiducial states of W, i.e. the corresponding columns
     of D). Both hold to ``ATOL``.
@@ -132,7 +134,7 @@ def check_subspace_axiom(theory: Theory, subsets: Sequence[set[int]]) -> list[Su
     dis_dev = np.empty(len(ws))
     fiducials: dict[int, tuple[int, ...]] = {}
     for m, group in groups.items():
-        reference = build_general_d(m, theory.units)
+        reference = gram_matrix(build_canonical_frame(m, theory.units))
         k_in = len(reference)
         # a row reads at most K x k_in entries of D and indexes fewer than K fiducials
         step = max(1, SUBSPACE_CHUNK_ENTRIES // (theory.k * (k_in + 1)))

@@ -193,8 +193,6 @@ def build_general_d(n: int, units: str = "xy") -> np.ndarray:
     A D of more than ``MAX_FRAME_ENTRIES`` entries is refused before any
     label is made.
     """
-    if n < 1:
-        raise DimensionError(f"dimension must be a positive integer, got {n}")
     k = n + len(units) * (n * (n - 1) // 2)
     check_frame_entries(n, "D", k, k)
     first, second = np.array([label[1:] for label in canonical_labels(n, units)]).T  # support indices

@@ -22,7 +22,7 @@ from .bloch import build_general_d
 from .errors import GptError
 from .frames import build_canonical_frame, has_operator_form
 from .harness import OK_STATUSES, PIPELINES, load_experiment, run_report
-from .states import THEORY_UNITS, density_from_r, p_from_density, quantum_theory, r_from_p, theory_by_name
+from .states import THEORY_UNITS, r_from_p, theory_by_name
 
 
 def _emit(payload: dict, out: str | None, rows: list[list] | None = None) -> None:
@@ -52,28 +52,22 @@ def _cmd_dmatrix(args: argparse.Namespace) -> int:
 def _cmd_convert(args: argparse.Namespace) -> int:
     if not has_operator_form(THEORY_UNITS[args.theory]) and "rho" in (args.src, args.dst):
         raise GptError(f"{args.theory} theory has no operator representation")
-    payload = serialize.read_json(args.infile)
-    if args.src == "rho":
-        rho = serialize.operator_from_dict(payload)
-        theory = quantum_theory(rho.shape[0])
-        p = p_from_density(rho, theory.frame)
+    kind, n, values = serialize.state_from_dict(serialize.read_json(args.infile))
+    if kind != args.src:
+        raise GptError(f"file holds a {kind!r} state but --from says {args.src!r}")
+    theory = theory_by_name(args.theory, n)
+    if kind != "rho" and values.shape[0] != theory.k:
+        raise GptError(f"vector length {values.shape[0]} does not match K = {theory.k}")
+    if kind == "p":  # the one conversion that solves against D
+        p, r = values, r_from_p(values, theory.d)
     else:
-        values, n, _, kind = serialize.vector_from_dict(payload)
-        if kind != args.src:
-            raise GptError(f"file holds a {kind!r} vector but --from says {args.src!r}")
-        if n > values.shape[0]:  # K >= N in every theory; refuse before building one
-            raise GptError(f"vector header says dimension {n} but k = {values.shape[0]}")
-        theory = theory_by_name(args.theory, n)
-        if values.shape[0] != theory.k:
-            raise GptError(f"vector length {values.shape[0]} does not match K = {theory.k}")
-        p = theory.d @ values if args.src == "r" else values
-    r = values if args.src == "r" else r_from_p(p, theory.d)
+        r = theory.r_of(values) if kind == "rho" else values
+        p = theory.d @ r
 
     if args.dst == "rho":
-        _emit(serialize.operator_to_dict(density_from_r(r, theory.frame)), args.out)
+        _emit(serialize.operator_to_dict(theory.operator_of(r)), args.out)
     else:
-        vector = p if args.dst == "p" else r
-        _emit(serialize.vector_to_dict(vector, theory.dimension, "state", args.dst), args.out)
+        _emit(serialize.vector_to_dict(p if args.dst == "p" else r, n, "state", args.dst), args.out)
     return 0
 
 
@@ -154,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--in", dest="infile", required=True)
     p_conv.add_argument("--from", dest="src", choices=["rho", "p", "r"], required=True)
     p_conv.add_argument("--to", dest="dst", choices=["rho", "p", "r"], required=True)
-    p_conv.add_argument("--theory", choices=["quantum", "classical"], default="quantum")
+    p_conv.add_argument("--theory", choices=list(THEORY_UNITS), default="quantum")
 
     p_bloch = command("bloch", _cmd_bloch, "classify the N=2 D-matrix family at (a, b, c)")
     p_bloch.add_argument("--a", type=float, required=True)
@@ -174,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--seed", type=int, default=0)
 
     p_ver = command("verify", _cmd_verify, "run the axiom suite against a theory instance")
-    p_ver.add_argument("--theory", choices=["quantum", "classical"], required=True)
+    p_ver.add_argument("--theory", choices=list(THEORY_UNITS), required=True)
     p_ver.add_argument("--n", type=int, required=True)
     p_ver.add_argument("--seed", type=int, default=0)
 

@@ -78,6 +78,7 @@ def z_from_kraus(kraus: KrausSet, theory: Theory) -> TransformMatrix:
     rank-one dyad of w = M_l^dag u_k, and ``Theory.r_of`` reads the rows
     off the entries, so no solve against D is needed.
     """
+    theory.require_operator_form()  # r_of would refuse too, but only after the K x N x N block
     n = theory.dimension
     if kraus.dimension != n:
         raise DimensionError(f"Kraus dimension {kraus.dimension} does not match frame dimension {n}")

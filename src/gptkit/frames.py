@@ -60,7 +60,10 @@ def has_operator_form(units: str) -> bool:
 
 
 def check_frame_entries(n: int, what: str, *shape: int) -> None:
-    """Refuse an array of ``shape`` with more than ``MAX_FRAME_ENTRIES`` entries."""
+    """Refuse a dimension n below 1, and an array of ``shape`` with more than
+    ``MAX_FRAME_ENTRIES`` entries."""
+    if n < 1:
+        raise DimensionError(f"dimension must be a positive integer, got {n}")
     if prod(shape) > MAX_FRAME_ENTRIES:
         raise DimensionError(f"dimension {n} needs {' x '.join(map(str, shape))} {what} entries, "
                              f"more than MAX_FRAME_ENTRIES = {MAX_FRAME_ENTRIES}")
@@ -175,8 +178,6 @@ def build_canonical_frame(n: int, units: str = "xy") -> FiducialFrame:
     Hermitian, idempotent and of unit trace by construction, and independent
     because ``canonical_labels`` admits only distinct units.
     """
-    if n < 1:
-        raise DimensionError(f"dimension must be a positive integer, got {n}")
     check_frame_entries(n, "projector", n + len(units) * (n * (n - 1) // 2), n, n)
     vectors = canonical_vectors(n, units)
     # dividing the dyads by the exact squared norms (1 or 2) keeps the

@@ -59,10 +59,10 @@ from .dynamics import (
 from .errors import GptError, InvalidExperimentError
 from .frames import (
     ATOL, COMPOSITE_LAW_SAMPLES, CONTINUITY_PAIRS, CONTINUITY_STEPS, FREQUENCY_SCALES,
-    FREQUENCY_TRIALS, POWER_LAW_N_MAX, PSD_TOL, build_canonical_frame, canonical_labels, has_operator_form,
+    FREQUENCY_TRIALS, POWER_LAW_N_MAX, PSD_TOL, build_canonical_frame, canonical_labels,
 )
 from .serialize import _float_array, _number, _required, _seed
-from .states import Theory, mix, p_from_density, quantum_theory, theory_by_name
+from .states import Theory, mix, quantum_theory, theory_by_name
 
 OK_STATUSES = ("pass", "expected-fail")  # statuses that count as passing
 
@@ -474,17 +474,14 @@ def _resolve_preparation(spec: str, theory: Theory, base: Path) -> np.ndarray:
             raise GptError(f"{spec!r} needs two basis states, the theory has n = {theory.dimension}")
         return mix([theory.basis_p[0], theory.basis_p[1]], [lam, 1.0 - lam])
     if spec.startswith("file:"):
-        payload = _read_input(base, spec.split(":", 1)[1])
-        if "matrix" in payload:  # operator file
-            if not has_operator_form(theory.units):
-                raise GptError("operator preparations need a quantum theory")
-            return p_from_density(serialize.operator_from_dict(payload), theory.frame)
-        values, _, _, kind = serialize.vector_from_dict(payload)
+        kind, n, values = serialize.state_from_dict(_read_input(base, spec.split(":", 1)[1]))
+        if n != theory.dimension:
+            raise GptError(f"preparation dimension {n} does not match n = {theory.dimension}")
+        if kind == "rho":
+            return theory.d @ theory.r_of(values)
         if values.shape[0] != theory.k:
             raise GptError(f"preparation vector length {values.shape[0]} does not match K = {theory.k}")
-        if kind == "r":
-            return np.asarray(theory.d, dtype=float) @ values
-        return values
+        return theory.d @ values if kind == "r" else values
     raise GptError(f"unknown preparation spec {spec!r}")
 
 
@@ -502,18 +499,19 @@ def _resolve_partition(spec: str, theory: Theory, base: Path) -> tuple[np.ndarra
     raise GptError(f"unknown partition spec {spec!r}")
 
 
-def _resolve_transform(spec: str, theory: Theory, base: Path) -> TransformMatrix | None:
-    if spec in ("", "none"):
-        return None
-    if not has_operator_form(theory.units):
-        raise GptError("transformations on classical experiments are not supported here")
+def _read_map(spec: str, base: Path, theory: Theory | None = None) -> tuple[KrausSet, Theory, TransformMatrix]:
+    """The map of a ``unitary:<path>`` or ``kraus:<path>`` spec, the theory
+    its Z is built in (``theory``, or the quantum theory of the map's
+    dimension) and that Z."""
     kind, _, path = spec.partition(":")
+    if kind not in ("unitary", "kraus"):
+        raise GptError(f"unknown transform spec {spec!r}")
     payload = _read_input(base, path)
-    if kind == "unitary":
-        return z_from_unitary(serialize.operator_from_dict(payload), theory)
-    if kind == "kraus":
-        return z_from_kraus(KrausSet(serialize.kraus_from_dict(payload)), theory)
-    raise GptError(f"unknown transform spec {spec!r}")
+    unitary = kind == "unitary"
+    kraus = KrausSet(serialize.operator_from_dict(payload) if unitary else serialize.kraus_from_dict(payload))
+    theory = theory or quantum_theory(kraus.dimension)
+    z = z_from_unitary(kraus.operators[0], theory) if unitary else z_from_kraus(kraus, theory)
+    return kraus, theory, z
 
 
 def build_experiment(params: dict[str, Any], seed: int, base: Path) -> tuple[Experiment, Theory]:
@@ -521,7 +519,8 @@ def build_experiment(params: dict[str, Any], seed: int, base: Path) -> tuple[Exp
     theory = theory_by_name(str(params.get("theory", "quantum")), _number(params, "n", default=2))
     prep = _resolve_preparation(str(params.get("preparation", "basis:1")), theory, base)
     partition = _resolve_partition(str(params.get("partition", "basis")), theory, base)
-    transform = _resolve_transform(str(params.get("transform", "none")), theory, base)
+    spec = str(params.get("transform", "none"))
+    transform = None if spec in ("", "none") else _read_map(spec, base, theory)[2]
     exp = Experiment(
         preparation=prep,
         partition=partition,
@@ -593,25 +592,15 @@ def _run_bloch_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: 
 
 
 def _run_transform_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: Path) -> dict[str, Any]:
-    if "unitary" in params:
-        u = serialize.operator_from_dict(_read_input(base, params["unitary"]))
-        kraus = KrausSet(u[np.newaxis])
-    elif "kraus" in params:
-        kraus = KrausSet(serialize.kraus_from_dict(_read_input(base, params["kraus"])))
-    else:
+    kind = "unitary" if "unitary" in params else "kraus"
+    if kind not in params:
         raise GptError("transform pipeline needs a 'unitary' or 'kraus' file")
-    n = kraus.dimension
-    theory = quantum_theory(n)
-    z = (
-        z_from_unitary(kraus.operators[0], theory)
-        if "unitary" in params
-        else z_from_kraus(kraus, theory)
-    )
+    kraus, theory, z = _read_map(f"{kind}:{params[kind]}", base)
     witnesses = [*theory.basis_p, theory.basis_p.mean(axis=0)]
     cp = is_completely_positive(kraus)  # a Kraus form is its own proof of complete positivity
     nonincreasing = is_trace_nonincreasing(kraus)
     details = {
-        "dimension": n,
+        "dimension": theory.dimension,
         "z": z.z.tolist(),
         "provenance": z.provenance,
         "trace_nonincreasing": nonincreasing,

@@ -207,6 +207,21 @@ def vector_from_dict(payload: dict) -> tuple[np.ndarray, int, str, str]:
     return values, _number(payload, "dimension"), role, kind
 
 
+def state_from_dict(payload: dict) -> tuple[str, int, np.ndarray]:
+    """(kind, dimension, values) of an operator file ("rho", it has "matrix")
+    or of a "p" or "r" vector file; another kind, or a dimension above k
+    (K >= N in every theory), is a GptError."""
+    if "matrix" in payload:
+        matrix = operator_from_dict(payload)
+        return "rho", matrix.shape[0], matrix
+    values, n, _, kind = vector_from_dict(payload)
+    if kind not in ("p", "r"):
+        raise GptError(f"vector kind {kind!r} is neither 'p' nor 'r'")
+    if n > values.shape[0]:
+        raise GptError(f"vector header says dimension {n} but k = {values.shape[0]}")
+    return kind, n, values
+
+
 def operator_to_dict(matrix: np.ndarray) -> dict:
     matrix = np.asarray(matrix, dtype=complex)
     return {"dimension": matrix.shape[0], "matrix": complex_to_json(matrix)}

@@ -2,9 +2,9 @@
 
 States carry two equivalent vector descriptions: a p-vector of K fiducial
 probabilities and an r-vector of expansion coefficients over the frame,
-related by p = D r. Operators convert to fiducial probabilities through
-the frame projectors, and to and from r-vectors in closed form through
-``Theory.r_of`` and ``Theory.operator_of``.
+related by p = D r. A ``Theory`` converts operators to and from r-vectors in
+closed form (``r_of``, ``operator_of``); ``p_from_density``, ``density_from_r``
+and the solve ``r_from_p`` serve any frame given by its projectors.
 """
 
 from __future__ import annotations
@@ -135,8 +135,13 @@ class Theory:
 
     @cached_property
     def frame(self) -> FiducialFrame:
-        """The canonical frame, built on first read: only operator forms need it."""
+        """The canonical frame, built on first read: the theory converts in closed form without it."""
         return build_canonical_frame(self.dimension, self.units)
+
+    def require_operator_form(self) -> None:
+        """Refuse (``GptError``) a theory whose units do not span the Hermitian operators."""
+        if not has_operator_form(self.units):
+            raise GptError(f"the {self.name} theory has no operator form")
 
     def r_of(self, ops: np.ndarray) -> np.ndarray:
         """r-vectors of one Hermitian operator (N, N) or a stack (m, N, N),
@@ -149,8 +154,7 @@ class Theory:
         and r_m = rho_mm - 1/2 sum (r_x + r_y) over the pairs that
         contain m. No solve against D is needed.
         """
-        if not has_operator_form(self.units):
-            raise GptError(f"the {self.name} theory has no operator form")
+        self.require_operator_form()
         ops = np.asarray(ops, dtype=complex)
         n = self.dimension
         if ops.ndim not in (2, 3) or ops.shape[-2:] != (n, n):
@@ -176,8 +180,7 @@ class Theory:
         conjugate, and rho_mm = r_m + 1/2 sum (r_x + r_y) over the pairs
         that contain m, so the result is exactly Hermitian.
         """
-        if not has_operator_form(self.units):
-            raise GptError(f"the {self.name} theory has no operator form")
+        self.require_operator_form()
         r = np.asarray(r, dtype=float)
         if r.ndim not in (1, 2) or r.shape[-1] != self.k:
             raise DimensionError(f"r has shape {r.shape}, the {self.name} theory has K = {self.k}")
@@ -193,7 +196,7 @@ class Theory:
         return ops
 
 
-THEORY_UNITS = {"classical": "", "quantum": "xy"}  # theory name -> its pair units
+THEORY_UNITS = {"quantum": "xy", "classical": ""}  # theory name -> its pair units
 
 
 def _theory(name: str, n: int) -> Theory:
@@ -219,7 +222,8 @@ def quantum_theory(n: int) -> Theory:
 
 
 def theory_by_name(name: str, n: int) -> Theory:
-    """The ``quantum`` or ``classical`` theory instance of dimension n."""
+    """The theory of dimension n named by a key of ``THEORY_UNITS``, from this
+    module's ``<name>_theory``, looked up when called (so a wrapper set on it runs)."""
     if name not in THEORY_UNITS:
         raise GptError(f"unknown theory {name!r}")
-    return quantum_theory(n) if name == "quantum" else classical_theory(n)
+    return globals()[f"{name}_theory"](n)

@@ -75,10 +75,26 @@ def test_cli_import_does_not_load_scipy():
             ["simulate", "--config", "e.cfg", "--seed", "1"],
             "mix = 'nan' is not a number",
         ),
+        (
+            {
+                "e.cfg": "[experiment]\nn = 2\npreparation = file:v.json\n",
+                "v.json": {"dimension": 3, "k": 4, "role": "state", "kind": "p", "values": [1, 0, 0, 0]},
+            },
+            ["simulate", "--config", "e.cfg", "--seed", "1"],
+            "preparation dimension 3 does not match n = 2",
+        ),
+        (
+            {
+                "e.cfg": "[experiment]\nn = 2\npreparation = file:v.json\n",
+                "v.json": {"dimension": 7, "k": 4, "role": "state", "kind": "banana", "values": [0, 1, 0, 0]},
+            },
+            ["simulate", "--config", "e.cfg", "--seed", "1"],
+            "vector kind 'banana' is neither 'p' nor 'r'",
+        ),
     ],
     ids=["convert-dimension", "simulate-partition-vector", "simulate-preparation-length",
          "convert-dimension-above-k", "convert-nan-vector", "convert-infinite-operator",
-         "simulate-nan-mix"],
+         "simulate-nan-mix", "simulate-preparation-dimension", "simulate-preparation-kind"],
 )
 def test_malformed_json_field_is_usage_error(tmp_path, capsys, monkeypatch, files, argv, message):
     for name, content in files.items():
@@ -199,9 +215,11 @@ def test_dimension_beyond_the_frame_bound_is_usage_error(tmp_path, capsys, monke
 
 def test_classical_commands_build_no_projector_block(tmp_path, capsys, monkeypatch):
     # classical theory has no operator form, so nothing reads its projectors;
-    # N = 1000 is past the N = 406 a classical projector block admits
+    # N = 1000 is past the N = 406 a classical projector block admits. Quantum
+    # conversions and operator preparations go through Theory.r_of and
+    # Theory.operator_of, so they read no projector block either.
     def refuse(*args):
-        raise AssertionError("a classical command built the projector block")
+        raise AssertionError("a command built the projector block")
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(gptkit.states, "build_canonical_frame", refuse)
@@ -209,6 +227,14 @@ def test_classical_commands_build_no_projector_block(tmp_path, capsys, monkeypat
     code, out, _ = run_cli(capsys, "convert", "--in", "p.json", "--from", "p", "--to", "r", "--theory", "classical")
     assert code == 0 and json.loads(out)["values"] == [1e-3] * 1000
     assert run_cli(capsys, "verify", "--theory", "classical", "--n", "4")[0] == 0
+
+    serialize.write_json("rho.json", serialize.operator_to_dict(np.diag([0.0, 1.0, 0.0]).astype(complex)))
+    serialize.write_json("r.json", serialize.vector_to_dict(np.eye(9)[1], 3, "state", "r"))
+    for src, dst in [("rho", "p"), ("rho", "r"), ("r", "rho"), ("r", "p")]:
+        assert run_cli(capsys, "convert", "--in", f"{src}.json", "--from", src, "--to", dst)[0] == 0
+    Path("e.cfg").write_text("[experiment]\nn = 3\npreparation = file:rho.json\nshots = 100\n")
+    code, out, _ = run_cli(capsys, "simulate", "--config", "e.cfg", "--seed", "1")
+    assert code == 0 and json.loads(out)["counts"] == [0, 0, 100, 0]
 
 
 def test_help_keeps_full_usage(capsys):
@@ -262,6 +288,29 @@ class TestConvert:
         assert code == 0
         back = serialize.operator_from_dict(json.loads(out))
         assert np.abs(back - rho).max() <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    def test_every_pair_agrees_with_the_generic_routes(self, tmp_path, capsys, rng, n):
+        """rho -> r is Theory.r_of, r -> p is D r, r -> rho is Theory.operator_of
+        and only p -> r solves; each agrees with the routes through the
+        projector block (p_from_density, density_from_r) and r_from_p."""
+        theory = gptkit.states.quantum_theory(n)
+        rho = random_density(rng, n)
+        p = gptkit.states.p_from_density(rho, theory.frame)
+        r = gptkit.states.r_from_p(p, theory.d)
+        expected = {"rho": gptkit.states.density_from_r(r, theory.frame), "p": p, "r": r}
+        serialize.write_json(tmp_path / "rho.json", serialize.operator_to_dict(rho))
+        for kind in ("p", "r"):
+            serialize.write_json(tmp_path / f"{kind}.json",
+                                 serialize.vector_to_dict(expected[kind], n, "state", kind))
+        for src in expected:
+            for dst in expected.keys() - {src}:
+                code, out, _ = run_cli(capsys, "convert", "--in", str(tmp_path / f"{src}.json"),
+                                       "--from", src, "--to", dst)
+                assert code == 0
+                payload = json.loads(out)
+                got = serialize.operator_from_dict(payload) if dst == "rho" else np.array(payload["values"])
+                assert np.abs(got - expected[dst]).max() <= 1e-14, (src, dst)
 
     @pytest.mark.parametrize(
         "payload",

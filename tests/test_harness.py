@@ -1,16 +1,21 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gptkit.bloch
+import gptkit.dynamics
 import gptkit.states
 
 from gptkit import harness, serialize
 from gptkit import (
     Experiment,
+    GptError,
     InvalidExperimentError,
+    check_basis_distinguishability,
     check_frequency_convergence,
     check_subspace_axiom,
     classical_theory,
@@ -20,6 +25,7 @@ from gptkit import (
     run_axiom_suite,
     run_report,
     simulate,
+    theory_by_name,
 )
 from gptkit.cli import main
 from gptkit.frames import ATOL
@@ -282,6 +288,79 @@ class TestAxiomSuite:
             "axiom1-frequency-convergence",
             "axiom5-continuity",
         }
+
+
+def overlap_mutant(d):
+    """Every 1/4 entry, between distinct overlapping pairs, set to 0.3: D stays
+    positive definite (smallest eigenvalue 0.20) and is off the projector
+    Gram matrix by 0.05."""
+    d[d == 0.25] = 0.3
+
+
+def basis_mutant(d):
+    """Two basis fiducials that overlap."""
+    d[0, 1] = d[1, 0] = 0.1
+
+
+# The suite's check helpers, each giving one check's status on a theory.
+SUITE_CHECKS = {
+    "a1": lambda theory: harness._frequency_check(theory, seed=0).status,
+    "a2": lambda theory: harness._power_law_check(theory).status,
+    "a3": lambda theory: harness._subspace_check(theory).status,
+    "a4": lambda theory: harness._composite_check(theory).status,
+    "a5": lambda theory: harness._continuity_check(theory, seed=0).status,
+    "basis": lambda theory: "pass" if check_basis_distinguishability(theory).passed else "fail",
+}
+
+# Row -> (theory, n, mutation of D, status of each of SUITE_CHECKS). Known gaps,
+# cells that no mutant of D can turn to fail: axioms 2 and 4 and measurement
+# linearity read no entry of D that a mutant moves (rebuilt on an operational K
+# by ROADMAP item 3), and the transform pipeline's "completely_positive" is true
+# for every Kraus input (ROADMAP item 1).
+VERDICT_ROWS = {
+    "quantum-3": ("quantum", 3, None, "pass pass pass pass pass pass"),
+    "quantum-16": ("quantum", 16, None, "pass pass pass pass pass pass"),
+    "classical-3": ("classical", 3, None, "pass pass pass pass expected-fail pass"),
+    "overlap-quantum-3": ("quantum", 3, overlap_mutant, "pass pass fail pass fail pass"),
+    "overlap-quantum-16": ("quantum", 16, overlap_mutant, "pass pass fail pass fail pass"),
+    "basis-quantum-3": ("quantum", 3, basis_mutant, "pass pass fail pass fail fail"),
+    "basis-quantum-16": ("quantum", 16, basis_mutant, "pass pass fail pass fail fail"),
+    "basis-classical-3": ("classical", 3, basis_mutant, "pass pass fail pass expected-fail fail"),
+}
+VERDICT_CELLS = [(row, check, status) for row, (*_, statuses) in VERDICT_ROWS.items()
+                 for check, status in zip(SUITE_CHECKS, statuses.split(), strict=True)]
+
+
+@pytest.mark.parametrize("row, check, status", VERDICT_CELLS,
+                         ids=[f"{row}-{check}" for row, check, _ in VERDICT_CELLS])
+def test_verdict_matrix(row, check, status):
+    """Each suite check judges the theory's D, not the code that built it."""
+    name, n, mutation, _ = VERDICT_ROWS[row]
+    theory = theory_by_name(name, n)
+    if mutation is not None:
+        d = theory.d.copy()
+        mutation(d)
+        theory = dataclasses.replace(theory, d=d)
+    assert SUITE_CHECKS[check](theory) == status
+
+
+@pytest.mark.parametrize("n", [3, 16])
+def test_overlap_mutant_fails_axiom3_inside_the_suite(monkeypatch, n):
+    """The mutant goes into the code that builds every theory's D, at each
+    module that binds it, so axiom 3 fails only because its reference comes
+    from the projectors, a second route."""
+    original = gptkit.bloch.build_general_d
+
+    def mutant(m, units="xy"):
+        d = original(m, units)
+        overlap_mutant(d)
+        return d
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gptkit") and getattr(module, "build_general_d", None) is original:
+            monkeypatch.setattr(module, "build_general_d", mutant)
+    statuses = {c.name: c.status for c in run_axiom_suite("quantum", n, seed=0).checks}
+    assert statuses["axiom3-subspaces"] == "fail"
 
 
 class TestFrequencyCheck:
@@ -564,6 +643,31 @@ class TestClassicalExperiments:
 
 
 class TestBuildExperiment:
+    @pytest.mark.parametrize(
+        "header, message",
+        [({"dimension": 3}, "preparation dimension 3 does not match n = 2"),
+         ({"kind": "banana"}, "vector kind 'banana' is neither 'p' nor 'r'")],
+    )
+    def test_preparation_file_off_the_section_is_a_section_error(self, tmp_path, header, message):
+        vector = {"dimension": 2, "k": 4, "role": "state", "kind": "p", "values": [0, 1, 0, 0], **header}
+        (tmp_path / "v.json").write_text(json.dumps(vector))
+        config = tmp_path / "r.cfg"
+        config.write_text("[simulate s]\nn = 2\npreparation = file:v.json\nshots = 10\n")
+        code, report = run_report(config, tmp_path / "out")
+        [section] = report["pipelines"]
+        assert (code, section["status"], section["details"]) == (1, "error", {"error": message})
+
+    @pytest.mark.parametrize("key, value", [("preparation", "file:x.op.json"), ("transform", "unitary:x.op.json")])
+    def test_classical_operator_inputs_are_refused_by_the_theory(self, tmp_path, monkeypatch, key, value):
+        def refuse(*args):
+            raise AssertionError("built a Heisenberg block for a theory without operators")
+
+        monkeypatch.setattr(gptkit.dynamics, "canonical_vectors", refuse)
+        serialize.write_json(tmp_path / "x.op.json", serialize.operator_to_dict(np.eye(2, dtype=complex)))
+        params = {"theory": "classical", "n": 2, key: value}
+        with pytest.raises(GptError, match="^the classical theory has no operator form$"):
+            harness.build_experiment(params, seed=0, base=tmp_path)
+
     def test_operator_file_preparation(self, tmp_path):
         from gptkit import serialize
         from gptkit.harness import build_experiment

@@ -303,6 +303,18 @@ class TestTheoryArgument:
         with pytest.raises(GptError, match="unknown theory 'real'"):
             theory_by_name("real", 2)
 
+    @pytest.mark.parametrize("name", list(gptkit.states.THEORY_UNITS))
+    def test_every_table_name_builds_its_theory(self, name):
+        units = gptkit.states.THEORY_UNITS[name]
+        theory = theory_by_name(name, 3)
+        assert (theory.name, theory.units) == (name, units)
+        assert theory.k == len(gptkit.frames.canonical_labels(3, units))
+
+    def test_a_table_name_without_a_builder_does_not_fall_through(self, monkeypatch):
+        monkeypatch.setitem(gptkit.states.THEORY_UNITS, "real", "x")
+        with pytest.raises(KeyError, match="real_theory"):
+            theory_by_name("real", 2)
+
     @pytest.mark.parametrize("module", [gptkit.dynamics, gptkit.states, gptkit.axioms, gptkit.composite])
     def test_no_function_takes_loose_theory_pieces(self, module):
         """A function needing two of one theory's frame, D and r_I takes the
