@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, GptError
-from .frames import COND_CUTOFF, PSD_TOL, PURITY_TOL, canonical_vectors
-from .states import Theory, r_from_p
+from .frames import PSD_TOL, PURITY_TOL, canonical_vectors
+from .states import Theory, r_from_p  # r_from_p unused: bench/test_bench.py asserts that gptkit.dynamics binds it
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,6 @@ class TransformMatrix:
         if not np.isfinite(z).all():
             raise GptError("Z contains non-finite entries")
         object.__setattr__(self, "z", z)
-
-    @property
-    def k(self) -> int:
-        return self.z.shape[0]
 
 
 def z_from_kraus(kraus: KrausSet, theory: Theory) -> TransformMatrix:
@@ -160,23 +156,19 @@ def is_completely_positive(superop: KrausSet | np.ndarray) -> bool:
     return bool(np.linalg.eigvalsh(choi).min() >= -tol)
 
 
-def is_reversible(z: TransformMatrix, witnesses: list[np.ndarray], theory: Theory) -> bool:
-    """True iff Z is invertible and Z^{-1} maps witness states to valid states.
-
-    Validity of the pre-image: p entries and mu within [0, 1] and the
-    reconstructed operator positive semidefinite, all to ``PURITY_TOL``.
+def is_reversible(kraus: KrausSet) -> bool:
+    """True iff the inverse is also an allowed transformation: exactly a
+    unitary conjugation, since a trace-non-increasing map with such an
+    inverse preserves the trace, and a channel with a channel inverse has
+    Kraus operators that are all multiples of one unitary. So the Kraus
+    Gram matrix tr(M_l^dag M_m) has rank one (each eigenvalue but the
+    largest is at most ``PSD_TOL`` times the largest), and the map is trace
+    preserving.
     """
-    svals = np.linalg.svd(z.z, compute_uv=False)
-    if svals[-1] * COND_CUTOFF <= svals[0]:
-        return False
-    stacked = np.asarray(witnesses, dtype=float).reshape(len(witnesses), z.k)
-    pre = np.linalg.solve(z.z, stacked.T).T  # one pre-image per row
-    mus = pre @ np.asarray(theory.r_identity, dtype=float)
-    for values in (pre, mus):
-        if not (values.min(initial=0.0) >= -PURITY_TOL and values.max(initial=0.0) <= 1.0 + PURITY_TOL):
-            return False
-    rhos = theory.operator_of(r_from_p(pre, theory.d))  # exactly Hermitian
-    return bool(np.linalg.eigvalsh(rhos).min(initial=0.0) >= -PURITY_TOL)
+    ops = kraus.operators.reshape(len(kraus.operators), kraus.dimension**2)
+    eigvals = np.linalg.eigvalsh(ops.conj() @ ops.T)  # ascending; none for an empty set
+    rank_one = eigvals[:-1].max(initial=0.0) <= PSD_TOL * eigvals.max(initial=0.0)
+    return bool(rank_one) and is_trace_preserving(kraus)
 
 
 @dataclass(frozen=True)

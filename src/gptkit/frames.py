@@ -24,10 +24,9 @@ from .errors import DegenerateFrameError, DimensionError, GptError, NoSignatureE
 # sets them; each report records the tolerance or budget its check used.
 ATOL = 1e-12  # identities that hold exactly up to rounding
 PSD_TOL = 1e-10  # eigenvalue signs, and operator identities after products
-PURITY_TOL = 1e-9  # purities r^T D r, and values that come out of a solve against D or Z
+PURITY_TOL = 1e-9  # purities r^T D r, and values that come out of a solve against D
 INDEPENDENCE_RTOL = 1e-9  # smallest/largest singular value of a frame's projectors
 GRAM_SINGULAR_TOL = 1e-9  # smallest singular value of a D matrix
-COND_CUTOFF = 1e9  # condition number beyond which Z counts as not invertible
 LINEARITY_TOL = 1e-14  # affine and homogeneity identities of a measurement
 LINEARITY_SAMPLES = 1000  # random mixtures and scalings per linearity check
 FREQUENCY_ENVELOPE = 5.0  # frequency bound at n shots: FREQUENCY_ENVELOPE / sqrt(n)

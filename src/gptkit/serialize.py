@@ -11,7 +11,6 @@ extension and D-matrix files ``.dmat.json`` by convention.
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 from typing import Any
 
@@ -83,76 +82,85 @@ def dumps(payload: dict) -> str:
     """The JSON text of every file and printout: indented, keys sorted.
 
     The text is ``json.dumps(payload, indent=2, sort_keys=True)`` byte for
-    byte. Each number array, the bulk of a matrix file, is written by one
-    orjson call (``_number_list``) instead of json's per-item Python encoder.
+    byte, with each numpy array read as its ``tolist()``. Each number array,
+    the bulk of a matrix file, is written by one orjson call
+    (``_number_list``) instead of json's per-item Python encoder.
     """
-    return _encode(payload, "\n") + "\n"
-
-
-def _encode(value: Any, newline: str) -> str:
-    """json's indent=2 text of ``value``, which starts on a line that
-    ``newline`` (a line break plus the current indent) begins.
-
-    A non-empty list of finite floats and ints, nested to any depth, is
-    one ``_number_list`` call; any other list is encoded item by item.
-    """
-    inner = newline + "  "
-    if type(value) is list and value:
-        text = _number_list(value) if type(value[0]) in (float, int, list) else None
-        if text is not None:
-            return text.replace("\n", newline)
-        return "[" + inner + ("," + inner).join(_encode(v, inner) for v in value) + newline + "]"
-    if type(value) is dict and value and all(type(k) is str for k in value):
-        items = (json.dumps(k) + ": " + _encode(v, inner) for k, v in sorted(value.items()))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if not isinstance(value, (dict, list, tuple)):
-        return json.dumps(value)  # a scalar's text does not depend on the layout
-    # json writes no raw line break inside a string, so every one is layout
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
-
-
-_EXPONENT = re.compile(r"e(-?)(\d+)")
-
-
-def _exponent(match: re.Match) -> str:
-    """repr's layout of an exponent: a sign always, at least two digits."""
-    return "e" + (match[1] or "+") + match[2].zfill(2)
-
-
-def _number_list(value: list) -> str | None:
-    """json's indent=2 text of ``value`` from one orjson call, or None when
-    ``value`` holds anything but finite floats, ints within 64 bits and
-    lists of them.
-
-    orjson prints the same shortest round-trip digits as ``repr``; only the
-    exponent layout differs. It writes ``1e16`` and ``1.2e-7`` where repr
-    writes ``1e+16`` and ``1.2e-07``, which one regex pass rewrites, and it
-    writes [1e-5, 1e-4) positionally (``0.00001``) where repr writes
-    ``1e-05``. Each token holding ``0.0000`` is therefore rewritten as the
-    repr of its float, which leaves the other such tokens as they are.
-    """
-    try:
-        text = orjson.dumps(value, option=orjson.OPT_INDENT_2).decode()
-    except TypeError:  # numpy scalars, ints beyond 64 bits
-        return None
-    if any(c in text for c in '"{tfn'):  # strings, objects, true, false; null for NaN and inf
-        return None
-    if "e" in text:  # every e is an exponent: the text holds only numbers
-        text = _EXPONENT.sub(_exponent, text)
-    pieces, done = [], 0
-    at = text.find("0.0000")
-    while at >= 0:
-        start = text.rfind(" ", 0, at) + 1  # each number is on its own indented line
-        end = text.find("\n", at)
-        end -= text[end - 1] == ","  # every item but a list's last is followed by a comma
-        pieces += text[done:start], repr(float(text[start:end]))
-        done = end
-        at = text.find("0.0000", end)
-    if not pieces:
-        return text
-    pieces.append(text[done:])
-    del text  # the pieces copy all of it: free it before the join builds the result
+    pieces: list[str] = []
+    _encode(payload, 0, pieces)
+    pieces.append("\n")
     return "".join(pieces)
+
+
+def _encode(value: Any, depth: int, out: list[str]) -> None:
+    """Append to ``out`` json's indent=2 text of ``value``, which starts on
+    a line indented by ``depth`` levels.
+
+    A float64 array, or a non-empty list of finite floats and ints nested
+    to any depth, is one ``_number_list`` call; any other array is encoded
+    as its ``tolist()``, and any other list item by item.
+    """
+    if type(value) is np.ndarray:
+        if value.dtype != np.float64 or not _number_list(value, depth, out):
+            _encode(value.tolist(), depth, out)
+        return
+    newline = "\n" + "  " * depth
+    if type(value) is list and value:
+        if type(value[0]) in (float, int, list) and _number_list(value, depth, out):
+            return
+        for i, item in enumerate(value):
+            out.append(("," if i else "[") + newline + "  ")
+            _encode(item, depth + 1, out)
+        out += newline, "]"
+    elif type(value) is dict and value and all(type(k) is str for k in value):
+        for i, (key, item) in enumerate(sorted(value.items())):
+            out.append(("," if i else "{") + newline + "  " + json.dumps(key) + ": ")
+            _encode(item, depth + 1, out)
+        out += newline, "}"
+    elif not isinstance(value, (dict, list, tuple)):
+        out.append(json.dumps(value))  # a scalar's text does not depend on the layout
+    else:  # json writes no raw line break inside a string, so every one is layout
+        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
+
+
+def _number_list(value: list | np.ndarray, depth: int, out: list[str]) -> bool:
+    """Append to ``out`` json's indent=2 text of ``value`` at ``depth``
+    levels of indent, from one orjson call; False, with nothing appended,
+    when ``value`` holds anything but finite floats, ints within 64 bits
+    and lists of them, or is an array orjson refuses (not C-contiguous).
+
+    orjson writes ``value`` nested in ``depth`` one-item lists, so each line
+    comes out at its final indent, and the wrapper lines are left out. Its
+    digits are repr's shortest round-trip ones, but it writes ``1e16`` and
+    ``1.2e-7`` where repr writes ``1e+16`` and ``1.2e-07``, and [1e-5, 1e-4)
+    positionally (``0.00001``) where repr writes ``1e-05``. So each token
+    holding ``e`` or ``0.0000`` is written as the repr of its float.
+    """
+    option = orjson.OPT_INDENT_2 | (orjson.OPT_SERIALIZE_NUMPY if type(value) is np.ndarray else 0)
+    for _ in range(depth):
+        value = [value]
+    try:
+        raw = orjson.dumps(value, option=option)
+    except TypeError:  # numpy scalars, ints beyond 64 bits, 0-d or non-contiguous arrays
+        return False
+    if any(c in raw for c in b'"{tfn'):  # strings, objects, true, false; null for NaN and inf
+        return False
+    # the wrappers open with depth lines "[" at indents 0, 2, ... and close with as many "]" lines
+    done, stop = depth * (depth + 3), len(raw) - depth * (depth + 1)
+    starts = set()
+    for marker in (b"e", b"0.0000"):  # every e is an exponent: the text holds only numbers
+        at = raw.find(marker, done, stop)
+        while at >= 0:
+            starts.add(raw.rfind(b" ", 0, at) + 1)  # each number is on its own indented line
+            at = raw.find(marker, at + 1, stop)
+    view = memoryview(raw)
+    for start in sorted(starts):
+        end = raw.find(b"\n", start)
+        end -= raw[end - 1] == ord(",")  # every item but a list's last is followed by a comma
+        out += str(view[done:start], "ascii"), repr(float(raw[start:end]))
+        done = end
+    out.append(str(view[done:stop], "ascii"))
+    return True
 
 
 def write_json(path: str | Path, payload: dict) -> None:

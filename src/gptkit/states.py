@@ -77,7 +77,7 @@ def is_pure(r: np.ndarray, theory: Theory) -> bool:
     """True iff r^T D r = 1 and mu = 1, both within ``PURITY_TOL``.
 
     The tolerance is looser than ``ATOL`` because r^T D r sums K^2
-    rounded products, and r may itself come out of a solve against D or Z.
+    rounded products, and r may itself come out of a solve against D.
     """
     r = np.asarray(r, dtype=float)
     quad = float(r @ np.asarray(theory.d, dtype=float) @ r)

@@ -430,6 +430,19 @@ class TestTransform:
         payload = json.loads(out)
         assert payload["reversible"] is False
 
+    def test_partial_dephasing_is_irreversible(self, tmp_path, capsys):
+        # Z is invertible and its inverse maps the basis states back into the
+        # state space, but the inverse map is not a channel
+        k_file = tmp_path / "dephase.kraus.json"
+        pauli_z = np.diag([1.0, -1.0]).astype(complex)
+        serialize.write_json(k_file, serialize.kraus_to_dict(
+            np.stack([np.sqrt(0.9) * np.eye(2, dtype=complex), np.sqrt(0.1) * pauli_z])))
+        code, out, _ = run_cli(capsys, "transform", "--kraus", str(k_file))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["trace_preserving"] is True
+        assert payload["reversible"] is False
+
 
 class TestComposite:
     def test_bell_state(self, tmp_path, capsys):

@@ -263,60 +263,35 @@ class TestCompletePositivity:
         assert_allclose(lhs, kraus.apply(rho), atol=1e-12)
 
 
+def dephasing(n: int, eps: float = 0.1) -> np.ndarray:
+    """Kraus form of rho -> (1 - eps) rho + eps Z rho Z, Z = diag(1, -1, 1, ...)."""
+    sign = np.diag(np.resize([1.0, -1.0], n)).astype(complex)
+    return np.stack([np.sqrt(1.0 - eps) * np.eye(n, dtype=complex), np.sqrt(eps) * sign])
+
+
+# Row -> (Kraus operators from rng, reversible). Reversible means the inverse is
+# an allowed map too: exactly the unitary conjugations, whatever the Kraus form.
+# Partial dephasing and sqrt(2) I have invertible Z whose inverse maps basis
+# states back into the state space, yet neither inverse is a channel.
+REVERSIBILITY_ROWS = {
+    "haar-unitary": (lambda rng: haar_unitary(rng, 2), True),
+    "identity": (lambda rng: np.eye(2, dtype=complex), True),
+    "projection": (lambda rng: P1, False),
+    "split-unitary": (lambda rng: np.stack([0.6 * (u := haar_unitary(rng, 3)), 0.8j * u]), True),
+    "dephasing-n2": (lambda rng: dephasing(2), False),
+    "dephasing-n16": (lambda rng: dephasing(16), False),
+    "sqrt2-identity": (lambda rng: np.sqrt(2.0) * np.eye(2, dtype=complex), False),
+    "half-unitary": (lambda rng: 0.5 * haar_unitary(rng, 2), False),
+    "cptp-l2": (lambda rng: random_trace_preserving_kraus(rng, 3, terms=2), False),
+    "no-terms": (lambda rng: np.zeros((0, 2, 2), dtype=complex), False),
+}
+
+
 class TestReversibility:
-    def _witnesses(self, rng, count=10):
-        out = [QT2.basis_p[0], QT2.basis_p[1], p_from_density(np.eye(2, dtype=complex) / 2, QT2.frame)]
-        out += [p_from_density(random_density(rng, 2), QT2.frame) for _ in range(count)]
-        return out
-
-    def test_unitary_derived_is_reversible(self, rng):
-        u = haar_unitary(rng, 2)
-        z = z_from_unitary(u, QT2)
-        assert is_reversible(z, self._witnesses(rng), QT2)
-
-    def test_projection_derived_is_singular(self, rng):
-        z = z_from_kraus(KrausSet(P1), QT2)
-        assert not is_reversible(z, self._witnesses(rng), QT2)
-
-    def test_identity_is_reversible(self, rng):
-        z = z_from_unitary(np.eye(2, dtype=complex), QT2)
-        assert is_reversible(z, self._witnesses(rng), QT2)
-
-    def test_no_witnesses_leave_only_the_rank_test(self):
-        assert is_reversible(z_from_unitary(np.eye(2, dtype=complex), QT2), [], QT2)
-
-    def test_builds_no_frame(self, monkeypatch, rng):
-        theory = quantum_theory(3)
-        witnesses = [theory.basis_p[0], theory.basis_p[2]]
-        z = z_from_unitary(haar_unitary(rng, 3), theory)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("built the projector block")
-
-        monkeypatch.setattr(gptkit.states, "build_canonical_frame", refuse)
-        assert is_reversible(z, witnesses, theory)
-        assert not is_reversible(z, witnesses + [np.full(theory.k, 0.5)], theory)
-
-    def test_batch_is_the_conjunction_of_single_witnesses(self, rng):
-        theory = quantum_theory(3)
-        z = z_from_kraus(KrausSet(random_kraus(rng, 3)), theory)
-        witnesses = [theory.basis_p[0], p_from_density(random_density(rng, 3), theory.frame)]
-        invert = np.linalg.inv(z.z)
-        for wit in witnesses:
-            # a valid pre-image must have entries in [0, 1] and a PSD operator
-            assert is_reversible(z, [wit], theory) == self._valid(invert @ wit, theory)
-        singles = [is_reversible(z, [wit], theory) for wit in witnesses]
-        assert is_reversible(z, witnesses, theory) == all(singles)
-        u = z_from_unitary(haar_unitary(rng, 3), theory)
-        assert is_reversible(u, witnesses, theory)
-        assert not is_reversible(u, witnesses + [np.full(theory.k, 2.0)], theory)
-
-    @staticmethod
-    def _valid(pre, theory) -> bool:
-        rho = np.einsum("k,kij->ij", r_from_p(pre, theory.d), theory.frame.projectors)
-        mu = theory.r_identity @ pre
-        return bool(pre.min() >= -1e-9 and pre.max() <= 1 + 1e-9 and -1e-9 <= mu <= 1 + 1e-9
-                    and np.linalg.eigvalsh(rho).min() >= -1e-9)
+    @pytest.mark.parametrize("row", REVERSIBILITY_ROWS)
+    def test_verdict(self, row, rng):
+        build, reversible = REVERSIBILITY_ROWS[row]
+        assert is_reversible(KrausSet(build(rng))) is reversible
 
 
 class TestMeasurementUpdate:

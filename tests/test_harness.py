@@ -302,6 +302,38 @@ def basis_mutant(d):
     d[0, 1] = d[1, 0] = 0.1
 
 
+def in_d(mutant):
+    """A row mutation: ``mutant`` applied to the theory's D alone, so its basis
+    p-vectors stay those of the clean D."""
+    def mutate(theory):
+        d = theory.d.copy()
+        mutant(d)
+        return dataclasses.replace(theory, d=d)
+    return mutate
+
+
+def builder_with(mutant):
+    """``states.build_general_d``, the builder of every theory's D, with
+    ``mutant`` applied to each D it builds."""
+    original = gptkit.states.build_general_d
+
+    def mutated(m, units="xy"):
+        d = original(m, units)
+        mutant(d)
+        return d
+    return mutated
+
+
+def in_builder(mutant):
+    """A row mutation: the theory rebuilt with ``mutant`` in its D builder,
+    so the basis p-vectors (the first N rows of D) follow it."""
+    def mutate(theory):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gptkit.states, "build_general_d", builder_with(mutant))
+            return theory_by_name(theory.name, theory.dimension)
+    return mutate
+
+
 # The suite's check helpers, each giving one check's status on a theory.
 SUITE_CHECKS = {
     "a1": lambda theory: harness._frequency_check(theory, seed=0).status,
@@ -312,20 +344,24 @@ SUITE_CHECKS = {
     "basis": lambda theory: "pass" if check_basis_distinguishability(theory).passed else "fail",
 }
 
-# Row -> (theory, n, mutation of D, status of each of SUITE_CHECKS). Known gaps,
-# cells that no mutant of D can turn to fail: axioms 2 and 4 and measurement
-# linearity read no entry of D that a mutant moves (rebuilt on an operational K
-# by ROADMAP item 3), and the transform pipeline's "completely_positive" is true
-# for every Kraus input (ROADMAP item 1).
+# Row -> (theory, n, mutation of the theory, status of each of SUITE_CHECKS).
+# Known gaps, cells that no mutant of D can turn to fail: axioms 2 and 4 and
+# measurement linearity read no entry of D that a mutant moves (rebuilt on an
+# operational K by ROADMAP item 3), and the transform pipeline's
+# "completely_positive" is true for every Kraus input (ROADMAP item 1).
 VERDICT_ROWS = {
     "quantum-3": ("quantum", 3, None, "pass pass pass pass pass pass"),
     "quantum-16": ("quantum", 16, None, "pass pass pass pass pass pass"),
     "classical-3": ("classical", 3, None, "pass pass pass pass expected-fail pass"),
-    "overlap-quantum-3": ("quantum", 3, overlap_mutant, "pass pass fail pass fail pass"),
-    "overlap-quantum-16": ("quantum", 16, overlap_mutant, "pass pass fail pass fail pass"),
-    "basis-quantum-3": ("quantum", 3, basis_mutant, "pass pass fail pass fail fail"),
-    "basis-quantum-16": ("quantum", 16, basis_mutant, "pass pass fail pass fail fail"),
-    "basis-classical-3": ("classical", 3, basis_mutant, "pass pass fail pass expected-fail fail"),
+    "overlap-quantum-3": ("quantum", 3, in_d(overlap_mutant), "pass pass fail pass fail pass"),
+    "overlap-quantum-16": ("quantum", 16, in_d(overlap_mutant), "pass pass fail pass fail pass"),
+    "basis-quantum-3": ("quantum", 3, in_d(basis_mutant), "pass pass fail pass fail fail"),
+    "basis-quantum-16": ("quantum", 16, in_d(basis_mutant), "pass pass fail pass fail fail"),
+    "basis-classical-3": ("classical", 3, in_d(basis_mutant), "pass pass fail pass expected-fail fail"),
+    "built-basis-quantum-3": ("quantum", 3, in_builder(basis_mutant), "fail pass fail pass fail fail"),
+    "built-basis-quantum-16": ("quantum", 16, in_builder(basis_mutant), "fail pass fail pass fail fail"),
+    "built-basis-classical-3": ("classical", 3, in_builder(basis_mutant),
+                                "fail pass fail pass expected-fail fail"),
 }
 VERDICT_CELLS = [(row, check, status) for row, (*_, statuses) in VERDICT_ROWS.items()
                  for check, status in zip(SUITE_CHECKS, statuses.split(), strict=True)]
@@ -338,10 +374,18 @@ def test_verdict_matrix(row, check, status):
     name, n, mutation, _ = VERDICT_ROWS[row]
     theory = theory_by_name(name, n)
     if mutation is not None:
-        d = theory.d.copy()
-        mutation(d)
-        theory = dataclasses.replace(theory, d=d)
+        theory = mutation(theory)
     assert SUITE_CHECKS[check](theory) == status
+
+
+@pytest.mark.parametrize("name, n", [("quantum", 3), ("quantum", 16), ("classical", 3)])
+def test_built_basis_mutant_fails_axiom1_inside_the_suite(monkeypatch, name, n):
+    """Basis states of a mutant D give outcome probabilities summing to 1.1,
+    which the axiom-1 check reports as a failure, not an exception."""
+    monkeypatch.setattr(gptkit.states, "build_general_d", builder_with(basis_mutant))
+    frequency = run_axiom_suite(name, n, seed=0).checks[0]
+    assert (frequency.name, frequency.status) == ("axiom1-frequency-convergence", "fail")
+    assert "sum to 1.1" in frequency.witnesses["error"]
 
 
 @pytest.mark.parametrize("n", [3, 16])

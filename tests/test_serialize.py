@@ -1,6 +1,8 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
@@ -134,17 +136,70 @@ class TestDumps:
     def test_matches_json_dumps(self, payload):
         assert serialize.dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    def test_matrix_files_take_the_orjson_path(self, rng):
-        """A Z-like matrix with round-off entries and a (K, N, N, 2)
-        projector list are each one orjson call, so a silent fall back to
-        the item-by-item path fails here."""
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_number_arrays_match_json_dumps_at_any_depth(self, depth, rng):
+        """In report.json, Z sits at depth 4: pipelines -> item -> details -> z."""
+        value = (rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-20, 20, (3, 4))).tolist()
+        value[1] = [1.5e-05, -0.0, 1e16, 2]
+        for level in range(depth - 1):
+            value = [value] if level % 2 else {"key": value}
+        payload = {"top": value}
+        assert serialize.dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("shape", [(10,), (2, 5)])
+    @pytest.mark.parametrize("layout", ["contiguous", "reversed", "with-nan"])
+    def test_float64_arrays_match_their_lists(self, shape, layout):
+        """A float64 array goes to orjson as it is; one orjson refuses (not
+        C-contiguous, or holding NaN) is written as its list."""
+        values = np.array([1e16, 1.5e-05, -0.0, 5e-324, -2.5e-300, 0.5, 1e-7, 3.0, 0.1, 1e22]).reshape(shape)
+        if layout == "reversed":
+            values = values[::-1]
+        if layout == "with-nan":
+            values.flat[3] = np.nan
+        payload = {"a": values, "b": [{"c": values}]}
+        listed = {"a": values.tolist(), "b": [{"c": values.tolist()}]}
+        assert serialize.dumps(payload) == json.dumps(listed, indent=2, sort_keys=True) + "\n"
+
+    def test_matrix_files_take_the_orjson_path(self, rng, monkeypatch):
+        """A Z-like matrix with round-off entries, as an array and as a list,
+        and a (K, N, N, 2) projector list, each at Z's depth in report.json,
+        are each one orjson call that nests them in one-item lists to their
+        final indent. A fall back to a re-indent of the text or to the
+        item-by-item path fails here."""
         z = np.round(rng.standard_normal((256, 256)), 2)
         z.flat[rng.choice(z.size, 100, replace=False)] = rng.standard_normal(100) * 1e-17
         projectors = serialize.complex_to_json(build_canonical_frame(4).projectors)
         assert np.shape(projectors) == (16, 4, 4, 2)
-        for matrix in (z.tolist(), projectors):
-            assert serialize._number_list(matrix) == json.dumps(matrix, indent=2)
-            assert serialize.dumps({"m": matrix}) == json.dumps({"m": matrix}, indent=2) + "\n"
+        calls, depths = [], []
+        encode = serialize._encode
+
+        def recording_dumps(value, option):
+            calls.append(value)
+            return orjson.dumps(value, option=option)
+
+        def recording_encode(value, depth, out):
+            depths.append(depth)
+            encode(value, depth, out)
+
+        monkeypatch.setattr(serialize, "orjson", SimpleNamespace(
+            dumps=recording_dumps, OPT_INDENT_2=orjson.OPT_INDENT_2,
+            OPT_SERIALIZE_NUMPY=orjson.OPT_SERIALIZE_NUMPY))
+        monkeypatch.setattr(serialize, "_encode", recording_encode)
+        for matrix in (z, z.tolist(), projectors):
+            listed = matrix.tolist() if isinstance(matrix, np.ndarray) else matrix
+            pieces = []
+            assert serialize._number_list(matrix, 0, pieces)
+            assert "".join(pieces) == json.dumps(listed, indent=2)
+            calls.clear()
+            depths.clear()
+            text = serialize.dumps({"pipelines": [{"details": {"z": matrix}}]})
+            assert text == json.dumps({"pipelines": [{"details": {"z": listed}}]}, indent=2) + "\n"
+            assert depths == [0, 1, 2, 3, 4]  # one _encode call per level, none per item
+            (wrapped,) = calls
+            for _ in range(4):
+                assert type(wrapped) is list and len(wrapped) == 1
+                wrapped = wrapped[0]
+            assert wrapped is matrix
 
     @given(st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=5))
     def test_matches_json_dumps_on_any_object(self, payload):
