@@ -88,12 +88,8 @@ from .states import (
     Theory,
     classical_theory,
     density_from_r,
-    is_pure,
     mix,
-    normalization,
     p_from_density,
-    p_from_r,
-    probability,
     quantum_theory,
     r_from_p,
     theory_by_name,

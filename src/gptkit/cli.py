@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Callable, NoReturn
 
@@ -122,7 +123,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {self.prog}: {' '.join(message.splitlines())}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``gpt`` parser, built on first call and reused by every ``main``
+    call in the process: ``parse_args`` returns a fresh namespace each time,
+    and the handlers it names look up the module globals when they run."""
     parser = _Parser(
         prog="gpt",
         description="Fiducial frames, D matrices, and axiom checks for "

@@ -1,7 +1,9 @@
 """Bipartite states as K_A x K_B matrices of joint fiducial probabilities.
 
 The matrix form is used because local transformations act two-sidedly:
-p_tilde -> Z_A p_tilde Z_B^T. A flattening adapter supports rank counting.
+p_tilde -> Z_A p_tilde Z_B^T. A state is read from its operator through the
+two theories' closed-form conversions, with no projector block; a flattening
+adapter supports rank counting.
 """
 
 from __future__ import annotations
@@ -10,24 +12,32 @@ import numpy as np
 
 from .dynamics import TransformMatrix
 from .errors import DimensionError
-from .frames import ATOL, FiducialFrame
+from .frames import ATOL
+from .states import Theory
 
 
-def composite_from_density(
-    rho_ab: np.ndarray, frame_a: FiducialFrame, frame_b: FiducialFrame
-) -> np.ndarray:
-    """Joint fiducial probabilities p_tilde[i, j] = tr((P_i (x) P_j) rho)."""
+def composite_from_density(rho_ab: np.ndarray, theory_a: Theory, theory_b: Theory) -> np.ndarray:
+    """Joint fiducial probabilities p_tilde[i, j] = tr((P_i (x) P_j) rho).
+
+    Over the two canonical frames rho = sum R_kl P_k (x) P_l, so
+    p_tilde = D_A R D_B. R is read off the entries: each N_A x N_A block
+    X_bd of rho (b, d over B) is split into its Hermitian part and i times
+    its anti-Hermitian one, whose A coefficients ``theory_a.r_of`` gives;
+    for each A fiducial k the coefficients form a Hermitian N_B x N_B
+    matrix, whose B coefficients ``theory_b.r_of`` gives. A non-Hermitian
+    rho fails that Hermitian check (``GptError``).
+    """
     rho_ab = np.asarray(rho_ab, dtype=complex)
-    na, nb = frame_a.dimension, frame_b.dimension
+    na, nb = theory_a.dimension, theory_b.dimension
     if rho_ab.shape != (na * nb, na * nb):
         raise DimensionError(
             f"operator shape {rho_ab.shape} does not match composite dimension {na * nb}"
         )
-    rho4 = rho_ab.reshape(na, nb, na, nb)
-    vals = np.einsum("iab,jcd,bdac->ij", frame_a.projectors, frame_b.projectors, rho4)
-    if np.abs(vals.imag).max() > ATOL:
-        raise DimensionError("joint probabilities have non-negligible imaginary part")
-    return vals.real
+    blocks = rho_ab.reshape(na, nb, na, nb).transpose(1, 3, 0, 2).reshape(nb * nb, na, na)
+    adjoints = blocks.conj().swapaxes(-1, -2)
+    r_a = theory_a.r_of((blocks + adjoints) / 2.0) + 1j * theory_a.r_of((blocks - adjoints) / 2.0j)
+    r_ab = theory_b.r_of(r_a.T.reshape(theory_a.k, nb, nb))
+    return theory_a.d @ r_ab @ theory_b.d
 
 
 def local_transform(

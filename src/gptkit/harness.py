@@ -30,7 +30,6 @@ from .axioms import (
     check_linearity,
     check_subspace_axiom,
     fit_power_law,
-    is_completely_multiplicative,
 )
 from .bloch import (
     D2Params,
@@ -174,7 +173,7 @@ def simulate(exp: Experiment) -> OutcomeCounts:
 class CheckResult:
     name: str
     status: str  # "pass" | "fail" | "expected-fail"
-    max_deviation: float
+    max_deviation: float | None  # None when a failed check has no deviation to measure
     witnesses: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -235,7 +234,7 @@ def _frequency_check(theory: Theory, seed: int) -> CheckResult:
             row = outcome_probabilities(exp)
         except InvalidExperimentError as exc:  # the basis states of D give no valid probabilities
             return CheckResult(name="axiom1-frequency-convergence", status="fail",
-                               max_deviation=float("nan"), witnesses={"error": str(exc)})
+                               max_deviation=None, witnesses={"reason": str(exc)})
         probs.append(row / row.sum())  # normalised as in simulate
     shots = np.repeat(FREQUENCY_SCALES, FREQUENCY_TRIALS).reshape(len(FREQUENCY_SCALES), FREQUENCY_TRIALS)
     counts = np.random.default_rng(stream_seed).multinomial(
@@ -264,14 +263,16 @@ def _frequency_check(theory: Theory, seed: int) -> CheckResult:
 def _power_law_check(theory: Theory) -> CheckResult:
     table = {m: len(canonical_labels(m, theory.units)) for m in range(1, POWER_LAW_N_MAX + 1)}
     expected = 2 if theory.units else 1
-    mult = is_completely_multiplicative(table)
-    r = fit_power_law(table) if mult.ok else None
-    ok = mult.ok and r == expected
+    r = fit_power_law(table)  # None unless the table is completely multiplicative and K = N^r
+    ok = r == expected
+    witnesses: dict[str, Any] = {"table": {str(k): v for k, v in table.items()}, "exponent": r}
+    if not ok:
+        witnesses["reason"] = "no K = N^r fits the table" if r is None else f"exponent {r}, expected {expected}"
     return CheckResult(
         name="axiom2-simplicity-power-law",
         status="pass" if ok else "fail",
-        max_deviation=0.0 if ok else float("nan"),
-        witnesses={"table": {str(k): v for k, v in table.items()}, "exponent": r},
+        max_deviation=0.0 if ok else None,
+        witnesses=witnesses,
     )
 
 
@@ -342,6 +343,12 @@ def _continuity_check(theory: Theory, seed: int) -> CheckResult:
     )
 
 
+def _basis_check(theory: Theory) -> CheckResult:
+    basis = check_basis_distinguishability(theory)
+    return CheckResult(name="basis-distinguishability", status="pass" if basis.passed else "fail",
+                       max_deviation=basis.max_deviation)
+
+
 def run_axiom_suite(theory_name: str, n: int, seed: int) -> SuiteReport:
     """Run every axiom check against one theory instance, at the sample budgets in ``frames``.
 
@@ -350,8 +357,6 @@ def run_axiom_suite(theory_name: str, n: int, seed: int) -> SuiteReport:
     as an overall pass (the asymmetry is the point).
     """
     theory = theory_by_name(theory_name, n)
-    basis = check_basis_distinguishability(theory)
-
     rng = np.random.default_rng(derive_seed(seed, 6))
     pool = [theory.basis_p[i] for i in range(theory.dimension)]
     pool.append(np.zeros(theory.k))
@@ -365,12 +370,7 @@ def run_axiom_suite(theory_name: str, n: int, seed: int) -> SuiteReport:
         _subspace_check(theory),
         _composite_check(theory),
         _continuity_check(theory, seed),
-        CheckResult(
-            name="basis-distinguishability",
-            status="pass" if basis.passed else "fail",
-            max_deviation=basis.max_deviation,
-            witnesses={},
-        ),
+        _basis_check(theory),
         CheckResult(
             name="measurement-linearity",
             status="pass" if linearity.passed else "fail",
@@ -560,7 +560,7 @@ def _run_frame_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: 
 
 def _run_verify_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: Path) -> dict[str, Any]:
     report = run_axiom_suite(str(params.get("theory", "quantum")), _number(params, "n", default=2), seed)
-    worst = max((c.max_deviation for c in report.checks), default=0.0)
+    worst = max((c.max_deviation for c in report.checks if c.max_deviation is not None), default=0.0)
     return {
         "status": "pass" if report.passed else "fail",
         "max_deviation": worst,
@@ -622,7 +622,7 @@ def _run_composite_pipeline(params: dict[str, Any], seed: int, base: Path, out_d
     rho = serialize.operator_from_dict(_read_input(base, _required(params, "rho")))
     na, nb = _number(params, "na"), _number(params, "nb")
     ta, tb = quantum_theory(na), quantum_theory(nb)
-    pt = composite_from_density(rho, ta.frame, tb.frame)
+    pt = composite_from_density(rho, ta, tb)
 
     rng = np.random.default_rng(derive_seed(seed, 7))
     worst = 0.0
@@ -632,7 +632,7 @@ def _run_composite_pipeline(params: dict[str, Any], seed: int, base: Path, out_d
         zb = z_from_unitary(ub, tb)
         left = local_transform(pt, za, zb)
         u = np.kron(ua, ub)
-        right = composite_from_density(u @ rho @ u.conj().T, ta.frame, tb.frame)
+        right = composite_from_density(u @ rho @ u.conj().T, ta, tb)
         worst = max(worst, float(np.abs(left - right).max()))
     rank = dof_count_check(ta.d, tb.d)
     ok = worst <= PSD_TOL and rank == ta.k * tb.k

@@ -2,21 +2,22 @@
 
 States carry two equivalent vector descriptions: a p-vector of K fiducial
 probabilities and an r-vector of expansion coefficients over the frame,
-related by p = D r. A ``Theory`` converts operators to and from r-vectors in
-closed form (``r_of``, ``operator_of``); ``p_from_density``, ``density_from_r``
-and the solve ``r_from_p`` serve any frame given by its projectors.
+related by p = D r. A ``Theory`` converts operators to and from r-vectors
+in closed form (``r_of``, ``operator_of``). ``p_from_density``,
+``density_from_r`` and the solve ``r_from_p`` serve any frame given by its
+projectors: tests compare the closed forms against them, and
+``gpt convert --from p`` solves with ``r_from_p``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .bloch import build_general_d
 from .errors import DimensionError, GptError
-from .frames import ATOL, PURITY_TOL, FiducialFrame, build_canonical_frame, has_operator_form
+from .frames import ATOL, FiducialFrame, has_operator_form
 
 
 def p_from_density(rho: np.ndarray, frame: FiducialFrame) -> np.ndarray:
@@ -44,11 +45,6 @@ def r_from_p(p: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.linalg.solve(d, p.T).T
 
 
-def p_from_r(r: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """p = D r."""
-    return np.asarray(d, dtype=float) @ np.asarray(r, dtype=float)
-
-
 def density_from_r(r: np.ndarray, frame: FiducialFrame) -> np.ndarray:
     """Reconstruct the operator sum_k r[k] P_k of a state or a measurement
     (Hermitian for real r), for one r (K,) or a stack (m, K), which gives
@@ -57,32 +53,6 @@ def density_from_r(r: np.ndarray, frame: FiducialFrame) -> np.ndarray:
     if r.ndim not in (1, 2) or r.shape[-1] != frame.k:
         raise DimensionError(f"r has shape {r.shape}, frame has K = {frame.k}")
     return np.einsum("...k,kij->...ij", r, frame.projectors)
-
-
-def probability(r_m: np.ndarray, d: np.ndarray, r_s: np.ndarray) -> float:
-    """Outcome probability r_m^T D r_s.
-
-    Values outside [0, 1] are returned as-is: they indicate invalid
-    inputs, not a failure of the bilinear form.
-    """
-    return float(np.asarray(r_m, dtype=float) @ np.asarray(d, dtype=float) @ np.asarray(r_s, dtype=float))
-
-
-def normalization(p: np.ndarray, r_identity: np.ndarray) -> float:
-    """Normalization coefficient mu = r_I . p."""
-    return float(np.asarray(r_identity, dtype=float) @ np.asarray(p, dtype=float))
-
-
-def is_pure(r: np.ndarray, theory: Theory) -> bool:
-    """True iff r^T D r = 1 and mu = 1, both within ``PURITY_TOL``.
-
-    The tolerance is looser than ``ATOL`` because r^T D r sums K^2
-    rounded products, and r may itself come out of a solve against D.
-    """
-    r = np.asarray(r, dtype=float)
-    quad = float(r @ np.asarray(theory.d, dtype=float) @ r)
-    mu = normalization(p_from_r(r, theory.d), theory.r_identity)
-    return abs(quad - 1.0) <= PURITY_TOL and abs(mu - 1.0) <= PURITY_TOL
 
 
 def mix(states: list[np.ndarray], weights: list[float]) -> np.ndarray:
@@ -113,9 +83,9 @@ class Theory:
     the classical theory and "xy" for the quantum one. ``basis_r`` rows
     are the N basis measurement/state r-vectors and ``basis_p`` rows the
     corresponding p-vectors; ``r_identity`` is the r-vector of the
-    identity measurement. A function that needs two or more of ``frame``,
-    ``d`` and ``r_identity`` takes the Theory, so they always come from
-    one system type.
+    identity measurement. A function that needs two or more of ``d``,
+    ``r_identity`` and the conversions takes the Theory, so they always
+    come from one system type.
     """
 
     name: str
@@ -132,11 +102,6 @@ class Theory:
     @property
     def k(self) -> int:
         return self.d.shape[0]
-
-    @cached_property
-    def frame(self) -> FiducialFrame:
-        """The canonical frame, built on first read: the theory converts in closed form without it."""
-        return build_canonical_frame(self.dimension, self.units)
 
     def require_operator_form(self) -> None:
         """Refuse (``GptError``) a theory whose units do not span the Hermitian operators."""

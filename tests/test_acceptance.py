@@ -133,7 +133,7 @@ def test_criterion_03_bloch_sphere():
     worst = 0.0
     for _ in range(100):
         psi = haar_state(rng, 2)
-        r = r_from_p(p_from_density(np.outer(psi, psi.conj()), QT2.frame), QT2.d)
+        r = r_from_p(p_from_density(np.outer(psi, psi.conj()), build_canonical_frame(2)), QT2.d)
         mu, v = bloch_coordinates(r)
         worst = max(worst, abs(mu - 1.0), abs(float(v @ a_half @ v) - 0.5))
 
@@ -166,8 +166,8 @@ def test_criterion_04_round_trip_and_trace_formula():
         theory = quantum_theory(n)
         for _ in range(100):
             rho = random_density(rng, n, trace=rng.random())
-            r = r_from_p(p_from_density(rho, theory.frame), theory.d)
-            back = np.einsum("k,kij->ij", r, theory.frame.projectors)
+            r = r_from_p(p_from_density(rho, build_canonical_frame(n)), theory.d)
+            back = np.einsum("k,kij->ij", r, build_canonical_frame(n).projectors)
             worst_rt = max(worst_rt, float(np.abs(back - rho).max()))
 
     worst_tr = 0.0
@@ -176,8 +176,8 @@ def test_criterion_04_round_trip_and_trace_formula():
         theory = quantum_theory(n)
         rho = random_density(rng, n, trace=rng.random())
         op = random_measurement_operator(rng, n)
-        r_s = r_from_p(p_from_density(rho, theory.frame), theory.d)
-        r_m = r_from_p(p_from_density(op, theory.frame), theory.d)
+        r_s = r_from_p(p_from_density(rho, build_canonical_frame(n)), theory.d)
+        r_m = r_from_p(p_from_density(op, build_canonical_frame(n)), theory.d)
         lhs = float(r_m @ theory.d @ r_s)
         rhs = float(np.trace(op @ rho).real)
         worst_tr = max(worst_tr, abs(lhs - rhs))
@@ -199,13 +199,13 @@ def test_criterion_05_transformation_correspondence():
     for n in (2, 3):
         theory = quantum_theory(n)
         states = [random_density(rng, n, trace=rng.random()) for _ in range(50)]
-        ps = np.stack([p_from_density(rho, theory.frame) for rho in states])
+        ps = np.stack([p_from_density(rho, build_canonical_frame(n)) for rho in states])
         for _ in range(50):
             kraus = KrausSet(random_kraus(rng, n, terms=int(rng.integers(1, 4))))
             z = z_from_kraus(kraus, theory)
             choi_ok = choi_ok and is_completely_positive(kraus_to_superoperator(kraus))
             for rho, p in zip(states, ps):
-                lhs = p_from_density(kraus.apply(rho), theory.frame)
+                lhs = p_from_density(kraus.apply(rho), build_canonical_frame(n))
                 worst = max(worst, float(np.abs(lhs - z.z @ p).max()))
 
     transpose = np.zeros((4, 4))
@@ -235,8 +235,8 @@ def test_criterion_06_measurement_update():
     witnesses = [
         QT2.basis_p[0],
         QT2.basis_p[1],
-        p_from_density(np.eye(2, dtype=complex) / 2.0, QT2.frame),
-        p_from_density(random_density(rng, 2), QT2.frame),
+        p_from_density(np.eye(2, dtype=complex) / 2.0, build_canonical_frame(2)),
+        p_from_density(random_density(rng, 2), build_canonical_frame(2)),
     ]
     report = check_measurement_update(branches, QT2, witnesses)
     worst = max(
@@ -257,14 +257,14 @@ def test_criterion_07_composite_law_and_dof():
         za = z_from_kraus(ka, QT2)
         zb = z_from_kraus(kb, QT2)
         vector_side = local_transform(
-            composite_from_density(rho, QT2.frame, QT2.frame), za, zb
+            composite_from_density(rho, QT2, QT2), za, zb
         )
         evolved = np.zeros_like(rho)
         for ma in ka.operators:
             for mb in kb.operators:
                 m = np.kron(ma, mb)
                 evolved = evolved + m @ rho @ m.conj().T
-        operator_side = composite_from_density(evolved, QT2.frame, QT2.frame)
+        operator_side = composite_from_density(evolved, QT2, QT2)
         worst = max(worst, float(np.abs(vector_side - operator_side).max()))
     rank = dof_count_check(QT2.d, QT2.d)
     elapsed = time.monotonic() - start
@@ -286,7 +286,7 @@ def test_criterion_08_classical_quantum_dichotomy():
         for _ in range(2):
             psi = haar_state(rng, 2)
             rho = np.outer(psi, psi.conj())
-            rs.append(r_from_p(p_from_density(rho, QT2.frame), QT2.d))
+            rs.append(r_from_p(p_from_density(rho, build_canonical_frame(2)), QT2.d))
         probe = continuity_probe(QT2, rs[0], rs[1], steps=100)
         worst = max(worst, probe.max_deviation)
     quantum_ok = worst < 1e-9

@@ -91,7 +91,8 @@ def per_subset_oracle(theory, subset):
     reference D built for |W| over the theory's units."""
     w = tuple(sorted(subset))
     reference = build_general_d(len(w), theory.units)
-    support = np.array(list(zip(*theory.frame.labels))[1:])
+    labels = build_canonical_frame(theory.dimension, theory.units).labels
+    support = np.array(list(zip(*labels))[1:])
     in_w = np.isin(support, w)
     inside = np.flatnonzero(in_w.all(axis=0))
     disjoint = np.flatnonzero(~in_w.any(axis=0))
@@ -132,7 +133,7 @@ class TestSubspaceAxiom:
         [report] = check_subspace_axiom(theory, [{0}])
         assert report.passed
         # direct oracle: tr(P_23x |1><1|) = 0
-        p23x = theory.frame.projectors[7]
+        p23x = build_canonical_frame(3).projectors[7]
         rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
         assert abs(np.trace(p23x @ rho)) <= 1e-15
         assert report.disjoint_probability <= 1e-12
@@ -227,7 +228,7 @@ class TestSubspaceAxiom:
         pairs = [{i, j} for i in range(6) for j in range(i + 1, 6)]
         monkeypatch.setattr(axioms, "SUBSPACE_CHUNK_ENTRIES", 2 * theory.k * (4 + 1))
         d = theory.d.copy()
-        d[0, theory.frame.labels.index(("y", 4, 5))] = 0.25  # basis fiducial 0 is disjoint from {4, 5}
+        d[0, build_canonical_frame(6).labels.index(("y", 4, 5))] = 0.25  # basis fiducial 0 is disjoint from {4, 5}
         reports = check_subspace_axiom(dataclasses.replace(theory, d=d), pairs)
         assert [r.passed for r in reports] == [True] * 14 + [False]
         assert reports[-1].violations[0].startswith("disjoint fiducial")

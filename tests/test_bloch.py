@@ -125,7 +125,7 @@ class TestAMatrix:
         a = a_matrix(D2Params(0.5, 0.5, 0.5))
         for _ in range(100):
             psi = haar_state(rng, 2)
-            r = r_from_p(p_from_density(np.outer(psi, psi.conj()), theory.frame), theory.d)
+            r = r_from_p(p_from_density(np.outer(psi, psi.conj()), build_canonical_frame(2)), theory.d)
             mu, v = bloch_coordinates(r)
             assert abs(mu - 1.0) <= 1e-10
             assert abs(float(v @ a @ v) - 0.5) <= 1e-10

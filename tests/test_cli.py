@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gptkit.cli
+import gptkit.harness
 import gptkit.states
-from gptkit import serialize
-from gptkit.cli import main
+from gptkit import build_canonical_frame, serialize
+from gptkit.cli import build_parser, main
 from conftest import random_density
 
 
@@ -28,6 +30,23 @@ def test_cli_import_does_not_load_scipy():
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    """The parser is built once per process; after a usage error, each later
+    call prints and returns what a fresh process would."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    for argv in (["verify", "--theory", "quantum", "--n", "x"], ["dmatrix", "--n", "2"],
+                 ["verify", "--theory", "classical", "--n", "2"]):
+        code = f"import sys; sys.path.insert(0, {str(src)!r}); from gptkit.cli import main; sys.exit(main({argv!r}))"
+        fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        captured = capsys.readouterr()
+        assert (status, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize(
@@ -217,12 +236,14 @@ def test_classical_commands_build_no_projector_block(tmp_path, capsys, monkeypat
     # classical theory has no operator form, so nothing reads its projectors;
     # N = 1000 is past the N = 406 a classical projector block admits. Quantum
     # conversions and operator preparations go through Theory.r_of and
-    # Theory.operator_of, so they read no projector block either.
+    # Theory.operator_of, so they read no projector block either. Only the
+    # axiom-3 reference, in axioms, builds a frame: one of a subspace's size.
     def refuse(*args):
         raise AssertionError("a command built the projector block")
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(gptkit.states, "build_canonical_frame", refuse)
+    for module in (gptkit.cli, gptkit.harness):
+        monkeypatch.setattr(module, "build_canonical_frame", refuse)
     serialize.write_json("p.json", serialize.vector_to_dict(np.full(1000, 1e-3), 1000, "state", "p"))
     code, out, _ = run_cli(capsys, "convert", "--in", "p.json", "--from", "p", "--to", "r", "--theory", "classical")
     assert code == 0 and json.loads(out)["values"] == [1e-3] * 1000
@@ -296,9 +317,9 @@ class TestConvert:
         projector block (p_from_density, density_from_r) and r_from_p."""
         theory = gptkit.states.quantum_theory(n)
         rho = random_density(rng, n)
-        p = gptkit.states.p_from_density(rho, theory.frame)
+        p = gptkit.states.p_from_density(rho, build_canonical_frame(n))
         r = gptkit.states.r_from_p(p, theory.d)
-        expected = {"rho": gptkit.states.density_from_r(r, theory.frame), "p": p, "r": r}
+        expected = {"rho": gptkit.states.density_from_r(r, build_canonical_frame(n)), "p": p, "r": r}
         serialize.write_json(tmp_path / "rho.json", serialize.operator_to_dict(rho))
         for kind in ("p", "r"):
             serialize.write_json(tmp_path / f"{kind}.json",
@@ -461,6 +482,15 @@ class TestComposite:
         assert payload["joint_normalization"] == pytest.approx(1.0)
         assert payload["transform_law_deviation"] <= 1e-10
         assert payload["p_tilde"]["rows"][0][0] == pytest.approx(0.5)
+
+    def test_non_hermitian_state_is_usage_error(self, tmp_path, capsys):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 3] = 0.1  # no matching entry at [3, 0]
+        rho_file = tmp_path / "skew.op.json"
+        serialize.write_json(rho_file, serialize.operator_to_dict(rho))
+        code, out, err = run_cli(capsys, "composite", "--rho", str(rho_file), "--na", "2", "--nb", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: operator is not Hermitian\n"
 
 
 @pytest.mark.parametrize(

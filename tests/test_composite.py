@@ -4,7 +4,9 @@ from numpy.testing import assert_allclose
 
 from gptkit import (
     DimensionError,
+    GptError,
     KrausSet,
+    build_canonical_frame,
     classical_theory,
     composite_from_density,
     dof_count_check,
@@ -25,28 +27,51 @@ for _i in (0, 3):
         BELL[_i, _j] = 0.5
 
 
+def projector_reference(rho_ab: np.ndarray, na: int, nb: int) -> np.ndarray:
+    """p_tilde[i, j] = tr((P_i (x) P_j) rho) as an einsum over the two
+    canonical projector blocks."""
+    pa, pb = build_canonical_frame(na).projectors, build_canonical_frame(nb).projectors
+    return np.einsum("iab,jcd,bdac->ij", pa, pb, rho_ab.reshape(na, nb, na, nb)).real
+
+
 class TestCompositeFromDensity:
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_matches_the_projector_einsum(self, dims, rng):
+        na, nb = dims
+        ta, tb = quantum_theory(na), quantum_theory(nb)
+        for _ in range(20):
+            rho = random_density(rng, na * nb)
+            assert_allclose(composite_from_density(rho, ta, tb), projector_reference(rho, na, nb),
+                            rtol=0, atol=1e-15)
+
     def test_product_density_factorizes(self, rng):
         rho_a = random_density(rng, 2)
         rho_b = random_density(rng, 2, trace=rng.random())
-        pt = composite_from_density(np.kron(rho_a, rho_b), QT2.frame, QT2.frame)
-        expected = np.outer(p_from_density(rho_a, QT2.frame), p_from_density(rho_b, QT2.frame))
+        pt = composite_from_density(np.kron(rho_a, rho_b), QT2, QT2)
+        frame = build_canonical_frame(2)
+        expected = np.outer(p_from_density(rho_a, frame), p_from_density(rho_b, frame))
         assert np.abs(pt - expected).max() <= 1e-12
 
     def test_bell_state_entries(self):
-        pt = composite_from_density(BELL, QT2.frame, QT2.frame)
+        pt = composite_from_density(BELL, QT2, QT2)
         # oracle: tr((P1 x P1) Phi+) = |<11|Phi+>|^2 = 1/2 and
         # tr((P1 x P2) Phi+) = |<12|Phi+>|^2 = 0
         assert pt[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert pt[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_operator(self):
-        pt = composite_from_density(np.zeros((4, 4)), QT2.frame, QT2.frame)
+        pt = composite_from_density(np.zeros((4, 4)), QT2, QT2)
         assert_allclose(pt, np.zeros((4, 4)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            composite_from_density(np.eye(3), QT2.frame, QT2.frame)
+            composite_from_density(np.eye(3), QT2, QT2)
+
+    def test_non_hermitian_operator_rejected(self):
+        rho = BELL.copy()
+        rho[0, 3] = 0.5j  # |00><11| given weight i/2, its adjoint weight 1/2
+        with pytest.raises(GptError, match="not Hermitian"):
+            composite_from_density(rho, QT2, QT2)
 
 
 class TestLocalTransform:
@@ -67,10 +92,10 @@ class TestLocalTransform:
             ua, ub = haar_unitary(rng, 2), haar_unitary(rng, 2)
             za = z_from_unitary(ua, QT2)
             zb = z_from_unitary(ub, QT2)
-            pt = composite_from_density(BELL, QT2.frame, QT2.frame)
+            pt = composite_from_density(BELL, QT2, QT2)
             lhs = local_transform(pt, za, zb)
             u = np.kron(ua, ub)
-            rhs = composite_from_density(u @ BELL @ u.conj().T, QT2.frame, QT2.frame)
+            rhs = composite_from_density(u @ BELL @ u.conj().T, QT2, QT2)
             assert np.abs(lhs - rhs).max() <= 1e-10
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
@@ -84,21 +109,21 @@ class TestLocalTransform:
             za = z_from_kraus(ka, ta)
             zb = z_from_kraus(kb, tb)
             extract_then_transform = local_transform(
-                composite_from_density(rho, ta.frame, tb.frame), za, zb
+                composite_from_density(rho, ta, tb), za, zb
             )
             evolved = np.zeros_like(rho)
             for ma in ka.operators:
                 for mb in kb.operators:
                     m = np.kron(ma, mb)
                     evolved = evolved + m @ rho @ m.conj().T
-            transform_then_extract = composite_from_density(evolved, ta.frame, tb.frame)
+            transform_then_extract = composite_from_density(evolved, ta, tb)
             assert np.abs(extract_then_transform - transform_then_extract).max() <= 1e-10
 
 
 class TestConditionalState:
     def test_bell_conditional_has_half_normalization(self):
         # the A-state given a positive first fiducial outcome at B is column 0 of p_tilde
-        pt = composite_from_density(BELL, QT2.frame, QT2.frame)
+        pt = composite_from_density(BELL, QT2, QT2)
         assert float(QT2.r_identity @ pt[:, 0]) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -150,5 +175,5 @@ class TestDofCount:
 
 class TestEntanglementWitness:
     def test_joint_normalization_of_bell(self):
-        pt = composite_from_density(BELL, QT2.frame, QT2.frame)
+        pt = composite_from_density(BELL, QT2, QT2)
         assert joint_normalization(pt, QT2.r_identity, QT2.r_identity) == pytest.approx(1.0)

@@ -7,12 +7,12 @@ from gptkit import (
     KrausSet,
     PathReport,
     apply_transform,
+    build_canonical_frame,
     check_measurement_update,
     choi_matrix,
     classical_theory,
     continuity_probe,
     is_completely_positive,
-    is_pure,
     is_reversible,
     is_trace_nonincreasing,
     is_trace_preserving,
@@ -25,6 +25,7 @@ from gptkit import (
 )
 import gptkit.dynamics
 import gptkit.states
+from gptkit.frames import PURITY_TOL
 from conftest import (
     cached_quantum_theory,
     haar_state,
@@ -56,9 +57,9 @@ class TestZFromKraus:
 
     def test_von_neumann_projection_on_mixed_state(self):
         z = z_from_kraus(KrausSet(P1), QT2)
-        mixed = p_from_density(np.eye(2, dtype=complex) / 2.0, QT2.frame)
+        mixed = p_from_density(np.eye(2, dtype=complex) / 2.0, build_canonical_frame(2))
         # oracle: P (I/2) P = |1><1| / 2, converted directly
-        expected = p_from_density(P1 / 2.0, QT2.frame)
+        expected = p_from_density(P1 / 2.0, build_canonical_frame(2))
         assert_allclose(apply_transform(z, mixed), expected, atol=1e-12)
 
     def test_unitary_kraus_inverts(self, rng):
@@ -74,8 +75,8 @@ class TestZFromKraus:
             kraus = KrausSet(random_kraus(rng, n))
             z = z_from_kraus(kraus, theory)
             rho = random_density(rng, n, trace=rng.random())
-            lhs = p_from_density(kraus.apply(rho), theory.frame)
-            rhs = apply_transform(z, p_from_density(rho, theory.frame))
+            lhs = p_from_density(kraus.apply(rho), build_canonical_frame(n))
+            rhs = apply_transform(z, p_from_density(rho, build_canonical_frame(n)))
             assert np.abs(lhs - rhs).max() <= 1e-10
 
     def test_composition(self, rng):
@@ -92,7 +93,7 @@ class TestZFromKraus:
 def schrodinger_z(kraus: KrausSet, theory) -> np.ndarray:
     """Oracle Z = M D^{-1} with M[i, j] = tr(P_i $(P_j)), the Schrodinger
     picture: map every fiducial projector, then solve against D."""
-    ops, proj = kraus.operators, theory.frame.projectors
+    ops, proj = kraus.operators, build_canonical_frame(theory.dimension, theory.units).projectors
     mapped = (ops[:, None] @ proj[None] @ ops.conj().transpose(0, 2, 1)[:, None]).sum(axis=0)
     m = np.einsum("iab,jba->ij", proj, mapped).real
     return np.linalg.solve(theory.d, m.T).T
@@ -161,8 +162,8 @@ class TestZFromUnitary:
         z = z_from_unitary(PAULI_X, QT2)
         # oracle: conjugate each projector by X and take traces
         for rho in (P1, P2, np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)):
-            lhs = apply_transform(z, p_from_density(rho, QT2.frame))
-            rhs = p_from_density(PAULI_X @ rho @ PAULI_X.conj().T, QT2.frame)
+            lhs = apply_transform(z, p_from_density(rho, build_canonical_frame(2)))
+            rhs = p_from_density(PAULI_X @ rho @ PAULI_X.conj().T, build_canonical_frame(2))
             assert_allclose(lhs, rhs, atol=1e-12)
         # p1 and p2 swap; the x entry is fixed for X-symmetric states
         p = apply_transform(z, np.array([1.0, 0.0, 0.5, 0.5]))
@@ -173,8 +174,8 @@ class TestZFromUnitary:
         z = z_from_unitary(u, QT2)
         for _ in range(10):
             rho = random_density(rng, 2)
-            lhs = apply_transform(z, p_from_density(rho, QT2.frame))
-            rhs = p_from_density(u @ rho @ u.conj().T, QT2.frame)
+            lhs = apply_transform(z, p_from_density(rho, build_canonical_frame(2)))
+            rhs = p_from_density(u @ rho @ u.conj().T, build_canonical_frame(2))
             assert_allclose(lhs, rhs, atol=1e-12)
         basis = apply_transform(z, np.array([1.0, 0.0, 0.5, 0.5]))
         assert_allclose(basis[:2], [1.0, 0.0], atol=1e-12)
@@ -299,8 +300,8 @@ class TestMeasurementUpdate:
         return [
             QT2.basis_p[0],
             QT2.basis_p[1],
-            p_from_density(np.eye(2, dtype=complex) / 2.0, QT2.frame),
-            p_from_density(random_density(rng, 2), QT2.frame),
+            p_from_density(np.eye(2, dtype=complex) / 2.0, build_canonical_frame(2)),
+            p_from_density(random_density(rng, 2), build_canonical_frame(2)),
         ]
 
     def test_von_neumann_pair_passes_exactly(self, rng):
@@ -416,7 +417,8 @@ class TestContinuityProbe:
 
     @staticmethod
     def _pure_r(theory, psi):
-        return r_from_p(p_from_density(np.outer(psi, psi.conj()), theory.frame), theory.d)
+        frame = build_canonical_frame(theory.dimension, theory.units)
+        return r_from_p(p_from_density(np.outer(psi, psi.conj()), frame), theory.d)
 
     def test_impure_endpoint_rejected(self):
         mixed = r_from_p(np.full(4, 0.5), QT2.d)
@@ -428,12 +430,13 @@ class TestContinuityProbe:
             u = haar_unitary(rng, 2)
             z = z_from_unitary(u, QT2)
             psi = haar_state(rng, 2)
-            p = p_from_density(np.outer(psi, psi.conj()), QT2.frame)
+            p = p_from_density(np.outer(psi, psi.conj()), build_canonical_frame(2))
             r0 = r_from_p(p, QT2.d)
-            assert is_pure(r0, QT2)
             moved = apply_transform(z, p)
             r1 = r_from_p(moved, QT2.d)
-            assert is_pure(r1, QT2)
+            for r in (r0, r1):  # pure and normalised: r^T D r = 1 and r_I . D r = 1
+                assert r @ QT2.d @ r == pytest.approx(1.0, abs=PURITY_TOL)
+                assert QT2.r_identity @ (QT2.d @ r) == pytest.approx(1.0, abs=PURITY_TOL)
             assert float(QT2.r_identity @ moved) == pytest.approx(
                 float(QT2.r_identity @ p), abs=1e-12
             )

@@ -223,7 +223,7 @@ def family_frames():
 class TestHermitianCoordinates:
     @pytest.mark.parametrize("n", range(1, 25))
     def test_singular_values_equal_those_of_the_re_im_flattening(self, n):
-        frame = cached_quantum_theory(n).frame
+        frame = build_canonical_frame(n)
         coords = frame.hermitian_coordinates()
         assert coords.shape == (n * n, n * n)
         assert_same_spectrum(np.linalg.svd(coords, compute_uv=False), re_im_singular_values(frame))
@@ -236,7 +236,7 @@ class TestHermitianCoordinates:
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_row_products_are_the_gram_matrix(self, n):
         theory = cached_quantum_theory(n)
-        coords = theory.frame.hermitian_coordinates()
+        coords = build_canonical_frame(n).hermitian_coordinates()
         assert np.abs(coords @ coords.T - theory.d).max() <= 1e-15
 
     def test_validate_refuses_a_duplicated_projector(self):
@@ -259,9 +259,10 @@ class TestGramMatrix:
     @pytest.mark.parametrize("n", range(1, 25))
     def test_flat_product_is_bit_identical_to_the_trace_einsum(self, n):
         theory = cached_quantum_theory(n)  # its d is gram_matrix(frame)
-        flat = theory.frame.projectors.reshape(theory.k, -1)
+        projectors = build_canonical_frame(n).projectors
+        flat = projectors.reshape(theory.k, -1)
         assert not (flat @ flat.conj().T).imag.any()
-        einsum = np.einsum("iab,jba->ij", theory.frame.projectors, theory.frame.projectors).real
+        einsum = np.einsum("iab,jba->ij", projectors, projectors).real
         assert theory.d.tobytes() == einsum.tobytes()
 
     def test_qubit_gram_is_dhalfs(self):

@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gptkit.axioms
 import gptkit.bloch
 import gptkit.dynamics
 import gptkit.states
@@ -15,7 +17,6 @@ from gptkit import (
     Experiment,
     GptError,
     InvalidExperimentError,
-    check_basis_distinguishability,
     check_frequency_convergence,
     check_subspace_axiom,
     classical_theory,
@@ -253,12 +254,17 @@ class TestAxiomSuite:
         assert result.max_deviation > 0.05
 
     def test_quantum_n16_suite_builds_no_frame(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("built the projector block")
+        # the axiom-3 reference is the one frame the suite builds, at a subspace's size
+        original, sizes = gptkit.axioms.build_canonical_frame, []
 
-        monkeypatch.setattr(gptkit.states, "build_canonical_frame", refuse)
+        def record(n, units="xy"):
+            sizes.append(n)
+            return original(n, units)
+
+        monkeypatch.setattr(gptkit.axioms, "build_canonical_frame", record)
         report = run_axiom_suite("quantum", 16, seed=3)
         assert [c.status for c in report.checks] == ["pass"] * 7
+        assert set(sizes) == {2, 3}
 
     def test_classical_d_off_the_identity_fails_the_subspace_check(self):
         d = np.eye(3)
@@ -334,14 +340,14 @@ def in_builder(mutant):
     return mutate
 
 
-# The suite's check helpers, each giving one check's status on a theory.
+# The suite's check helpers, each giving one check's result on a theory.
 SUITE_CHECKS = {
-    "a1": lambda theory: harness._frequency_check(theory, seed=0).status,
-    "a2": lambda theory: harness._power_law_check(theory).status,
-    "a3": lambda theory: harness._subspace_check(theory).status,
-    "a4": lambda theory: harness._composite_check(theory).status,
-    "a5": lambda theory: harness._continuity_check(theory, seed=0).status,
-    "basis": lambda theory: "pass" if check_basis_distinguishability(theory).passed else "fail",
+    "a1": lambda theory: harness._frequency_check(theory, seed=0),
+    "a2": harness._power_law_check,
+    "a3": harness._subspace_check,
+    "a4": harness._composite_check,
+    "a5": lambda theory: harness._continuity_check(theory, seed=0),
+    "basis": harness._basis_check,
 }
 
 # Row -> (theory, n, mutation of the theory, status of each of SUITE_CHECKS).
@@ -371,11 +377,40 @@ VERDICT_CELLS = [(row, check, status) for row, (*_, statuses) in VERDICT_ROWS.it
                          ids=[f"{row}-{check}" for row, check, _ in VERDICT_CELLS])
 def test_verdict_matrix(row, check, status):
     """Each suite check judges the theory's D, not the code that built it."""
+    assert SUITE_CHECKS[check](row_theory(row)).status == status
+
+
+def row_theory(row):
     name, n, mutation, _ = VERDICT_ROWS[row]
     theory = theory_by_name(name, n)
-    if mutation is not None:
-        theory = mutation(theory)
-    assert SUITE_CHECKS[check](theory) == status
+    return theory if mutation is None else mutation(theory)
+
+
+def strict_json(payload):
+    """``payload`` through the JSON writer, parsed by a reader that refuses NaN and infinities."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(serialize.dumps(payload), parse_constant=refuse)
+
+
+FAIL_CELLS = [(row, check) for row, check, status in VERDICT_CELLS if status == "fail"]
+
+
+@pytest.mark.parametrize("row, check", FAIL_CELLS, ids=[f"{row}-{check}" for row, check in FAIL_CELLS])
+def test_failed_check_is_strict_json(row, check):
+    """A failed check writes a number or null as its deviation, never NaN."""
+    result = strict_json(SUITE_CHECKS[check](row_theory(row)).to_json())
+    assert result["status"] == "fail"
+    if result["max_deviation"] is None:
+        assert result["witnesses"]["reason"]
+
+
+@pytest.mark.parametrize("fit, reason", [(3, "exponent 3, expected 2"), (None, "no K = N^r fits the table")])
+def test_failed_power_law_has_a_reason_and_no_deviation(monkeypatch, fit, reason):
+    monkeypatch.setattr(harness, "fit_power_law", lambda table: fit)
+    result = strict_json(harness._power_law_check(QT2).to_json())
+    assert (result["status"], result["max_deviation"]) == ("fail", None)
+    assert result["witnesses"]["reason"] == reason
 
 
 @pytest.mark.parametrize("name, n", [("quantum", 3), ("quantum", 16), ("classical", 3)])
@@ -385,7 +420,11 @@ def test_built_basis_mutant_fails_axiom1_inside_the_suite(monkeypatch, name, n):
     monkeypatch.setattr(gptkit.states, "build_general_d", builder_with(basis_mutant))
     frequency = run_axiom_suite(name, n, seed=0).checks[0]
     assert (frequency.name, frequency.status) == ("axiom1-frequency-convergence", "fail")
-    assert "sum to 1.1" in frequency.witnesses["error"]
+    assert "sum to 1.1" in frequency.witnesses["reason"]
+    assert frequency.max_deviation is None
+    outcome = strict_json(harness.PIPELINES["verify"]({"theory": name, "n": n}, 0, Path(), Path()))
+    deviations = [c["max_deviation"] for c in outcome["details"]["checks"]]
+    assert outcome["max_deviation"] == max(d for d in deviations if d is not None)
 
 
 @pytest.mark.parametrize("n", [3, 16])

@@ -16,19 +16,16 @@ import gptkit.states
 from gptkit import (
     DimensionError,
     GptError,
+    build_canonical_frame,
     classical_theory,
     density_from_r,
-    is_pure,
     mix,
-    normalization,
     p_from_density,
-    p_from_r,
-    probability,
     quantum_theory,
     r_from_p,
     theory_by_name,
 )
-from conftest import cached_quantum_theory, haar_state, random_density, random_measurement_operator
+from conftest import cached_quantum_theory, random_density, random_measurement_operator
 
 QT2 = quantum_theory(2)
 
@@ -36,30 +33,30 @@ QT2 = quantum_theory(2)
 class TestPFromDensity:
     def test_basis_state(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
-        assert_allclose(p_from_density(rho, QT2.frame), [1.0, 0.0, 0.5, 0.5], atol=1e-15)
+        assert_allclose(p_from_density(rho, build_canonical_frame(2)), [1.0, 0.0, 0.5, 0.5], atol=1e-15)
 
     def test_null_state(self):
-        assert_allclose(p_from_density(np.zeros((2, 2)), QT2.frame), np.zeros(4))
+        assert_allclose(p_from_density(np.zeros((2, 2)), build_canonical_frame(2)), np.zeros(4))
 
     def test_maximally_mixed(self):
-        p = p_from_density(np.eye(2, dtype=complex) / 2.0, QT2.frame)
+        p = p_from_density(np.eye(2, dtype=complex) / 2.0, build_canonical_frame(2))
         assert_allclose(p, [0.5, 0.5, 0.5, 0.5], atol=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            p_from_density(np.eye(3), QT2.frame)
+            p_from_density(np.eye(3), build_canonical_frame(2))
 
     def test_stack_matches_row_by_row(self, rng):
         theory = quantum_theory(3)
         rhos = np.stack([random_density(rng, 3) for _ in range(5)])
-        rows = np.stack([p_from_density(rho, theory.frame) for rho in rhos])
-        assert_allclose(p_from_density(rhos, theory.frame), rows, rtol=0, atol=1e-15)
+        rows = np.stack([p_from_density(rho, build_canonical_frame(3)) for rho in rhos])
+        assert_allclose(p_from_density(rhos, build_canonical_frame(3)), rows, rtol=0, atol=1e-15)
 
     def test_stack_of_non_hermitian_operators_rejected(self):
         rhos = np.zeros((2, 2, 2), dtype=complex)
         rhos[1, 0, 1] = 1.0
         with pytest.raises(GptError, match="imaginary part"):
-            p_from_density(rhos, QT2.frame)
+            p_from_density(rhos, build_canonical_frame(2))
 
 
 class TestRFromP:
@@ -99,7 +96,7 @@ class TestROf:
         theory = cached_quantum_theory(n)
         rhos = np.stack([random_density(rng, n) for _ in range(3)])
         rhos[2] = random_measurement_operator(rng, n)
-        expected = r_from_p(p_from_density(rhos, theory.frame), theory.d)
+        expected = r_from_p(p_from_density(rhos, build_canonical_frame(n)), theory.d)
         stacked = theory.r_of(rhos)
         assert stacked.shape == (3, theory.k)
         assert_allclose(stacked, expected, rtol=0, atol=1e-13)
@@ -108,11 +105,11 @@ class TestROf:
     def test_reconstructs_the_operator(self, rng):
         theory = quantum_theory(4)
         rho = random_density(rng, 4)
-        assert_allclose(density_from_r(theory.r_of(rho), theory.frame), rho, rtol=0, atol=1e-15)
+        assert_allclose(density_from_r(theory.r_of(rho), build_canonical_frame(4)), rho, rtol=0, atol=1e-15)
 
     def test_fiducial_projectors_give_unit_vectors(self):
         theory = quantum_theory(3)
-        assert_allclose(theory.r_of(theory.frame.projectors), np.eye(theory.k), rtol=0, atol=1e-15)
+        assert_allclose(theory.r_of(build_canonical_frame(3).projectors), np.eye(theory.k), rtol=0, atol=1e-15)
 
     def test_real_entries_give_positive_zeros(self):
         # a -0.0 would print as "-0.0" in every Z and r file
@@ -143,7 +140,7 @@ class TestOperatorOf:
         theory = cached_quantum_theory(n)
         rs = theory.r_of(np.stack([random_density(rng, n), random_measurement_operator(rng, n)]))
         rs = np.vstack([rs, rng.standard_normal(theory.k)])  # any real r, not only a state's
-        expected = density_from_r(rs, theory.frame)
+        expected = density_from_r(rs, build_canonical_frame(n))
         stacked = theory.operator_of(rs)
         assert stacked.shape == (3, n, n)
         assert_allclose(stacked, expected, rtol=0, atol=1e-14)
@@ -156,7 +153,7 @@ class TestOperatorOf:
 
     def test_fiducial_unit_vectors_give_the_projectors(self):
         theory = quantum_theory(3)
-        assert_allclose(theory.operator_of(np.eye(theory.k)), theory.frame.projectors, rtol=0, atol=0)
+        assert_allclose(theory.operator_of(np.eye(theory.k)), build_canonical_frame(3).projectors, rtol=0, atol=0)
 
     def test_result_is_exactly_hermitian(self, rng):
         ops = quantum_theory(5).operator_of(rng.standard_normal((4, 25)))
@@ -174,103 +171,34 @@ class TestOperatorOf:
 
 class TestOperatorReconstruction:
     def test_single_term_sum(self):
-        rho = density_from_r(np.array([1.0, 0.0, 0.0, 0.0]), QT2.frame)
+        rho = density_from_r(np.array([1.0, 0.0, 0.0, 0.0]), build_canonical_frame(2))
         assert_allclose(rho, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_zero_vector(self):
-        assert_allclose(density_from_r(np.zeros(4), QT2.frame), np.zeros((2, 2)))
+        assert_allclose(density_from_r(np.zeros(4), build_canonical_frame(2)), np.zeros((2, 2)))
 
     def test_identity_measurement_reconstructs_identity(self):
-        op = density_from_r(np.array([1.0, 1.0, 0.0, 0.0]), QT2.frame)
+        op = density_from_r(np.array([1.0, 1.0, 0.0, 0.0]), build_canonical_frame(2))
         assert_allclose(op, np.eye(2), atol=1e-15)
 
     def test_stack_matches_row_by_row(self, rng):
         theory = quantum_theory(3)
         rs = rng.standard_normal((4, theory.k))
-        rows = np.stack([density_from_r(r, theory.frame) for r in rs])
-        assert_allclose(density_from_r(rs, theory.frame), rows, rtol=0, atol=1e-15)
+        rows = np.stack([density_from_r(r, build_canonical_frame(3)) for r in rs])
+        assert_allclose(density_from_r(rs, build_canonical_frame(3)), rows, rtol=0, atol=1e-15)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            density_from_r(np.zeros((2, 5)), QT2.frame)
+            density_from_r(np.zeros((2, 5)), build_canonical_frame(2))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_round_trip_on_random_densities(self, n, rng):
         theory = quantum_theory(n)
         for _ in range(100):
             rho = random_density(rng, n, trace=rng.random())
-            p = p_from_density(rho, theory.frame)
-            back = density_from_r(r_from_p(p, theory.d), theory.frame)
+            p = p_from_density(rho, build_canonical_frame(n))
+            back = density_from_r(r_from_p(p, theory.d), build_canonical_frame(n))
             assert np.abs(back - rho).max() <= 1e-10
-
-
-class TestProbability:
-    def test_basis_measurement_on_own_state(self):
-        e1 = np.array([1.0, 0.0, 0.0, 0.0])
-        assert probability(e1, QT2.d, e1) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_basis_pair(self):
-        e1 = np.array([1.0, 0.0, 0.0, 0.0])
-        e2 = np.array([0.0, 1.0, 0.0, 0.0])
-        assert probability(e2, QT2.d, e1) == pytest.approx(0.0, abs=1e-12)
-
-    def test_classical_is_dot_product(self, rng):
-        r_m = rng.random(3)
-        r_s = rng.random(3)
-        assert probability(r_m, np.eye(3), r_s) == pytest.approx(float(r_m @ r_s))
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_matches_trace_formula(self, n, rng):
-        theory = quantum_theory(n)
-        for _ in range(100):
-            rho = random_density(rng, n, trace=rng.random())
-            op = random_measurement_operator(rng, n)
-            r_s = r_from_p(p_from_density(rho, theory.frame), theory.d)
-            r_m = r_from_p(p_from_density(op, theory.frame), theory.d)
-            expected = float(np.trace(op @ rho).real)
-            assert probability(r_m, theory.d, r_s) == pytest.approx(expected, abs=1e-12)
-
-
-class TestNormalizationAndPurity:
-    def test_null_state_has_zero_mu(self):
-        assert normalization(np.zeros(4), QT2.r_identity) == 0.0
-
-    def test_pure_state_has_unit_mu(self):
-        p = np.array([1.0, 0.0, 0.5, 0.5])
-        assert normalization(p, QT2.r_identity) == pytest.approx(1.0)
-
-    def test_mu_scales_linearly(self):
-        p = np.array([1.0, 0.0, 0.5, 0.5])
-        assert normalization(p / 2.0, QT2.r_identity) == pytest.approx(0.5)
-
-    def test_basis_state_is_pure(self):
-        assert is_pure(np.array([1.0, 0.0, 0.0, 0.0]), QT2)
-
-    def test_maximally_mixed_is_not_pure(self):
-        r = r_from_p(np.full(4, 0.5), QT2.d)
-        assert float(r @ QT2.d @ r) == pytest.approx(0.5, abs=1e-12)
-        assert not is_pure(r, QT2)
-
-    def test_classical_basis_vectors_are_pure(self):
-        theory = classical_theory(3)
-        for k in range(3):
-            assert is_pure(theory.basis_r[k], theory)
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_purity_agrees_with_operator_level(self, n, rng):
-        theory = quantum_theory(n)
-        for _ in range(25):
-            psi = haar_state(rng, n)
-            rho = np.outer(psi, psi.conj())
-            r = r_from_p(p_from_density(rho, theory.frame), theory.d)
-            assert is_pure(r, theory)
-            back = density_from_r(r, theory.frame)
-            assert abs(np.trace(back @ back).real - 1.0) <= 1e-9
-            assert abs(np.trace(back).real - 1.0) <= 1e-9
-        mixed = random_density(rng, n)
-        mixed = 0.5 * mixed + 0.5 * np.eye(n) / n
-        r = r_from_p(p_from_density(mixed, theory.frame), theory.d)
-        assert not is_pure(r, theory)
 
 
 class TestMix:
@@ -384,7 +312,7 @@ class TestUnphysicalInputs:
     def test_conversions_accept_unphysical_inputs(self):
         p = np.array([1.2, 0.3, 0.5, 0.5])  # entry above 1
         r = r_from_p(p, QT2.d)  # total: no exception
-        assert_allclose(p_from_r(r, QT2.d), p, atol=1e-12)
+        assert_allclose(QT2.d @ r, p, atol=1e-12)
 
 
 class TestNamedTolerances:
