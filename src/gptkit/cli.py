@@ -18,6 +18,8 @@ from functools import cache
 from pathlib import Path
 from typing import Callable, NoReturn
 
+import numpy as np
+
 from . import serialize
 from .bloch import build_general_d
 from .errors import GptError
@@ -65,10 +67,11 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         r = theory.r_of(values) if kind == "rho" else values
         p = theory.d @ r
 
-    if args.dst == "rho":
-        _emit(serialize.operator_to_dict(theory.operator_of(r)), args.out)
-    else:
-        _emit(serialize.vector_to_dict(p if args.dst == "p" else r, n, "state", args.dst), args.out)
+    result = theory.operator_of(r) if args.dst == "rho" else p if args.dst == "p" else r
+    if not np.isfinite(result).all():  # finite input entries near the float limit overflow
+        raise GptError(f"the {args.dst} of this state overflows to a non-finite entry")
+    _emit(serialize.operator_to_dict(result) if args.dst == "rho"
+          else serialize.vector_to_dict(result, n, "state", args.dst), args.out)
     return 0
 
 
@@ -194,7 +197,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow is refused as an input error where it matters, not warned about on stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except GptError as exc:
         message = str(exc)
     except OSError as exc:  # a file that cannot be read or written: name it

@@ -22,10 +22,10 @@ def composite_from_density(rho_ab: np.ndarray, theory_a: Theory, theory_b: Theor
     Over the two canonical frames rho = sum R_kl P_k (x) P_l, so
     p_tilde = D_A R D_B. R is read off the entries: each N_A x N_A block
     X_bd of rho (b, d over B) is split into its Hermitian part and i times
-    its anti-Hermitian one, whose A coefficients ``theory_a.r_of`` gives;
-    for each A fiducial k the coefficients form a Hermitian N_B x N_B
-    matrix, whose B coefficients ``theory_b.r_of`` gives. A non-Hermitian
-    rho fails that Hermitian check (``GptError``).
+    its anti-Hermitian one, and one ``theory_a.r_of`` call gives the A
+    coefficients of both; for each A fiducial k the coefficients form a
+    Hermitian N_B x N_B matrix, whose B coefficients ``theory_b.r_of``
+    gives. A non-Hermitian rho fails that Hermitian check (``GptError``).
     """
     rho_ab = np.asarray(rho_ab, dtype=complex)
     na, nb = theory_a.dimension, theory_b.dimension
@@ -35,7 +35,9 @@ def composite_from_density(rho_ab: np.ndarray, theory_a: Theory, theory_b: Theor
         )
     blocks = rho_ab.reshape(na, nb, na, nb).transpose(1, 3, 0, 2).reshape(nb * nb, na, na)
     adjoints = blocks.conj().swapaxes(-1, -2)
-    r_a = theory_a.r_of((blocks + adjoints) / 2.0) + 1j * theory_a.r_of((blocks - adjoints) / 2.0j)
+    parts = np.concatenate([(blocks + adjoints) / 2.0, (blocks - adjoints) / 2.0j])
+    hermitian, anti = np.split(theory_a.r_of(parts), 2)  # one call: r_of's cost is mostly per call
+    r_a = hermitian + 1j * anti
     r_ab = theory_b.r_of(r_a.T.reshape(theory_a.k, nb, nb))
     return theory_a.d @ r_ab @ theory_b.d
 

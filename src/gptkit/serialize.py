@@ -127,38 +127,60 @@ def _number_list(value: list | np.ndarray, depth: int, out: list[str]) -> bool:
     """Append to ``out`` json's indent=2 text of ``value`` at ``depth``
     levels of indent, from one orjson call; False, with nothing appended,
     when ``value`` holds anything but finite floats, ints within 64 bits
-    and lists of them, or is an array orjson refuses (not C-contiguous).
+    and lists of them, or is an array orjson refuses (0-d, or not
+    C-contiguous with no entry to rewrite).
 
     orjson writes ``value`` nested in ``depth`` one-item lists, so each line
     comes out at its final indent, and the wrapper lines are left out. Its
-    digits are repr's shortest round-trip ones, but it writes ``1e16`` and
-    ``1.2e-7`` where repr writes ``1e+16`` and ``1.2e-07``, and [1e-5, 1e-4)
-    positionally (``0.00001``) where repr writes ``1e-05``. So each token
-    holding ``e`` or ``0.0000`` is written as the repr of its float.
+    digits are repr's shortest round-trip ones, and its text is repr's for
+    every float but the nonzero ones with |x| < 1e-4 or |x| >= 1e16: there
+    it writes ``0.00001``, ``1.2e-7`` and ``1e16`` where repr writes
+    ``1e-05``, ``1.2e-07`` and ``1e+16``. Those tokens are written as the
+    repr of their float. An array's are found from its values: orjson gets
+    a copy with 1e300 in their place, so the k-th token holding ``e`` is
+    the k-th of them in C order. A list may mix ints with floats (an int
+    of 1e16 or more keeps its digits), so its tokens are found in the text:
+    each one holding ``e`` or ``0.0000``.
     """
-    option = orjson.OPT_INDENT_2 | (orjson.OPT_SERIALIZE_NUMPY if type(value) is np.ndarray else 0)
+    originals = None  # an array's rewritten floats, in C order
+    if type(value) is np.ndarray:
+        magnitude = np.abs(value)
+        if not magnitude.max(initial=0.0) < np.inf:  # NaN and inf: json writes them, orjson null
+            return False
+        flagged = (magnitude < 1e-4) & (value != 0) | (magnitude >= 1e16)
+        del magnitude  # freed before orjson's text is allocated
+        originals = value[flagged].tolist()
+        if originals:
+            value = np.where(flagged, 1e300, value)
+    option = orjson.OPT_INDENT_2 | (orjson.OPT_SERIALIZE_NUMPY if originals is not None else 0)
     for _ in range(depth):
         value = [value]
     try:
         raw = orjson.dumps(value, option=option)
     except TypeError:  # numpy scalars, ints beyond 64 bits, 0-d or non-contiguous arrays
         return False
-    if any(c in raw for c in b'"{tfn'):  # strings, objects, true, false; null for NaN and inf
+    if originals is None and any(c in raw for c in b'"{tfn'):  # strings, objects, true, false, null
         return False
     # the wrappers open with depth lines "[" at indents 0, 2, ... and close with as many "]" lines
     done, stop = depth * (depth + 3), len(raw) - depth * (depth + 1)
-    starts = set()
-    for marker in (b"e", b"0.0000"):  # every e is an exponent: the text holds only numbers
-        at = raw.find(marker, done, stop)
-        while at >= 0:
-            starts.add(raw.rfind(b" ", 0, at) + 1)  # each number is on its own indented line
-            at = raw.find(marker, at + 1, stop)
     view = memoryview(raw)
-    for start in sorted(starts):
-        end = raw.find(b"\n", start)
-        end -= raw[end - 1] == ord(",")  # every item but a list's last is followed by a comma
-        out += str(view[done:start], "ascii"), repr(float(raw[start:end]))
-        done = end
+    if originals is None:
+        starts = set()
+        for marker in (b"e", b"0.0000"):  # every e is an exponent: the text holds only numbers
+            at = raw.find(marker, done, stop)
+            while at >= 0:
+                starts.add(raw.rfind(b" ", 0, at) + 1)  # each number is on its own indented line
+                at = raw.find(marker, at + 1, stop)
+        for start in sorted(starts):
+            end = raw.find(b"\n", start)
+            end -= raw[end - 1] == ord(",")  # every item but a list's last is followed by a comma
+            out += str(view[done:start], "ascii"), repr(float(raw[start:end]))
+            done = end
+    else:
+        for original in originals:  # each token holding e is a 1e300
+            at = raw.find(b"e", done, stop)
+            out += str(view[done:at - 1], "ascii"), repr(original)
+            done = at + 4
     out.append(str(view[done:stop], "ascii"))
     return True
 

@@ -13,7 +13,7 @@ import gptkit.harness
 import gptkit.states
 from gptkit import build_canonical_frame, serialize
 from gptkit.cli import build_parser, main
-from conftest import random_density
+from conftest import random_density, random_trace_preserving_kraus
 
 
 def run_cli(capsys, *argv):
@@ -382,6 +382,36 @@ class TestConvert:
         assert result == (2, "", "error: classical theory has no operator representation\n")
 
 
+HUGE = 1e308
+HUGE_ENTRY = [HUGE, 0.0]
+IN = object()  # the input file's place in argv
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["convert", "--in", IN, "--from", "r", "--to", "rho"],
+         {"dimension": 2, "k": 4, "role": "state", "kind": "r", "values": [HUGE, -HUGE, HUGE, HUGE]}),
+        (["convert", "--in", IN, "--from", "p", "--to", "r"],
+         {"dimension": 2, "k": 4, "role": "state", "kind": "p", "values": [HUGE, -HUGE, HUGE, HUGE]}),
+        (["convert", "--in", IN, "--from", "rho", "--to", "r"],
+         {"dimension": 2, "matrix": [[HUGE_ENTRY, HUGE_ENTRY], [HUGE_ENTRY, HUGE_ENTRY]]}),
+        (["transform", "--kraus", IN],
+         {"dimension": 2, "kraus": [[[[1e200, 0.0], [1e200, 0.0]], [[1e200, 0.0], [1e200, 0.0]]]]}),
+    ],
+)
+def test_finite_input_that_overflows_is_one_error_line(tmp_path, capsys, argv, payload):
+    """Finite entries near the float limit overflow in the conversion: exit
+    2 with one stderr line, no NaN or Infinity written and no numpy warning
+    (a RuntimeWarning is an error under pytest)."""
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, *(str(infile) if arg is IN else arg for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "NaN" not in out and "Infinity" not in out
+
+
 class TestBloch:
     def test_sphere_point(self, capsys):
         code, out, _ = run_cli(capsys, "bloch", "--a", "0.5", "--b", "0.5", "--c", "0.5")
@@ -419,6 +449,21 @@ class TestTransform:
         assert payload["completely_positive"] is True
         assert payload["trace_preserving"] is True
         assert payload["reversible"] is True
+
+    def test_n16_z_file_is_json_dumps_text(self, tmp_path, capsys):
+        """A CPTP map's Z at n = 16 has dozens of entries in [1e-5, 1e-4),
+        which repr writes as 1e-05 where orjson writes 0.00001; the file is
+        json's text of its own values."""
+        k_file = tmp_path / "cptp.kraus.json"
+        ops = random_trace_preserving_kraus(np.random.default_rng(2), 16, 2)
+        serialize.write_json(k_file, serialize.kraus_to_dict(ops))
+        code, _, _ = run_cli(capsys, "transform", "--kraus", str(k_file), "--out", str(tmp_path / "z.json"))
+        assert code == 0
+        text = (tmp_path / "z.json").read_text()
+        payload = json.loads(text)
+        z = np.abs(payload["z"])
+        assert z.shape == (256, 256) and ((z >= 1e-5) & (z < 1e-4)).sum() >= 50
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_trace_increasing_kraus_fails(self, tmp_path, capsys):
         k_file = tmp_path / "big.kraus.json"

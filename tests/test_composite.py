@@ -6,6 +6,7 @@ from gptkit import (
     DimensionError,
     GptError,
     KrausSet,
+    Theory,
     build_canonical_frame,
     classical_theory,
     composite_from_density,
@@ -43,6 +44,14 @@ class TestCompositeFromDensity:
             rho = random_density(rng, na * nb)
             assert_allclose(composite_from_density(rho, ta, tb), projector_reference(rho, na, nb),
                             rtol=0, atol=1e-15)
+
+    def test_one_r_of_call_per_theory(self, rng, monkeypatch):
+        """The Hermitian and anti-Hermitian A blocks are read in one call."""
+        calls = []
+        r_of = Theory.r_of
+        monkeypatch.setattr(Theory, "r_of", lambda self, ops: calls.append(ops.shape) or r_of(self, ops))
+        composite_from_density(random_density(rng, 6), quantum_theory(2), quantum_theory(3))
+        assert calls == [(18, 2, 2), (4, 3, 3)]
 
     def test_product_density_factorizes(self, rng):
         rho_a = random_density(rng, 2)

@@ -5,7 +5,7 @@ import numpy as np
 import orjson
 import pytest
 from hypothesis import given, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from gptkit import GptError, build_canonical_frame, gram_matrix
 from gptkit import serialize
@@ -147,25 +147,63 @@ class TestDumps:
         assert serialize.dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("shape", [(10,), (2, 5)])
-    @pytest.mark.parametrize("layout", ["contiguous", "reversed", "with-nan"])
+    @pytest.mark.parametrize("layout", ["contiguous", "reversed", "with-nan", "with-inf"])
     def test_float64_arrays_match_their_lists(self, shape, layout):
-        """A float64 array goes to orjson as it is; one orjson refuses (not
-        C-contiguous, or holding NaN) is written as its list."""
+        """A float64 array is written by one orjson call; one holding NaN or
+        inf, or one orjson refuses (not C-contiguous, with no token to
+        rewrite), is written as its list."""
         values = np.array([1e16, 1.5e-05, -0.0, 5e-324, -2.5e-300, 0.5, 1e-7, 3.0, 0.1, 1e22]).reshape(shape)
         if layout == "reversed":
             values = values[::-1]
         if layout == "with-nan":
             values.flat[3] = np.nan
+        if layout == "with-inf":
+            values.flat[3] = -np.inf
         payload = {"a": values, "b": [{"c": values}]}
         listed = {"a": values.tolist(), "b": [{"c": values.tolist()}]}
         assert serialize.dumps(payload) == json.dumps(listed, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4), (4, 2, 2, 2)])
+    @pytest.mark.parametrize("flagged", ["none", "some", "all"])
+    @pytest.mark.parametrize("layout", ["C", "reversed", "Fortran"])
+    def test_float64_arrays_match_json_dumps_at_every_depth(self, shape, flagged, layout, rng):
+        """The tokens an array's values flag (nonzero with |x| < 1e-4, or
+        |x| >= 1e16) are written as repr writes them, and no other token is
+        touched: 10^U(-320, 308) magnitudes with zeros, -0.0, 5e-324 and the
+        edges of both ranges, at depths 0 to 4 and in every layout."""
+        size = int(np.prod(shape))
+        low, high = {"none": (-4, 15.9), "some": (-320, 308), "all": (-320, -4.1)}[flagged]
+        values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(low, high, size)
+        if flagged == "all":
+            values[::2] = rng.choice([-1.0, 1.0], len(values[::2])) * 10.0 ** rng.uniform(16, 308, len(values[::2]))
+            values[:5] = [1e-5, 9.999999999999999e-05, 1e16, -5e-324, 1.7976931348623157e308]
+        elif flagged == "some":
+            values[:7] = [0.0, -0.0, 5e-324, 1e-5, 9.999999999999999e-05, 1e-4, 9999999999999998.0]
+            values[-1] = 1e16
+        else:
+            values[:4] = [0.0, -0.0, 1e-4, 9999999999999998.0]
+        values = values.reshape(shape)
+        values = {"C": values, "reversed": values[::-1], "Fortran": np.asfortranarray(values)}[layout]
+        magnitude = np.abs(values)
+        count = ((magnitude < 1e-4) & (values != 0) | (magnitude >= 1e16)).sum()
+        if flagged == "some":
+            assert 0 < count < size
+        else:
+            assert count == (size if flagged == "all" else 0)
+        for depth in range(5):
+            payload, listed = values, values.tolist()
+            for level in range(depth):
+                payload, listed = ([payload], [listed]) if level % 2 else ({"k": payload}, {"k": listed})
+            assert serialize.dumps(payload) == json.dumps(listed, indent=2, sort_keys=True) + "\n"
 
     def test_matrix_files_take_the_orjson_path(self, rng, monkeypatch):
         """A Z-like matrix with round-off entries, as an array and as a list,
         and a (K, N, N, 2) projector list, each at Z's depth in report.json,
         are each one orjson call that nests them in one-item lists to their
         final indent. A fall back to a re-indent of the text or to the
-        item-by-item path fails here."""
+        item-by-item path fails here. The list is handed over as it is; the
+        array as a float64 copy that holds 1e300 in place of each entry whose
+        token is rewritten (the round-off ones) and equals it elsewhere."""
         z = np.round(rng.standard_normal((256, 256)), 2)
         z.flat[rng.choice(z.size, 100, replace=False)] = rng.standard_normal(100) * 1e-17
         projectors = serialize.complex_to_json(build_canonical_frame(4).projectors)
@@ -199,7 +237,14 @@ class TestDumps:
             for _ in range(4):
                 assert type(wrapped) is list and len(wrapped) == 1
                 wrapped = wrapped[0]
-            assert wrapped is matrix
+            if isinstance(matrix, list):
+                assert wrapped is matrix
+                continue
+            flagged = (np.abs(matrix) < 1e-4) & (matrix != 0)
+            assert flagged.sum() == 100
+            assert type(wrapped) is np.ndarray and wrapped.dtype == np.float64
+            assert_array_equal(wrapped[~flagged], matrix[~flagged])
+            assert (wrapped[flagged] == 1e300).all()
 
     @given(st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=5))
     def test_matches_json_dumps_on_any_object(self, payload):
