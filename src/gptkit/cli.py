@@ -61,13 +61,10 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     theory = theory_by_name(args.theory, n)
     if kind != "rho" and values.shape[0] != theory.k:
         raise GptError(f"vector length {values.shape[0]} does not match K = {theory.k}")
-    if kind == "p":  # the one conversion that solves against D
-        p, r = values, r_from_p(values, theory.d)
-    else:
-        r = theory.r_of(values) if kind == "rho" else values
-        p = theory.d @ r
-
-    result = theory.operator_of(r) if args.dst == "rho" else p if args.dst == "p" else r
+    # r_from_p is the one conversion that solves against D
+    r = r_from_p(values, theory.d) if kind == "p" else theory.r_of(values) if kind == "rho" else values
+    result = (theory.operator_of(r) if args.dst == "rho" else r if args.dst == "r"
+              else values if kind == "p" else theory.d @ r)
     if not np.isfinite(result).all():  # finite input entries near the float limit overflow
         raise GptError(f"the {args.dst} of this state overflows to a non-finite entry")
     _emit(serialize.operator_to_dict(result) if args.dst == "rho"

@@ -35,7 +35,8 @@ def composite_from_density(rho_ab: np.ndarray, theory_a: Theory, theory_b: Theor
         )
     blocks = rho_ab.reshape(na, nb, na, nb).transpose(1, 3, 0, 2).reshape(nb * nb, na, na)
     adjoints = blocks.conj().swapaxes(-1, -2)
-    parts = np.concatenate([(blocks + adjoints) / 2.0, (blocks - adjoints) / 2.0j])
+    # halved before the sum, so that entries near the float limit do not overflow
+    parts = np.concatenate([blocks / 2.0 + adjoints / 2.0, blocks / 2.0j - adjoints / 2.0j])
     hermitian, anti = np.split(theory_a.r_of(parts), 2)  # one call: r_of's cost is mostly per call
     r_a = hermitian + 1j * anti
     r_ab = theory_b.r_of(r_a.T.reshape(theory_a.k, nb, nb))

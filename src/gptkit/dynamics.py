@@ -265,15 +265,17 @@ class PathReport:
         return self.max_deviation <= self.tolerance and self.endpoint_deviation <= self.tolerance
 
 
-def _pure_state_vector(r: np.ndarray, theory: Theory) -> np.ndarray:
-    eigvals, eigvecs = np.linalg.eigh(theory.operator_of(r))
-    if abs(eigvals[-1] - 1.0) > PURITY_TOL or np.abs(eigvals[:-1]).max(initial=0.0) > PURITY_TOL:
-        raise GptError("endpoint is not a pure state (rank-1, trace-1) to tolerance")
-    return eigvecs[:, -1]
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_i . y_i for each row i, by matmul, so each rounds as the 1-D x_i @ y_i does."""
+    return (x[:, None] @ y[:, :, None])[:, 0, 0]
 
 
-def continuity_probe(theory: Theory, r_a: np.ndarray, r_b: np.ndarray, steps: int) -> PathReport:
-    """Probe for a continuous path of pure states from r_a to r_b.
+def continuity_probe(theory: Theory, r_a: np.ndarray, r_b: np.ndarray,
+                     steps: int) -> PathReport | tuple[PathReport, ...]:
+    """Probe for continuous paths of pure states from r_a to r_b: one pair
+    (K,) gives one ``PathReport``, a stack of m pairs (m, K) a tuple of m,
+    from one ``operator_of``, one stacked ``eigh`` and one ``r_of`` call
+    for the stack. An impure endpoint anywhere is a ``GptError``.
 
     For the quantum theory (pair units 1 and i) the probe follows the
     great circle through the endpoint state vectors. With the phase of
@@ -299,44 +301,45 @@ def continuity_probe(theory: Theory, r_a: np.ndarray, r_b: np.ndarray, steps: in
     """
     if steps < 2:
         raise GptError("need at least two path samples")
-    ts = np.append(np.linspace(0.0, 1.0, steps), 0.5)
-    r_b = np.asarray(r_b, dtype=float)
+    r_a, r_b = np.asarray(r_a, dtype=float), np.asarray(r_b, dtype=float)
+    if r_a.shape != r_b.shape or r_a.shape[-1:] != (theory.k,) or r_a.ndim > 2:
+        raise DimensionError(f"endpoints {r_a.shape} and {r_b.shape} are not (K,) or (m, K) with K = {theory.k}")
+    pairs = np.stack([np.atleast_2d(r_a), np.atleast_2d(r_b)], axis=1)  # (m, 2, K)
+    m, ts = len(pairs), np.append(np.linspace(0.0, 1.0, steps), 0.5)
 
     if not theory.units:  # classical: D = I
-        r_a = np.asarray(r_a, dtype=float)
-        for r in (r_a, r_b):
-            in_bounds = r.min() >= -PURITY_TOL and r.max() <= 1.0 + PURITY_TOL
-            if not in_bounds or abs(r @ r - 1.0) > PURITY_TOL or abs(r.sum() - 1.0) > PURITY_TOL:
-                raise GptError("classical endpoint is not a pure (basis) state")
-        weights = np.stack([1.0 - ts, ts], axis=1)
-        span = np.stack([r_a, r_b])
+        r = pairs.reshape(-1, theory.k)
+        pure = (r.min(axis=1) >= -PURITY_TOL) & (r.max(axis=1) <= 1.0 + PURITY_TOL)
+        pure &= (np.abs((r * r).sum(axis=1) - 1.0) <= PURITY_TOL) & (np.abs(r.sum(axis=1) - 1.0) <= PURITY_TOL)
+        if not pure.all():
+            raise GptError("classical endpoint is not a pure (basis) state")
+        weights, span = np.broadcast_to(np.stack([1.0 - ts, ts], axis=1), (m, steps + 1, 2)), pairs
     else:
-        psi_a = _pure_state_vector(r_a, theory)
-        psi_b = _pure_state_vector(r_b, theory)
-        overlap = psi_a.conj() @ psi_b
-        cos_ab = abs(overlap)
-        if cos_ab > 0.0:
-            psi_b = psi_b * (cos_ab / overlap)
-        ortho = psi_b - cos_ab * psi_a
-        sin_ab = np.linalg.norm(ortho)
+        n = theory.dimension
+        eigvals, eigvecs = np.linalg.eigh(theory.operator_of(pairs.reshape(-1, theory.k)))
+        if not np.abs(eigvals - np.eye(n)[-1]).max(initial=0.0) <= PURITY_TOL:  # spectrum (0, ..., 0, 1)
+            raise GptError("endpoint is not a pure state (rank-1, trace-1) to tolerance")
+        psi_a, psi_b = eigvecs[:, :, -1].reshape(m, 2, n).swapaxes(0, 1)
+        overlap = _rowdot(psi_a.conj(), psi_b)
+        cos_ab = np.hypot(overlap.real, overlap.imag)  # |overlap|, rounded as Python's abs rounds a complex
+        # an orthogonal pair (cos_ab = 0) keeps psi_b's phase
+        psi_b = psi_b * np.divide(cos_ab, overlap, out=np.ones_like(overlap), where=cos_ab > 0.0)[:, None]
+        ortho = psi_b - cos_ab[:, None] * psi_a
+        sin_ab = np.sqrt(_rowdot(ortho.real, ortho.real) + _rowdot(ortho.imag, ortho.imag))
         theta = np.arctan2(sin_ab, cos_ab)  # arccos |<psi_a|psi_b>|, accurate near 0
-        phi = ortho / sin_ab if sin_ab > 0.0 else ortho
-        cos_t, sin_t = np.cos(ts * theta), np.sin(ts * theta)
-        weights = np.stack([cos_t * cos_t, sin_t * sin_t, cos_t * sin_t], axis=1)
-        cross = np.outer(psi_a, phi.conj())
-        span = theory.r_of(np.stack([np.outer(psi_a, psi_a.conj()), np.outer(phi, phi.conj()),
-                                     cross + cross.conj().T]))
+        phi = np.divide(ortho, sin_ab[:, None], out=ortho.copy(), where=sin_ab[:, None] > 0.0)
+        cos_t, sin_t = np.cos(ts * theta[:, None]), np.sin(ts * theta[:, None])
+        weights = np.stack([cos_t * cos_t, sin_t * sin_t, cos_t * sin_t], axis=2)
+        cross = psi_a[:, :, None] * phi.conj()[:, None, :]
+        ops = np.stack([psi_a[:, :, None] * psi_a.conj()[:, None, :], phi[:, :, None] * phi.conj()[:, None, :],
+                        cross + cross.conj().swapaxes(1, 2)], axis=1)
+        span = theory.r_of(ops.reshape(-1, n, n)).reshape(m, 3, theory.k)
     d_span = span @ theory.d  # rows (D r)^T, D symmetric
-    purities = np.einsum("ti,ti->t", weights @ (d_span @ span.T), weights)
-    mus = weights @ (d_span @ theory.r_identity)
-
-    return PathReport(
-        theory=theory.name,
-        steps=steps,
-        purities=purities[:-1],
-        midpoint_purity=float(purities[-1]),
-        max_deviation=float(np.abs(purities[:-1] - 1.0).max()),
-        max_mu_deviation=float(np.abs(mus[:-1] - 1.0).max()),
-        endpoint_deviation=float(np.abs(weights[steps - 1] @ span - r_b).max()),
-        tolerance=PURITY_TOL,
-    )
+    purities = np.einsum("mti,mti->mt", weights @ (d_span @ span.swapaxes(1, 2)), weights)
+    mus = (weights @ (d_span @ theory.r_identity)[:, :, None])[:, :, 0]
+    r_ends = (weights[:, steps - 1, None] @ span)[:, 0]  # r(1)
+    deviations = (np.abs(purities[:, :-1] - 1.0).max(axis=1), np.abs(mus[:, :-1] - 1.0).max(axis=1),
+                  np.abs(r_ends - pairs[:, 1]).max(axis=1))  # the max_, max_mu_ and endpoint_deviation fields
+    reports = tuple(PathReport(theory.name, steps, p[:-1], float(p[-1]), *map(float, devs), tolerance=PURITY_TOL)
+                    for p, *devs in zip(purities, *deviations))
+    return reports[0] if r_a.ndim == 1 else reports

@@ -320,10 +320,7 @@ def _continuity_check(theory: Theory, seed: int) -> CheckResult:
             name="axiom5-continuity",
             status="expected-fail" if expected_fail else "fail",
             max_deviation=report.max_deviation,
-            witnesses={
-                "midpoint_purity": report.midpoint_purity,
-                "note": "no continuous pure path exists classically",
-            },
+            witnesses={"midpoint_purity": report.midpoint_purity, "note": "no continuous pure path exists classically"},
         )
     # one draw, in the order of a loop over pairs, then endpoints, then the Re and Im parts
     n = theory.dimension
@@ -332,13 +329,11 @@ def _continuity_check(theory: Theory, seed: int) -> CheckResult:
     psis = (gauss[:, :, 0] + 1j * gauss[:, :, 1]).reshape(-1, n)
     psis /= np.linalg.norm(psis, axis=-1, keepdims=True)
     rs = theory.r_of(psis[:, :, None] * psis.conj()[:, None, :]).reshape(CONTINUITY_PAIRS, 2, -1)
-    reports = [continuity_probe(theory, r_a, r_b, steps=CONTINUITY_STEPS) for r_a, r_b in rs]
+    reports = continuity_probe(theory, rs[:, 0], rs[:, 1], steps=CONTINUITY_STEPS)
     return CheckResult(
         name="axiom5-continuity",
         status="pass" if all(r.pure_path for r in reports) else "fail",
-        max_deviation=max(
-            (max(r.max_deviation, r.endpoint_deviation) for r in reports), default=0.0
-        ),
+        max_deviation=max((max(r.max_deviation, r.endpoint_deviation) for r in reports), default=0.0),
         witnesses={"pairs": CONTINUITY_PAIRS, "steps": CONTINUITY_STEPS},
     )
 
@@ -631,6 +626,8 @@ def _run_composite_pipeline(params: dict[str, Any], seed: int, base: Path, out_d
         za = z_from_unitary(ua, ta)
         zb = z_from_unitary(ub, tb)
         left = local_transform(pt, za, zb)
+        if not np.isfinite(left).all():  # finite entries near the float limit overflow
+            raise GptError("the transformation law Z_A p_tilde Z_B^T of this state overflows to a non-finite entry")
         u = np.kron(ua, ub)
         right = composite_from_density(u @ rho @ u.conj().T, ta, tb)
         worst = max(worst, float(np.abs(left - right).max()))

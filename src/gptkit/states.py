@@ -124,6 +124,8 @@ class Theory:
         n = self.dimension
         if ops.ndim not in (2, 3) or ops.shape[-2:] != (n, n):
             raise DimensionError(f"operator shape {ops.shape} does not match dimension {n}")
+        if not np.isfinite(ops).all():
+            raise GptError("operator has a non-finite entry")
         re, im = ops.real, ops.imag
         for skew in (re - re.swapaxes(-1, -2), im + im.swapaxes(-1, -2)):
             if np.abs(skew).max(initial=0.0) > ATOL:

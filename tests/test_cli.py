@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -510,6 +511,32 @@ class TestTransform:
         assert payload["reversible"] is False
 
 
+def test_convert_multiplies_by_d_only_for_p(tmp_path, capsys, monkeypatch, rng):
+    """From rho or r, D r is formed only when --to p asks for it."""
+    products = []
+
+    class RecordingD(np.ndarray):
+        def __matmul__(self, other):
+            products.append(np.shape(other))
+            return np.asarray(self) @ other
+
+    theory = gptkit.states.quantum_theory(2)
+    recording = dataclasses.replace(theory, d=theory.d.view(RecordingD))
+    monkeypatch.setattr(gptkit.cli, "theory_by_name", lambda name, n: recording)
+    rho = random_density(rng, 2)
+    serialize.write_json(tmp_path / "rho.json", serialize.operator_to_dict(rho))
+    serialize.write_json(tmp_path / "r.json", serialize.vector_to_dict(theory.r_of(rho), 2, "state", "r"))
+    for src in ("rho", "r"):
+        for dst in ("rho", "p", "r"):
+            products.clear()
+            code, out, _ = run_cli(capsys, "convert", "--in", str(tmp_path / f"{src}.json"), "--from", src,
+                                   "--to", dst)
+            assert code == 0
+            assert products == ([(4,)] if dst == "p" else []), (src, dst)
+            if dst == "p":
+                assert_allclose(json.loads(out)["values"], theory.d @ theory.r_of(rho), rtol=0, atol=1e-15)
+
+
 class TestComposite:
     def test_bell_state(self, tmp_path, capsys):
         bell = np.zeros((4, 4), dtype=complex)
@@ -536,6 +563,16 @@ class TestComposite:
         code, out, err = run_cli(capsys, "composite", "--rho", str(rho_file), "--na", "2", "--nb", "2")
         assert (code, out) == (2, "")
         assert err == "error: operator is not Hermitian\n"
+
+    def test_entries_near_the_float_limit_name_the_overflow(self, tmp_path, capsys):
+        """p_tilde of 1e308 I is finite; the transformation law Z_A p_tilde Z_B^T
+        is not, and that is the one error line (not a Hermitian test)."""
+        rho_file = tmp_path / "huge.op.json"
+        serialize.write_json(rho_file, serialize.operator_to_dict(np.diag([HUGE] * 4).astype(complex)))
+        code, out, err = run_cli(capsys, "composite", "--rho", str(rho_file), "--na", "2", "--nb", "2")
+        assert (code, out) == (2, "")
+        assert err == ("error: the transformation law Z_A p_tilde Z_B^T of this state overflows "
+                       "to a non-finite entry\n")
 
 
 @pytest.mark.parametrize(

@@ -82,6 +82,14 @@ class TestCompositeFromDensity:
         with pytest.raises(GptError, match="not Hermitian"):
             composite_from_density(rho, QT2, QT2)
 
+    @pytest.mark.parametrize("na, nb", [(2, 2), (2, 3)])
+    def test_entries_near_the_float_limit_do_not_overflow(self, na, nb):
+        """tr((P_i (x) P_j) c I) = c: every entry of p_tilde is exactly 1e308,
+        with no Hermitian-part sum overflowing on the way (no warning either)."""
+        with np.errstate(all="raise"):
+            pt = composite_from_density(1e308 * np.eye(na * nb), quantum_theory(na), quantum_theory(nb))
+        assert_allclose(pt, np.full((na * na, nb * nb), 1e308), rtol=1e-15, atol=0)
+
 
 class TestLocalTransform:
     def test_identities_leave_state(self, rng):

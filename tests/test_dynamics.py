@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from gptkit import (
+    DimensionError,
     GptError,
     KrausSet,
     PathReport,
@@ -25,6 +28,8 @@ from gptkit import (
 )
 import gptkit.dynamics
 import gptkit.states
+from gptkit import harness
+from gptkit.harness import run_axiom_suite
 from gptkit.frames import PURITY_TOL
 from conftest import (
     cached_quantum_theory,
@@ -440,3 +445,88 @@ class TestContinuityProbe:
             assert float(QT2.r_identity @ moved) == pytest.approx(
                 float(QT2.r_identity @ p), abs=1e-12
             )
+
+
+class TestContinuityProbeStack:
+    """A stack of m endpoint pairs (m, K) is probed in one pass and gives a
+    tuple of m reports, each equal to the single-pair (K,) call's."""
+
+    @staticmethod
+    def _assert_same_report(got, want):
+        assert isinstance(got, PathReport) and isinstance(want, PathReport)
+        for field in dataclasses.fields(PathReport):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.shape == b.shape
+                assert_allclose(a, b, rtol=0, atol=1e-15)
+            elif isinstance(a, float):
+                assert a == pytest.approx(b, rel=0, abs=1e-15), field.name
+            else:
+                assert a == b, field.name
+
+    @staticmethod
+    def _pairs(theory, rng):
+        """Random pairs plus the edge cases: an identical pair (theta = 0), a
+        phase multiple, and two orthogonal basis states (<psi_a|psi_b> = 0)."""
+        n, psi = theory.dimension, haar_state(rng, theory.dimension)
+        psi_a = [haar_state(rng, n) for _ in range(3)] + [psi, psi, np.eye(n)[0]]
+        psi_b = [haar_state(rng, n) for _ in range(3)] + [psi, np.exp(0.7j) * psi, np.eye(n)[1]]
+        return tuple(theory.r_of(np.stack([np.outer(v, v.conj()) for v in vs])) for vs in (psi_a, psi_b))
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_stack_matches_single_pair_calls(self, n, rng):
+        theory = cached_quantum_theory(n)
+        r_a, r_b = self._pairs(theory, rng)
+        reports = continuity_probe(theory, r_a, r_b, steps=50)
+        assert isinstance(reports, tuple) and len(reports) == len(r_a) == 6
+        for report, a, b in zip(reports, r_a, r_b):
+            self._assert_same_report(report, continuity_probe(theory, a, b, steps=50))
+            assert report.pure_path and report.endpoint_deviation < 1e-12
+        # the identical pair stays put, the phase multiple too
+        for report in reports[3:5]:
+            assert report.max_deviation < 1e-12 and report.endpoint_deviation < 1e-12
+
+    def test_classical_stack_matches_single_pair_calls(self):
+        theory = classical_theory(3)
+        r_a, r_b = theory.basis_r[[0, 0, 1, 2]], theory.basis_r[[1, 2, 2, 2]]
+        reports = continuity_probe(theory, r_a, r_b, steps=21)
+        assert len(reports) == 4
+        for report, a, b in zip(reports, r_a, r_b):
+            self._assert_same_report(report, continuity_probe(theory, a, b, steps=21))
+        assert [r.pure_path for r in reports] == [False, False, False, True]
+        assert reports[0].midpoint_purity == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("theory", [quantum_theory(3), classical_theory(3)], ids=["quantum", "classical"])
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_impure_endpoint_anywhere_in_a_stack_is_refused(self, theory, row, side):
+        r_a, r_b = np.tile(theory.basis_r[0], (5, 1)), np.tile(theory.basis_r[1], (5, 1))
+        (r_a if side == "a" else r_b)[row] = theory.r_identity / 3  # the maximally mixed state
+        with pytest.raises(GptError, match="not a pure"):
+            continuity_probe(theory, r_a, r_b, steps=10)
+
+    @pytest.mark.parametrize("m", [0, 1, 4])
+    def test_a_stack_gives_a_tuple_and_one_pair_one_report(self, m):
+        r_a, r_b = np.tile(QT2.basis_r[0], (m, 1)), np.tile(QT2.basis_r[1], (m, 1))
+        reports = continuity_probe(QT2, r_a, r_b, steps=10)
+        assert isinstance(reports, tuple) and len(reports) == m
+        assert all(isinstance(report, PathReport) for report in reports)
+        assert isinstance(continuity_probe(QT2, QT2.basis_r[0], QT2.basis_r[1], steps=10), PathReport)
+
+    @pytest.mark.parametrize("r_a, r_b", [(np.zeros(4), np.zeros((1, 4))), (np.zeros((2, 4)), np.zeros((3, 4))),
+                                          (np.zeros(3), np.zeros(3)), (np.zeros((1, 1, 4)), np.zeros((1, 1, 4)))])
+    def test_endpoint_shapes_must_agree_with_k(self, r_a, r_b):
+        with pytest.raises(DimensionError):
+            continuity_probe(QT2, r_a, r_b, steps=10)
+
+    def test_quantum_suite_makes_one_probe_call(self, monkeypatch):
+        calls, probe = [], harness.continuity_probe
+
+        def record(theory, r_a, r_b, steps):
+            calls.append((np.shape(r_a), np.shape(r_b), steps))
+            return probe(theory, r_a, r_b, steps)
+
+        monkeypatch.setattr(harness, "continuity_probe", record)
+        assert run_axiom_suite("quantum", 3, seed=1).passed
+        pairs = (harness.CONTINUITY_PAIRS, 9)
+        assert calls == [(pairs, pairs, harness.CONTINUITY_STEPS)]

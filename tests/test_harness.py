@@ -198,7 +198,7 @@ class TestAxiomSuite:
         probe = harness.continuity_probe
 
         def missed_endpoint(*args, **kwargs):
-            return dataclasses.replace(probe(*args, **kwargs), endpoint_deviation=0.5)
+            return tuple(dataclasses.replace(r, endpoint_deviation=0.5) for r in probe(*args, **kwargs))
 
         monkeypatch.setattr(harness, "continuity_probe", missed_endpoint)
         budget(CONTINUITY_PAIRS=2, CONTINUITY_STEPS=20)
@@ -240,7 +240,10 @@ class TestAxiomSuite:
         assert len(draws) == 1 and draws[0].shape == (harness.CONTINUITY_PAIRS, 2, 2, 3)
         assert np.array_equal(draws[0][:, :, 0] + 1j * draws[0][:, :, 1], np.reshape(loop, (-1, 2, 3)))
         expected = [theory.r_of(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real) for psi in loop]
-        assert_allclose(np.reshape(endpoints, (-1, theory.k)), expected, rtol=0, atol=1e-15)
+        assert len(endpoints) == 1  # every pair in one call, r_a and r_b each a (pairs, K) stack
+        r_a, r_b = endpoints[0]
+        assert r_a.shape == r_b.shape == (harness.CONTINUITY_PAIRS, theory.k)
+        assert_allclose(np.stack([r_a, r_b], axis=1).reshape(-1, theory.k), expected, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n", [3, 16])
     def test_overlap_mutant_d_fails_continuity(self, n):

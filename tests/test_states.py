@@ -122,6 +122,15 @@ class TestROf:
         with pytest.raises(GptError, match="not Hermitian"):
             QT2.r_of(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_entry_rejected_before_the_hermitian_test(self, entry, where):
+        # inf - inf is NaN, which no tolerance test refuses; a diagonal inf alone looks Hermitian
+        ops = np.stack([np.eye(2, dtype=complex)] * 3)
+        ops[1][where] = entry
+        with pytest.raises(GptError, match="^operator has a non-finite entry$"):
+            QT2.r_of(ops)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             QT2.r_of(np.eye(3))
