@@ -632,7 +632,7 @@ def _run_composite_pipeline(params: dict[str, Any], seed: int, base: Path, out_d
         right = composite_from_density(u @ rho @ u.conj().T, ta, tb)
         worst = max(worst, float(np.abs(left - right).max()))
     rank = dof_count_check(ta.d, tb.d)
-    ok = worst <= PSD_TOL and rank == ta.k * tb.k
+    ok = worst <= PSD_TOL * max(1.0, np.abs(pt).max()) and rank == ta.k * tb.k
     return {
         "status": "pass" if ok else "fail",
         "max_deviation": worst,

@@ -4,8 +4,10 @@ them and in config sections. Frame, D-matrix, composite and counts files
 are only written; vector, operator and Kraus files are also read.
 
 Complex scalars are encoded as two-element [re, im] arrays; real matrices
-are row-major arrays of arrays. Frame files use the ``.frame.json``
-extension and D-matrix files ``.dmat.json`` by convention.
+are row-major arrays of arrays. The payload builders hand their matrices
+and vectors to ``dumps`` as float64 arrays, and ``dumps`` writes each file
+by one orjson call. Frame files use the ``.frame.json`` extension and
+D-matrix files ``.dmat.json`` by convention.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from .errors import DimensionError, GptError
 from .frames import FiducialFrame, label_text
 
 
-def complex_to_json(array: np.ndarray) -> list:
-    """Encode a complex array as nested lists with [re, im] leaves."""
+def complex_to_json(array: np.ndarray) -> np.ndarray:
+    """Encode a complex array as a float64 array with a last axis of [re, im]
+    pairs, written as nested lists with [re, im] leaves."""
     array = np.asarray(array, dtype=complex)
-    paired = np.stack([array.real, array.imag], axis=-1)
-    return paired.tolist()
+    return np.stack([array.real, array.imag], axis=-1)
 
 
 def _float_array(data: Any) -> np.ndarray:
@@ -48,10 +50,11 @@ def _required(params: dict[str, Any], key: str) -> Any:
 
 def _number(params: dict[str, Any], key: str, kind: type = int, default: Any = None) -> Any:
     """A numeric parameter: ``kind`` (int or float) of the value at ``key``,
-    or of ``default`` when the key is absent and a default is given."""
+    or of ``default`` when the key is absent and a default is given. A JSON
+    ``true`` or ``false`` is not a number."""
     value = _required(params, key) if default is None else params.get(key, default)
     try:
-        number = kind(value)
+        number = None if isinstance(value, bool) else kind(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     # a string is parsed, but a JSON number for an int key must be integral (2.5 is refused)
@@ -82,107 +85,82 @@ def dumps(payload: dict) -> str:
     """The JSON text of every file and printout: indented, keys sorted.
 
     The text is ``json.dumps(payload, indent=2, sort_keys=True)`` byte for
-    byte, with each numpy array read as its ``tolist()``. Each number array,
-    the bulk of a matrix file, is written by one orjson call
-    (``_number_list``) instead of json's per-item Python encoder.
+    byte, with each numpy array read as its ``tolist()``, from one orjson
+    call. orjson writes some floats' tokens differently from json, so
+    ``_marked`` hands it 1e300 in their place and records json's text of
+    each; the k-th ``1e300`` token that ends its line (a line break, or a
+    comma and a line break, or the end of the text follows it) becomes the
+    k-th recorded text. A string never ends a line, since its closing
+    quote follows it, so no string is touched. A payload that orjson
+    cannot write as json does is written by json itself.
     """
-    pieces: list[str] = []
-    _encode(payload, 0, pieces)
-    pieces.append("\n")
+    texts: list[str] = []
+    try:
+        raw = orjson.dumps(_marked(payload, texts), option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
+    except TypeError:  # _marked's refusals, ints beyond 64 bits
+        return json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+    pieces, done, at = [], 0, -1
+    with memoryview(raw) as view:
+        for text in texts:
+            at = raw.index(b"e", at + 1)  # every e outside a string is in a marker or in true/false
+            while not (raw.startswith(b"1e300", at - 1)
+                       and (raw.startswith((b"\n", b",\n"), at + 4) or at + 4 == len(raw))):
+                at = raw.index(b"e", at + 1)
+            pieces += str(view[done:at - 1], "ascii"), text
+            done = at + 4
+        pieces += str(view[done:], "ascii"), "\n"
+    del raw  # freed before the join
     return "".join(pieces)
 
 
-def _encode(value: Any, depth: int, out: list[str]) -> None:
-    """Append to ``out`` json's indent=2 text of ``value``, which starts on
-    a line indented by ``depth`` levels.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # repr's text -> json's
 
-    A float64 array, or a non-empty list of finite floats and ints nested
-    to any depth, is one ``_number_list`` call; any other array is encoded
-    as its ``tolist()``, and any other list item by item.
+
+def _json_float(number: float) -> str:
+    """json's text of a float (``float.__repr__``: numpy 2's repr of a float64 names its type)."""
+    text = float.__repr__(number)
+    return _NON_FINITE.get(text, text)
+
+
+def _plain(text: str) -> bool:
+    """Whether orjson writes ``text`` as json does: ASCII, and no DEL, which json escapes."""
+    return text.isascii() and "\x7f" not in text
+
+
+def _marked(value: Any, texts: list[str]) -> Any:
+    """``value`` for orjson to write as json does.
+
+    Dict items come in sorted key order; tuples and arrays of any dtype but
+    float64 become lists, and a 0-d array its scalar; a float64 array
+    becomes C-contiguous. Each float whose token orjson writes differently
+    (nonzero with |x| < 1e-4, |x| >= 1e16, NaN and inf) becomes 1e300, and
+    json's text of it is appended to ``texts`` in output order. A key that
+    is not a plain str, a string json escapes differently, or a value of a
+    type json does not write is a TypeError.
     """
+    if isinstance(value, dict):
+        if not all(type(key) is str and _plain(key) for key in value):
+            raise TypeError("a key that orjson does not write as json does")
+        return {key: _marked(item, texts) for key, item in sorted(value.items())}
+    if isinstance(value, (list, tuple)):
+        return [_marked(item, texts) for item in value]
     if type(value) is np.ndarray:
-        if value.dtype != np.float64 or not _number_list(value, depth, out):
-            _encode(value.tolist(), depth, out)
-        return
-    newline = "\n" + "  " * depth
-    if type(value) is list and value:
-        if type(value[0]) in (float, int, list) and _number_list(value, depth, out):
-            return
-        for i, item in enumerate(value):
-            out.append(("," if i else "[") + newline + "  ")
-            _encode(item, depth + 1, out)
-        out += newline, "]"
-    elif type(value) is dict and value and all(type(k) is str for k in value):
-        for i, (key, item) in enumerate(sorted(value.items())):
-            out.append(("," if i else "{") + newline + "  " + json.dumps(key) + ": ")
-            _encode(item, depth + 1, out)
-        out += newline, "}"
-    elif not isinstance(value, (dict, list, tuple)):
-        out.append(json.dumps(value))  # a scalar's text does not depend on the layout
-    else:  # json writes no raw line break inside a string, so every one is layout
-        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
-
-
-def _number_list(value: list | np.ndarray, depth: int, out: list[str]) -> bool:
-    """Append to ``out`` json's indent=2 text of ``value`` at ``depth``
-    levels of indent, from one orjson call; False, with nothing appended,
-    when ``value`` holds anything but finite floats, ints within 64 bits
-    and lists of them, or is an array orjson refuses (0-d, or not
-    C-contiguous with no entry to rewrite).
-
-    orjson writes ``value`` nested in ``depth`` one-item lists, so each line
-    comes out at its final indent, and the wrapper lines are left out. Its
-    digits are repr's shortest round-trip ones, and its text is repr's for
-    every float but the nonzero ones with |x| < 1e-4 or |x| >= 1e16: there
-    it writes ``0.00001``, ``1.2e-7`` and ``1e16`` where repr writes
-    ``1e-05``, ``1.2e-07`` and ``1e+16``. Those tokens are written as the
-    repr of their float. An array's are found from its values: orjson gets
-    a copy with 1e300 in their place, so the k-th token holding ``e`` is
-    the k-th of them in C order. A list may mix ints with floats (an int
-    of 1e16 or more keeps its digits), so its tokens are found in the text:
-    each one holding ``e`` or ``0.0000``.
-    """
-    originals = None  # an array's rewritten floats, in C order
-    if type(value) is np.ndarray:
+        if value.dtype != np.float64 or value.ndim == 0:
+            return _marked(value.tolist(), texts)
         magnitude = np.abs(value)
-        if not magnitude.max(initial=0.0) < np.inf:  # NaN and inf: json writes them, orjson null
-            return False
-        flagged = (magnitude < 1e-4) & (value != 0) | (magnitude >= 1e16)
-        del magnitude  # freed before orjson's text is allocated
-        originals = value[flagged].tolist()
-        if originals:
+        flagged = (magnitude < 1e-4) & (value != 0) | ~(magnitude < 1e16)
+        if flagged.any():
+            texts += map(_json_float, value[flagged].tolist())  # C order, as orjson writes them
             value = np.where(flagged, 1e300, value)
-    option = orjson.OPT_INDENT_2 | (orjson.OPT_SERIALIZE_NUMPY if originals is not None else 0)
-    for _ in range(depth):
-        value = [value]
-    try:
-        raw = orjson.dumps(value, option=option)
-    except TypeError:  # numpy scalars, ints beyond 64 bits, 0-d or non-contiguous arrays
-        return False
-    if originals is None and any(c in raw for c in b'"{tfn'):  # strings, objects, true, false, null
-        return False
-    # the wrappers open with depth lines "[" at indents 0, 2, ... and close with as many "]" lines
-    done, stop = depth * (depth + 3), len(raw) - depth * (depth + 1)
-    view = memoryview(raw)
-    if originals is None:
-        starts = set()
-        for marker in (b"e", b"0.0000"):  # every e is an exponent: the text holds only numbers
-            at = raw.find(marker, done, stop)
-            while at >= 0:
-                starts.add(raw.rfind(b" ", 0, at) + 1)  # each number is on its own indented line
-                at = raw.find(marker, at + 1, stop)
-        for start in sorted(starts):
-            end = raw.find(b"\n", start)
-            end -= raw[end - 1] == ord(",")  # every item but a list's last is followed by a comma
-            out += str(view[done:start], "ascii"), repr(float(raw[start:end]))
-            done = end
-    else:
-        for original in originals:  # each token holding e is a 1e300
-            at = raw.find(b"e", done, stop)
-            out += str(view[done:at - 1], "ascii"), repr(original)
-            done = at + 4
-    out.append(str(view[done:stop], "ascii"))
-    return True
+        return np.ascontiguousarray(value)
+    if isinstance(value, float):  # np.float64 too
+        if value != 0 and abs(value) < 1e-4 or not abs(value) < 1e16:
+            texts.append(_json_float(value))
+            return 1e300
+        return value
+    if value is None or type(value) in (bool, int) or type(value) is str and _plain(value):
+        return value
+    raise TypeError(f"a {type(value).__name__} that orjson does not write as json does")
 
 
 def write_json(path: str | Path, payload: dict) -> None:
@@ -213,7 +191,7 @@ def frame_to_dict(frame: FiducialFrame) -> dict:
 
 def dmatrix_to_dict(d: np.ndarray, dimension: int) -> dict:
     d = np.asarray(d, dtype=float)
-    return {"dimension": dimension, "k": d.shape[0], "matrix": d.tolist()}
+    return {"dimension": dimension, "k": d.shape[0], "matrix": d}
 
 
 def vector_to_dict(values: np.ndarray, dimension: int, role: str, kind: str) -> dict:
@@ -225,7 +203,7 @@ def vector_to_dict(values: np.ndarray, dimension: int, role: str, kind: str) -> 
         "k": values.shape[0],
         "role": role,
         "kind": kind,
-        "values": values.tolist(),
+        "values": values,
     }
 
 
@@ -279,7 +257,7 @@ def kraus_from_dict(payload: dict) -> np.ndarray:
 
 def composite_to_dict(pt: np.ndarray) -> dict:
     pt = np.asarray(pt, dtype=float)
-    return {"k_a": pt.shape[0], "k_b": pt.shape[1], "rows": pt.tolist()}
+    return {"k_a": pt.shape[0], "k_b": pt.shape[1], "rows": pt}
 
 
 def counts_to_dict(counts: np.ndarray, shots: int, seed: int) -> dict:

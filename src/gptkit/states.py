@@ -117,7 +117,9 @@ class Theory:
         pair m < n (in ``np.triu_indices`` order, as in
         ``canonical_labels``), r_x = 2 Re rho_mn and r_y = -2 Im rho_mn,
         and r_m = rho_mm - 1/2 sum (r_x + r_y) over the pairs that
-        contain m. No solve against D is needed.
+        contain m. No solve against D is needed. An operator whose skew
+        exceeds ``ATOL`` times max(1, its largest real or imaginary part) is
+        not Hermitian (``GptError``).
         """
         self.require_operator_form()
         ops = np.asarray(ops, dtype=complex)
@@ -127,9 +129,11 @@ class Theory:
         if not np.isfinite(ops).all():
             raise GptError("operator has a non-finite entry")
         re, im = ops.real, ops.imag
-        for skew in (re - re.swapaxes(-1, -2), im + im.swapaxes(-1, -2)):
-            if np.abs(skew).max(initial=0.0) > ATOL:
-                raise GptError("operator is not Hermitian")
+        skew = max(np.abs(re - re.swapaxes(-1, -2)).max(initial=0.0),
+                   np.abs(im + im.swapaxes(-1, -2)).max(initial=0.0))
+        # relative to the entries' scale, read only when the absolute test fails
+        if skew > ATOL and skew > ATOL * max(1.0, np.abs(re).max(), np.abs(im).max()):
+            raise GptError("operator is not Hermitian")
         rows, cols = np.triu_indices(n, 1)
         # 0 - 2 Im rather than -2 Im, so that a real entry gives r_y = +0.0, not -0.0
         r_xy = np.stack([2.0 * re[..., rows, cols], 0.0 - 2.0 * im[..., rows, cols]], axis=-1)

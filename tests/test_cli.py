@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 import time
@@ -111,10 +112,21 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
             ["simulate", "--config", "e.cfg", "--seed", "1"],
             "vector kind 'banana' is neither 'p' nor 'r'",
         ),
+        (
+            {"e.json": {"n": True, "shots": True}},
+            ["simulate", "--config", "e.json", "--seed", "1"],
+            "n = True is not an integer",
+        ),
+        (
+            {"v.json": {"dimension": True, "k": 1, "role": "state", "kind": "p", "values": [1.0]}},
+            ["convert", "--from", "p", "--in", "v.json", "--to", "r"],
+            "dimension = True is not an integer",
+        ),
     ],
     ids=["convert-dimension", "simulate-partition-vector", "simulate-preparation-length",
          "convert-dimension-above-k", "convert-nan-vector", "convert-infinite-operator",
-         "simulate-nan-mix", "simulate-preparation-dimension", "simulate-preparation-kind"],
+         "simulate-nan-mix", "simulate-preparation-dimension", "simulate-preparation-kind",
+         "simulate-boolean-numbers", "convert-boolean-dimension"],
 )
 def test_malformed_json_field_is_usage_error(tmp_path, capsys, monkeypatch, files, argv, message):
     for name, content in files.items():
@@ -439,6 +451,40 @@ class TestBloch:
         assert "error" in err
 
 
+def _pairs(matrix: np.ndarray) -> list:
+    return np.stack([matrix.real, matrix.imag], axis=-1).tolist()
+
+
+def test_every_output_is_canonical_json_text(tmp_path, capsys, monkeypatch):
+    """Each JSON file and printout is json's own indent=2, sorted-key text
+    of its values, checked with json alone: the README report at two seeds
+    (every file), a frame, a D matrix, Z of an n = 16 unitary and Kraus set,
+    the n = 16 axiom suite and a 2 x 3 composite."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (tmp_path / "readme.cfg").write_text(re.search(r"```ini\n(\[report\].*?)```", readme, re.S).group(1))
+    rng = np.random.default_rng(3)
+    unitary, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    (tmp_path / "u.op.json").write_text(json.dumps({"dimension": 16, "matrix": _pairs(unitary)}))
+    kraus = random_trace_preserving_kraus(rng, 16, 2)
+    (tmp_path / "k.kraus.json").write_text(json.dumps({"dimension": 16, "kraus": _pairs(kraus)}))
+    (tmp_path / "rho.op.json").write_text(json.dumps({"dimension": 6, "matrix": _pairs(random_density(rng, 6))}))
+    monkeypatch.chdir(tmp_path)
+    texts = []
+    for seed in ("1", "12345"):
+        assert main(["report", "--config", "readme.cfg", "--out-dir", f"out{seed}", "--seed", seed]) == 0
+        files = sorted((tmp_path / f"out{seed}").glob("*.json"))
+        assert {f.name for f in files} >= {"report.json", "frame3.frame.json", "d3.dmat.json", "counts.json"}
+        texts += [f.read_text() for f in files]
+    for argv in (["frame", "--n", "5"], ["dmatrix", "--n", "6"], ["transform", "--unitary", "u.op.json"],
+                 ["transform", "--kraus", "k.kraus.json"], ["verify", "--theory", "quantum", "--n", "16"],
+                 ["composite", "--rho", "rho.op.json", "--na", "2", "--nb", "3"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        texts.append(out)
+    for text in texts:
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 class TestTransform:
     def test_unitary_passes_checks(self, tmp_path, capsys):
         u_file = tmp_path / "x.op.json"
@@ -563,6 +609,23 @@ class TestComposite:
         code, out, err = run_cli(capsys, "composite", "--rho", str(rho_file), "--na", "2", "--nb", "2")
         assert (code, out) == (2, "")
         assert err == "error: operator is not Hermitian\n"
+
+    @pytest.mark.parametrize("trace", [1e4, 1e5, 1e8, 1e300])
+    def test_large_trace_hermitian_state_passes(self, trace, tmp_path, capsys):
+        """The rotated states of the transformation law are Hermitian only to
+        rounding at the entries' scale; the Hermitian test and the law's
+        tolerance are relative to it."""
+        rho_file = tmp_path / "big.op.json"
+        serialize.write_json(rho_file, serialize.operator_to_dict(np.eye(4) * trace / 4))
+        code, out, err = run_cli(capsys, "composite", "--rho", str(rho_file), "--na", "2", "--nb", "2")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["joint_normalization"] == pytest.approx(trace)
+        section = {"kind": "composite", "rho": str(rho_file), "na": 2, "nb": 2}
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps({"seed": 1, "pipelines": [section]}))
+        assert main(["report", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 0
+        (result,) = json.loads((tmp_path / "out" / "report.json").read_text())["pipelines"]
+        assert result["status"] == "pass"
 
     def test_entries_near_the_float_limit_name_the_overflow(self, tmp_path, capsys):
         """p_tilde of 1e308 I is finite; the transformation law Z_A p_tilde Z_B^T

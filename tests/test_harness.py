@@ -632,6 +632,23 @@ class TestRunReport:
         assert code == 1
         assert "projectors" in report["pipelines"][0]["details"]["error"]
 
+    def test_json_booleans_are_not_numbers(self, tmp_path):
+        """A JSON true or false is refused where a number belongs; a flag still takes one."""
+        sections = [
+            {"kind": "verify", "n": True},
+            {"kind": "simulate", "n": 2, "shots": False},
+            {"kind": "bloch", "a": True, "b": 0.5, "c": 0.5},
+            {"kind": "bloch", "a": 0.5, "b": 0.5, "c": 0.5, "projectors": True},
+        ]
+        config = tmp_path / "b.json"
+        config.write_text(json.dumps({"seed": 1, "pipelines": sections}))
+        code, report = run_report(config, tmp_path / "out")
+        assert code == 1
+        assert [p["status"] for p in report["pipelines"]] == ["error", "error", "error", "pass"]
+        assert [p["details"].get("error") for p in report["pipelines"][:3]] == [
+            "n = True is not an integer", "shots = False is not an integer", "a = True is not a number"]
+        assert "projectors" in report["pipelines"][3]["details"]
+
     def test_malformed_value_errors_only_its_own_section(self, tmp_path):
         config = tmp_path / "m.cfg"
         config.write_text(

@@ -5,6 +5,7 @@ import numpy as np
 import orjson
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gptkit import GptError, build_canonical_frame, gram_matrix
@@ -19,7 +20,8 @@ class TestComplexEncoding:
 
     def test_leaves_are_re_im_pairs(self):
         data = serialize.complex_to_json(np.array([[1.0 + 2.0j]]))
-        assert data == [[[1.0, 2.0]]]
+        assert data.dtype == np.float64 and data.tolist() == [[[1.0, 2.0]]]
+        assert json.loads(serialize.dumps({"m": data}))["m"] == [[[1.0, 2.0]]]
 
     def test_malformed_leaf_rejected(self):
         with pytest.raises(Exception):
@@ -94,19 +96,30 @@ class TestMatrixAndVectorFiles:
         assert payload["shots"] == 10
 
 
+# texts that hold the 1e300 marker dumps rewrites, next to quotes, commas and line breaks
+MARKER_TEXTS = (st.sampled_from([" 1e300,", " 1e300", "1e300", 'a": 1e300,', "1e300\n", "x\x7f"])
+                | st.text(max_size=5))
+FLOAT64_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+                            elements=st.floats() | st.sampled_from([1e300, 1e-7, -0.0, 1e16]))
+
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    st.none() | st.booleans() | st.integers() | st.floats() | MARKER_TEXTS | FLOAT64_ARRAYS,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(st.floats(), min_size=1, max_size=4)
     | st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.integers(), min_size=1, max_size=4)
-    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    | st.dictionaries(MARKER_TEXTS, inner, max_size=4),
     max_leaves=20,
 )
 
 
+def json_text(payload) -> str:
+    """json's text of ``payload``, each array read as its ``tolist()``: what dumps must write."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+
+
 class TestDumps:
-    """``dumps`` writes each number array by one orjson call; its text must
-    stay ``json.dumps(payload, indent=2, sort_keys=True)`` byte for byte."""
+    """``dumps`` writes a payload by one orjson call; its text must stay
+    ``json.dumps(payload, indent=2, sort_keys=True)`` byte for byte."""
 
     @pytest.mark.parametrize(
         "payload",
@@ -131,10 +144,21 @@ class TestDumps:
             {"x": [1.5, 2**64, -(2**64), 2**63, 0.5]},
             {"x": [[], [1e-7]]},
             {"x": [1.0, True, 2]},
+            {"s": " 1e300,", "t": [1e-7, " 1e300,", 1e20], "u": 1e300},
+            {'a": 1e300,': 'a": 1e300,', "b": [1e-5, 'a": 1e300,'], "c": 2e-9},
+            {"x": np.float64(1e-7), "y": [np.float64(1e17), np.float64(0.25)]},
+            {"é": 1e-7, "v": ["ü", 1e20]},
+            {"x": [1e-7, "\ud800"]},
+            {"x": [2**64, 1e-7]},
+            {"x": 1e300, "y": [1e300, -1e300]},
+            {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "v": 1e-7},
+            {"x": np.array(1e-7), "y": np.array(0.5), "z": [np.array(np.nan)]},
+            {"f": np.asfortranarray(np.arange(1.0, 13.0).reshape(3, 4) * 1e-6), "g": 1e-6},
+            {"del\x7f": 1e-7, "v": "\x7f"},
         ],
     )
     def test_matches_json_dumps(self, payload):
-        assert serialize.dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert serialize.dumps(payload) == json_text(payload)
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_number_arrays_match_json_dumps_at_any_depth(self, depth, rng):
@@ -198,54 +222,48 @@ class TestDumps:
 
     def test_matrix_files_take_the_orjson_path(self, rng, monkeypatch):
         """A Z-like matrix with round-off entries, as an array and as a list,
-        and a (K, N, N, 2) projector list, each at Z's depth in report.json,
-        are each one orjson call that nests them in one-item lists to their
-        final indent. A fall back to a re-indent of the text or to the
-        item-by-item path fails here. The list is handed over as it is; the
-        array as a float64 copy that holds 1e300 in place of each entry whose
-        token is rewritten (the round-off ones) and equals it elsewhere."""
+        and a (K, N, N, 2) projector array, each at Z's depth in report.json,
+        are written by exactly one orjson call over the whole payload. Each
+        is handed over as it came, an array as a float64 array and a list as
+        a list, holding 1e300 in place of each entry whose token is
+        rewritten (the round-off ones) and equal to it elsewhere."""
         z = np.round(rng.standard_normal((256, 256)), 2)
         z.flat[rng.choice(z.size, 100, replace=False)] = rng.standard_normal(100) * 1e-17
         projectors = serialize.complex_to_json(build_canonical_frame(4).projectors)
-        assert np.shape(projectors) == (16, 4, 4, 2)
-        calls, depths = [], []
-        encode = serialize._encode
+        assert projectors.shape == (16, 4, 4, 2)
+        calls = []
 
         def recording_dumps(value, option):
             calls.append(value)
             return orjson.dumps(value, option=option)
 
-        def recording_encode(value, depth, out):
-            depths.append(depth)
-            encode(value, depth, out)
-
         monkeypatch.setattr(serialize, "orjson", SimpleNamespace(
             dumps=recording_dumps, OPT_INDENT_2=orjson.OPT_INDENT_2,
             OPT_SERIALIZE_NUMPY=orjson.OPT_SERIALIZE_NUMPY))
-        monkeypatch.setattr(serialize, "_encode", recording_encode)
         for matrix in (z, z.tolist(), projectors):
-            listed = matrix.tolist() if isinstance(matrix, np.ndarray) else matrix
-            pieces = []
-            assert serialize._number_list(matrix, 0, pieces)
-            assert "".join(pieces) == json.dumps(listed, indent=2)
             calls.clear()
-            depths.clear()
-            text = serialize.dumps({"pipelines": [{"details": {"z": matrix}}]})
-            assert text == json.dumps({"pipelines": [{"details": {"z": listed}}]}, indent=2) + "\n"
-            assert depths == [0, 1, 2, 3, 4]  # one _encode call per level, none per item
-            (wrapped,) = calls
-            for _ in range(4):
-                assert type(wrapped) is list and len(wrapped) == 1
-                wrapped = wrapped[0]
-            if isinstance(matrix, list):
-                assert wrapped is matrix
-                continue
+            payload = {"pipelines": [{"details": {"z": matrix}}]}
+            assert serialize.dumps(payload) == json_text(payload)
+            (marked,) = calls
+            handed = marked["pipelines"][0]["details"]["z"]
+            assert type(handed) is type(matrix)
+            handed, matrix = np.asarray(handed), np.asarray(matrix)
             flagged = (np.abs(matrix) < 1e-4) & (matrix != 0)
-            assert flagged.sum() == 100
-            assert type(wrapped) is np.ndarray and wrapped.dtype == np.float64
-            assert_array_equal(wrapped[~flagged], matrix[~flagged])
-            assert (wrapped[flagged] == 1e300).all()
+            assert flagged.sum() == (0 if matrix.ndim == 4 else 100)
+            assert handed.dtype == np.float64
+            assert_array_equal(handed[~flagged], matrix[~flagged])
+            assert (handed[flagged] == 1e300).all()
+
+    @pytest.mark.parametrize("payload", [{"x": [2**64, 1e-7]}, {"é": 1e-7}, {1: 0.5}, {"x": "\ud800"}])
+    def test_refused_payloads_go_to_json(self, payload, monkeypatch):
+        """What orjson cannot write as json does (ints beyond 64 bits, non-ASCII
+        or non-str keys, a lone surrogate) is written by json itself."""
+        calls = []
+        monkeypatch.setattr(serialize, "json", SimpleNamespace(
+            dumps=lambda *args, **kwargs: calls.append(args) or json.dumps(*args, **kwargs)))
+        assert serialize.dumps(payload) == json_text(payload)
+        assert len(calls) == 1
 
     @given(st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=5))
     def test_matches_json_dumps_on_any_object(self, payload):
-        assert serialize.dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert serialize.dumps(payload) == json_text(payload)

@@ -122,6 +122,17 @@ class TestROf:
         with pytest.raises(GptError, match="not Hermitian"):
             QT2.r_of(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("scale", [1e5, 1e8, 1e300])
+    def test_hermitian_tolerance_grows_with_the_entries(self, scale):
+        """A skew of rounding at the entries' scale passes; one of 1e-11 of it does not."""
+        rho = np.array([[1.0, 0.5 - 0.25j], [0.5 + 0.25j, 2.0]]) * scale
+        rounded, skewed = rho.copy(), rho.copy()
+        rounded[0, 1] += 4e-16 * scale
+        skewed[0, 1] += 1e-11 * scale
+        assert_allclose(QT2.r_of(rounded), QT2.r_of(rho), rtol=0, atol=1e-15 * scale)
+        with pytest.raises(GptError, match="not Hermitian"):
+            QT2.r_of(skewed)
+
     @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
     def test_non_finite_entry_rejected_before_the_hermitian_test(self, entry, where):
