@@ -31,8 +31,6 @@ from .dynamics import (
     KrausSet,
     MeasurementUpdateReport,
     PathReport,
-    TransformMatrix,
-    apply_transform,
     check_measurement_update,
     choi_matrix,
     continuity_probe,
@@ -77,7 +75,6 @@ from .axioms import (
 from .harness import (
     CheckResult,
     Experiment,
-    OutcomeCounts,
     SuiteReport,
     derive_seed,
     run_axiom_suite,

@@ -1,16 +1,15 @@
 """Bipartite states as K_A x K_B matrices of joint fiducial probabilities.
 
-The matrix form is used because local transformations act two-sidedly:
-p_tilde -> Z_A p_tilde Z_B^T. A state is read from its operator through the
-two theories' closed-form conversions, with no projector block; a flattening
-adapter supports rank counting.
+The matrix form is used because local transformations, each a K x K
+array Z, act two-sidedly: p_tilde -> Z_A p_tilde Z_B^T. A state is read
+from its operator through the two theories' closed-form conversions, with
+no projector block; a flattening adapter supports rank counting.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import TransformMatrix
 from .errors import DimensionError
 from .frames import ATOL
 from .states import Theory
@@ -43,20 +42,13 @@ def composite_from_density(rho_ab: np.ndarray, theory_a: Theory, theory_b: Theor
     return theory_a.d @ r_ab @ theory_b.d
 
 
-def local_transform(
-    pt: np.ndarray,
-    z_a: TransformMatrix | np.ndarray,
-    z_b: TransformMatrix | np.ndarray,
-) -> np.ndarray:
-    """Apply local transformations: Z_A p_tilde Z_B^T."""
-    za = z_a.z if isinstance(z_a, TransformMatrix) else np.asarray(z_a, dtype=float)
-    zb = z_b.z if isinstance(z_b, TransformMatrix) else np.asarray(z_b, dtype=float)
-    pt = np.asarray(pt, dtype=float)
-    if za.shape[1] != pt.shape[0] or zb.shape[1] != pt.shape[1]:
+def local_transform(pt: np.ndarray, z_a: np.ndarray, z_b: np.ndarray) -> np.ndarray:
+    """Apply local transformations, given as K x K arrays: Z_A p_tilde Z_B^T."""
+    if z_a.shape[1] != pt.shape[0] or z_b.shape[1] != pt.shape[1]:
         raise DimensionError(
-            f"size mismatch: Z_A {za.shape}, Z_B {zb.shape}, p_tilde {pt.shape}"
+            f"size mismatch: Z_A {z_a.shape}, Z_B {z_b.shape}, p_tilde {pt.shape}"
         )
-    return za @ pt @ zb.T
+    return z_a @ pt @ z_b.T
 
 
 def joint_normalization(pt: np.ndarray, r_identity_a: np.ndarray, r_identity_b: np.ndarray) -> float:

@@ -48,31 +48,17 @@ class KrausSet:
         return np.einsum("lij,jk,lmk->im", self.operators, rho, self.operators.conj())
 
 
-@dataclass(frozen=True)
-class TransformMatrix:
-    """K x K real matrix acting on p-vectors, with its origin recorded."""
-
-    z: np.ndarray
-    dimension: int
-    provenance: str = "raw"
-
-    def __post_init__(self) -> None:
-        z = np.asarray(self.z, dtype=float)
-        if z.ndim != 2 or z.shape[0] != z.shape[1]:
-            raise DimensionError(f"Z must be square, got shape {z.shape}")
-        if not np.isfinite(z).all():
-            raise GptError("Z contains non-finite entries")
-        object.__setattr__(self, "z", z)
-
-
-def z_from_kraus(kraus: KrausSet, theory: Theory) -> TransformMatrix:
-    """Vector-level transformation Z with Z p(rho) = p(sum M rho M^dag).
+def z_from_kraus(kraus: KrausSet, theory: Theory) -> np.ndarray:
+    """The float K x K matrix Z with Z p(rho) = p(sum M rho M^dag), so a
+    transformation acts on a p-vector as ``z @ p``.
 
     Built in the Heisenberg picture: p_k($(rho)) = tr($^dag(P_k) rho), so
     row k of Z is the r-vector of $^dag(P_k) = sum_l M_l^dag P_k M_l. With
     P_k = |u_k><u_k| / <u_k|u_k> (``canonical_vectors``) each term is the
     rank-one dyad of w = M_l^dag u_k, and ``Theory.r_of`` reads the rows
-    off the entries, so no solve against D is needed.
+    off the entries, so no solve against D is needed. A Z with a
+    non-finite entry (Kraus entries near the float limit overflow) is a
+    ``GptError``.
     """
     theory.require_operator_form()  # r_of would refuse too, but only after the K x N x N block
     n = theory.dimension
@@ -82,10 +68,13 @@ def z_from_kraus(kraus: KrausSet, theory: Theory) -> TransformMatrix:
     norms = np.einsum("ki,ki->k", vectors.conj(), vectors).real
     w = vectors @ kraus.operators.conj()  # w[l, k] = M_l^dag u_k, as a row
     heisenberg = np.einsum("lki,lkj->kij", w, w.conj()) / norms[:, None, None]
-    return TransformMatrix(z=theory.r_of(heisenberg), dimension=n, provenance="from-kraus")
+    z = theory.r_of(heisenberg)
+    if not np.isfinite(z).all():
+        raise GptError("Z contains non-finite entries")
+    return z
 
 
-def z_from_unitary(u: np.ndarray, theory: Theory) -> TransformMatrix:
+def z_from_unitary(u: np.ndarray, theory: Theory) -> np.ndarray:
     """Z for unitary conjugation rho -> U rho U^dag."""
     u = np.asarray(u, dtype=complex)
     n = theory.dimension
@@ -93,17 +82,7 @@ def z_from_unitary(u: np.ndarray, theory: Theory) -> TransformMatrix:
         raise DimensionError(f"unitary shape {u.shape} does not match dimension {n}")
     if np.abs(u.conj().T @ u - np.eye(n)).max() > PSD_TOL:
         raise GptError("matrix is not unitary")
-    base = z_from_kraus(KrausSet(operators=u[np.newaxis]), theory)
-    return TransformMatrix(z=base.z, dimension=n, provenance="from-unitary")
-
-
-def apply_transform(z: TransformMatrix | np.ndarray, p: np.ndarray) -> np.ndarray:
-    """p -> Z p."""
-    mat = z.z if isinstance(z, TransformMatrix) else np.asarray(z, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if mat.shape[1] != p.shape[-1]:
-        raise DimensionError(f"Z is {mat.shape}, p has length {p.shape}")
-    return mat @ p
+    return z_from_kraus(KrausSet(u[np.newaxis]), theory)
 
 
 def is_trace_nonincreasing(kraus: KrausSet) -> bool:
@@ -214,10 +193,10 @@ def check_measurement_update(
         r_l = np.asarray(r_l, dtype=float)
         for p in witnesses:
             p = np.asarray(p, dtype=float)
-            dev = abs(float(r_identity @ (z.z @ p)) - float(r_l @ p))
+            dev = abs(float(r_identity @ (z @ p)) - float(r_l @ p))
             dev_norm = max(dev_norm, dev)
 
-    z_total = sum(z.z for z in zs)
+    z_total = sum(zs)
     dev_identity = float(np.abs(z_total.T @ r_identity - r_identity).max())
 
     n = theory.dimension

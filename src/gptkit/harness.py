@@ -1,9 +1,10 @@
 """Stochastic measurement simulator, axiom suite, and the workflow pipelines.
 
 An experiment is the preparation -> transformation -> measurement
-pipeline: a p-vector, an optional Z, and a partition of the identity
-measurement into outcome r-vectors. The counts of a run are one exact
-multinomial draw over the outcomes, so sampling costs O(outcomes), not
+pipeline in one theory: a p-vector, an optional K x K array Z, and a
+partition of the identity measurement into outcome r-vectors. The counts
+of a run are one exact multinomial draw over the outcomes, returned as an
+array with the null outcome first, so sampling costs O(outcomes), not
 O(shots), and is deterministic given the experiment seed.
 
 ``PIPELINES`` holds the one implementation of each workflow (frame,
@@ -45,8 +46,6 @@ from .bloch import (
 from .composite import composite_from_density, dof_count_check, joint_normalization, local_transform
 from .dynamics import (
     KrausSet,
-    TransformMatrix,
-    apply_transform,
     continuity_probe,
     is_completely_positive,
     is_reversible,
@@ -81,33 +80,40 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Experiment:
-    """One preparation/transformation/measurement specification.
+    """One preparation/transformation/measurement specification in ``theory``.
 
-    ``partition`` lists the outcome r-vectors; they must sum to the
-    identity measurement, so the null-outcome probability is 1 - mu. It is
-    stored as one (L, K) array, with one row per outcome.
+    ``preparation`` is a p-vector and ``transform`` an optional K x K array
+    Z, so the state measured is Z p. ``partition`` lists the outcome
+    r-vectors; they must sum to the theory's identity measurement, so the
+    null-outcome probability is 1 - mu. It is stored as one (L, K) array,
+    with one row per outcome. A wrong shape, a partition that does not sum
+    to the identity or a shot count numpy cannot draw is an
+    ``InvalidExperimentError``.
     """
 
+    theory: Theory
     preparation: np.ndarray
     partition: np.ndarray
-    r_identity: np.ndarray
     shots: int
     seed: int
-    transform: TransformMatrix | np.ndarray | None = None
+    transform: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        k = self.theory.k
         prep = np.asarray(self.preparation, dtype=float)
         rs = [np.asarray(r, dtype=float) for r in self.partition]
-        r_identity = np.asarray(self.r_identity, dtype=float)
         if not rs:
             raise InvalidExperimentError("empty measurement partition")
         for name, vector in [*(("partition vector", r) for r in rs), ("preparation", prep)]:
-            if vector.shape != r_identity.shape:
-                raise InvalidExperimentError(
-                    f"{name} has shape {vector.shape}, the identity measurement {r_identity.shape}"
-                )
+            if vector.shape != (k,):
+                raise InvalidExperimentError(f"{name} has shape {vector.shape}, the identity measurement ({k},)")
+        if self.transform is not None:
+            z = np.asarray(self.transform, dtype=float)
+            if z.shape != (k, k):
+                raise InvalidExperimentError(f"transform has shape {z.shape}, not ({k}, {k})")
+            object.__setattr__(self, "transform", z)
         partition = np.array(rs)
-        if np.abs(partition.sum(axis=0) - r_identity).max() > ATOL:
+        if np.abs(partition.sum(axis=0) - self.theory.r_identity).max() > ATOL:
             raise InvalidExperimentError("partition does not sum to the identity measurement")
         if self.shots < 0:
             raise InvalidExperimentError(f"negative shot count {self.shots}")
@@ -115,35 +121,12 @@ class Experiment:
             raise InvalidExperimentError(f"shot count {self.shots} exceeds 2**63 - 1")
         object.__setattr__(self, "preparation", prep)
         object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "r_identity", r_identity)
-
-
-@dataclass(frozen=True)
-class OutcomeCounts:
-    """Shot counts per outcome; index 0 is the null outcome."""
-
-    counts: np.ndarray
-    shots: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=int)
-        if counts.sum() != self.shots:
-            raise InvalidExperimentError("counts do not sum to the shot count")
-        object.__setattr__(self, "counts", counts)
-
-    def frequencies(self) -> np.ndarray:
-        if self.shots == 0:
-            return np.zeros_like(self.counts, dtype=float)
-        return self.counts / self.shots
 
 
 def outcome_probabilities(exp: Experiment) -> np.ndarray:
     """Probability vector (null, outcome 1, ..., outcome L) of an experiment;
     each must lie in [0, 1] to ``ATOL``."""
-    p = exp.preparation
-    if exp.transform is not None:
-        p = apply_transform(exp.transform, p)
+    p = exp.preparation if exp.transform is None else exp.transform @ exp.preparation
     probs = exp.partition @ p
     if probs.min() < -ATOL or probs.max() > 1.0 + ATOL:
         raise InvalidExperimentError(f"branch probability outside [0, 1]: {probs}")
@@ -153,15 +136,14 @@ def outcome_probabilities(exp: Experiment) -> np.ndarray:
     return np.concatenate([[max(null, 0.0)], np.clip(probs, 0.0, None)])
 
 
-def simulate(exp: Experiment) -> OutcomeCounts:
-    """Draw the outcome counts of ``exp.shots`` shots as one exact
-    Multinomial(shots, probs) sample, in O(outcomes); deterministic given
-    the seed. Each branch probability is allowed ATOL of slack, so they may
-    sum to slightly more than 1, which numpy's multinomial refuses; they are
-    normalised first."""
+def simulate(exp: Experiment) -> np.ndarray:
+    """The int64 counts (null, outcome 1, ..., outcome L) of ``exp.shots``
+    shots, drawn as one exact Multinomial(shots, probs) sample, in
+    O(outcomes); deterministic given the seed. Each branch probability is
+    allowed ATOL of slack, so they may sum to slightly more than 1, which
+    numpy's multinomial refuses; they are normalised first."""
     probs = outcome_probabilities(exp)
-    counts = np.random.default_rng(exp.seed).multinomial(exp.shots, probs / probs.sum())
-    return OutcomeCounts(counts=counts, shots=exp.shots, seed=exp.seed)
+    return np.random.default_rng(exp.seed).multinomial(exp.shots, probs / probs.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +206,9 @@ def _frequency_check(theory: Theory, seed: int) -> CheckResult:
     probs = []
     for p_true in targets:
         exp = Experiment(
+            theory=theory,
             preparation=mix(basis_p, [p_true, 1.0 - p_true]),
             partition=partition,
-            r_identity=theory.r_identity,
             shots=max(FREQUENCY_SCALES),
             seed=stream_seed,
         )
@@ -498,7 +480,7 @@ def _resolve_partition(spec: str, theory: Theory, base: Path) -> tuple[np.ndarra
     raise GptError(f"unknown partition spec {spec!r}")
 
 
-def _read_map(spec: str, base: Path, theory: Theory | None = None) -> tuple[KrausSet, Theory, TransformMatrix]:
+def _read_map(spec: str, base: Path, theory: Theory | None = None) -> tuple[KrausSet, Theory, np.ndarray]:
     """The map of a ``unitary:<path>`` or ``kraus:<path>`` spec, the theory
     its Z is built in (``theory``, or the quantum theory of the map's
     dimension) and that Z."""
@@ -513,22 +495,21 @@ def _read_map(spec: str, base: Path, theory: Theory | None = None) -> tuple[Krau
     return kraus, theory, z
 
 
-def build_experiment(params: dict[str, Any], seed: int, base: Path) -> tuple[Experiment, Theory]:
+def build_experiment(params: dict[str, Any], seed: int, base: Path) -> Experiment:
     """Build an Experiment from config parameters (see README for the grammar)."""
     theory = theory_by_name(str(params.get("theory", "quantum")), _number(params, "n", default=2))
     prep = _resolve_preparation(str(params.get("preparation", "basis:1")), theory, base)
     partition = _resolve_partition(str(params.get("partition", "basis")), theory, base)
     spec = str(params.get("transform", "none"))
     transform = None if spec in ("", "none") else _read_map(spec, base, theory)[2]
-    exp = Experiment(
+    return Experiment(
+        theory=theory,
         preparation=prep,
         partition=partition,
-        r_identity=theory.r_identity,
         shots=_number(params, "shots", default=10_000),
         seed=seed,
         transform=transform,
     )
-    return exp, theory
 
 
 def _flag(params: dict[str, Any], key: str) -> bool:
@@ -599,8 +580,8 @@ def _run_transform_pipeline(params: dict[str, Any], seed: int, base: Path, out_d
     nonincreasing = is_trace_nonincreasing(kraus)
     details = {
         "dimension": theory.dimension,
-        "z": z.z,
-        "provenance": z.provenance,
+        "z": z,
+        "provenance": f"from-{kind}",
         "trace_nonincreasing": nonincreasing,
         "trace_preserving": is_trace_preserving(kraus),
         "completely_positive": cp,
@@ -647,9 +628,8 @@ def _run_composite_pipeline(params: dict[str, Any], seed: int, base: Path, out_d
 
 
 def _run_simulate_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: Path) -> dict[str, Any]:
-    exp, _ = build_experiment(params, seed, base)
-    counts = simulate(exp)
-    payload = serialize.counts_to_dict(counts.counts, counts.shots, counts.seed)
+    exp = build_experiment(params, seed, base)
+    payload = serialize.counts_to_dict(simulate(exp), exp.shots, exp.seed)
     if "out" in params:
         _write_output(out_dir, params, "out", payload)
     return {"status": "pass", "max_deviation": 0.0, "details": payload}

@@ -12,6 +12,7 @@ D-matrix files ``.dmat.json`` by convention.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import Any
@@ -31,13 +32,21 @@ def complex_to_json(array: np.ndarray) -> np.ndarray:
 
 
 def _float_array(data: Any) -> np.ndarray:
-    """``data`` as a float array; a ragged, non-numeric or non-finite array is a GptError."""
+    """``data`` as a float array; a ragged, non-numeric or non-finite array,
+    or one with a JSON ``true`` or ``false`` leaf, is a GptError."""
     try:
         array = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:  # TypeError: a JSON object where a number belongs
         raise GptError(f"malformed numeric array: {exc}") from None
     if not np.isfinite(array).all():
         raise GptError("malformed numeric array: NaN or infinite entry")  # JSON NaN, Infinity
+    # numpy reads a bool as 1 or 0, also in a mixed list, so the leaves are
+    # typed here: ndim levels down the nesting that the conversion found regular
+    leaves = [data] if array.ndim == 0 else data
+    for _ in range(array.ndim - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    if bool in map(type, leaves):
+        raise GptError("malformed numeric array: true or false entry")
     return array
 
 

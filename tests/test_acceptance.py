@@ -206,7 +206,7 @@ def test_criterion_05_transformation_correspondence():
             choi_ok = choi_ok and is_completely_positive(kraus_to_superoperator(kraus))
             for rho, p in zip(states, ps):
                 lhs = p_from_density(kraus.apply(rho), build_canonical_frame(n))
-                worst = max(worst, float(np.abs(lhs - z.z @ p).max()))
+                worst = max(worst, float(np.abs(lhs - z @ p).max()))
 
     transpose = np.zeros((4, 4))
     for i in range(2):
@@ -341,14 +341,14 @@ def test_criterion_10_frequency_convergence_and_reproducibility(tmp_path, budget
     worst = 0.0
     for idx, (p_true, prep) in enumerate(sorted(preparations.items())):
         exp = Experiment(
+            theory=QT2,
             preparation=prep,
             partition=tuple(QT2.basis_r),
-            r_identity=QT2.r_identity,
             shots=shots,
             seed=1000 + idx,
         )
         counts = simulate(exp)
-        worst = max(worst, abs(counts.counts[1] / shots - p_true))
+        worst = max(worst, abs(counts[1] / shots - p_true))
     freq_ok = worst < 0.005
 
     config = tmp_path / "suite.cfg"

@@ -122,11 +122,30 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
             ["convert", "--from", "p", "--in", "v.json", "--to", "r"],
             "dimension = True is not an integer",
         ),
+        (
+            {"v.json": {"dimension": 2, "k": 4, "role": "state", "kind": "p", "values": [True, False, False, False]}},
+            ["convert", "--from", "p", "--in", "v.json", "--to", "r"],
+            "malformed numeric array: true or false entry",
+        ),
+        (
+            {"k.json": {"dimension": 2, "kraus": [[[[1, 0], [0, 0]], [[0, 0], [True, 0]]]]}},
+            ["transform", "--kraus", "k.json"],
+            "malformed numeric array: true or false entry",
+        ),
+        (
+            {
+                "e.cfg": "[experiment]\nn = 2\npartition = file:part.json\n",
+                "part.json": {"vectors": [[1, 0, 0, 0], [0, True, 0, 0]]},
+            },
+            ["simulate", "--config", "e.cfg", "--seed", "1"],
+            "malformed numeric array: true or false entry",
+        ),
     ],
     ids=["convert-dimension", "simulate-partition-vector", "simulate-preparation-length",
          "convert-dimension-above-k", "convert-nan-vector", "convert-infinite-operator",
          "simulate-nan-mix", "simulate-preparation-dimension", "simulate-preparation-kind",
-         "simulate-boolean-numbers", "convert-boolean-dimension"],
+         "simulate-boolean-numbers", "convert-boolean-dimension", "convert-boolean-vector",
+         "transform-boolean-kraus", "simulate-boolean-partition"],
 )
 def test_malformed_json_field_is_usage_error(tmp_path, capsys, monkeypatch, files, argv, message):
     for name, content in files.items():
@@ -542,6 +561,32 @@ class TestTransform:
         assert code == 0
         payload = json.loads(out)
         assert payload["reversible"] is False
+
+    @pytest.mark.parametrize("kind", ["unitary", "kraus"])
+    def test_provenance_names_the_input_kind(self, tmp_path, capsys, kind):
+        x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        payload = serialize.operator_to_dict(x) if kind == "unitary" else serialize.kraus_to_dict(x[np.newaxis])
+        serialize.write_json(tmp_path / "map.json", payload)
+        code, out, _ = run_cli(capsys, "transform", f"--{kind}", str(tmp_path / "map.json"))
+        assert (code, json.loads(out)["provenance"]) == (0, f"from-{kind}")
+        config = tmp_path / "r.cfg"
+        config.write_text(f"[transform t]\n{kind} = map.json\n")
+        code, _, _ = run_cli(capsys, "report", "--config", str(config), "--out-dir", str(tmp_path / "out"))
+        [section] = json.loads((tmp_path / "out" / "report.json").read_text())["pipelines"]
+        assert (code, section["details"]["provenance"]) == (0, f"from-{kind}")
+
+    def test_overflowing_z_is_one_error_line(self, tmp_path, capsys):
+        """Entries of 1e154 pass r_of's finite-input check (the Heisenberg
+        images reach about 1e308), but Z's pair coefficients overflow."""
+        k_file = tmp_path / "over.kraus.json"
+        serialize.write_json(k_file, serialize.kraus_to_dict(1e154 * np.array([[[1.0, 1.0], [0.0, 0.0]]])))
+        code, out, err = run_cli(capsys, "transform", "--kraus", str(k_file))
+        assert (code, out, err) == (2, "", "error: Z contains non-finite entries\n")
+        config = tmp_path / "r.cfg"
+        config.write_text("[simulate s]\nn = 2\ntransform = kraus:over.kraus.json\nshots = 10\n")
+        code, _, _ = run_cli(capsys, "report", "--config", str(config), "--out-dir", str(tmp_path / "out"))
+        [section] = json.loads((tmp_path / "out" / "report.json").read_text())["pipelines"]
+        assert (code, section["status"], section["details"]) == (1, "error", {"error": "Z contains non-finite entries"})
 
     def test_partial_dephasing_is_irreversible(self, tmp_path, capsys):
         # Z is invertible and its inverse maps the basis states back into the

@@ -101,7 +101,7 @@ class TestLocalTransform:
         z = z_from_unitary(u, QT2)
         p_a, p_b = QT2.basis_p[0], QT2.basis_p[1]
         lhs = local_transform(np.outer(p_a, p_b), z, np.eye(4))
-        rhs = np.outer(z.z @ p_a, p_b)
+        rhs = np.outer(z @ p_a, p_b)
         assert np.abs(lhs - rhs).max() <= 1e-12
 
     def test_entangled_state_with_local_unitaries(self, rng):

@@ -9,7 +9,6 @@ from gptkit import (
     GptError,
     KrausSet,
     PathReport,
-    apply_transform,
     build_canonical_frame,
     check_measurement_update,
     choi_matrix,
@@ -58,20 +57,25 @@ def transpose_superoperator(n: int) -> np.ndarray:
 class TestZFromKraus:
     def test_identity_kraus_gives_identity_z(self):
         z = z_from_kraus(KrausSet(np.eye(2, dtype=complex)), QT2)
-        assert_allclose(z.z, np.eye(4), atol=1e-12)
+        assert z.dtype == float and z.shape == (4, 4)
+        assert_allclose(z, np.eye(4), atol=1e-12)
 
     def test_von_neumann_projection_on_mixed_state(self):
         z = z_from_kraus(KrausSet(P1), QT2)
         mixed = p_from_density(np.eye(2, dtype=complex) / 2.0, build_canonical_frame(2))
         # oracle: P (I/2) P = |1><1| / 2, converted directly
         expected = p_from_density(P1 / 2.0, build_canonical_frame(2))
-        assert_allclose(apply_transform(z, mixed), expected, atol=1e-12)
+        assert_allclose(z @ mixed, expected, atol=1e-12)
+
+    def test_projection_annihilates_other_basis_state(self):
+        z = z_from_kraus(KrausSet(P1), QT2)
+        assert_allclose(z @ QT2.basis_p[1], np.zeros(4), atol=1e-12)
 
     def test_unitary_kraus_inverts(self, rng):
         u = haar_unitary(rng, 2)
         z = z_from_kraus(KrausSet(u[np.newaxis]), QT2)
         z_back = z_from_kraus(KrausSet(u.conj().T[np.newaxis]), QT2)
-        assert_allclose(z.z @ z_back.z, np.eye(4), atol=1e-10)
+        assert_allclose(z @ z_back, np.eye(4), atol=1e-10)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_commutes_with_operator_action(self, n, rng):
@@ -81,7 +85,7 @@ class TestZFromKraus:
             z = z_from_kraus(kraus, theory)
             rho = random_density(rng, n, trace=rng.random())
             lhs = p_from_density(kraus.apply(rho), build_canonical_frame(n))
-            rhs = apply_transform(z, p_from_density(rho, build_canonical_frame(n)))
+            rhs = z @ p_from_density(rho, build_canonical_frame(n))
             assert np.abs(lhs - rhs).max() <= 1e-10
 
     def test_composition(self, rng):
@@ -92,7 +96,7 @@ class TestZFromKraus:
         # Kraus set of k2 after k1: every product B_b A_a
         k21 = np.einsum("bij,ajk->baik", k2.operators, k1.operators).reshape(-1, 2, 2)
         z21 = z_from_kraus(KrausSet(k21), QT2)
-        assert np.abs(z21.z - z2.z @ z1.z).max() <= 1e-10
+        assert np.abs(z21 - z2 @ z1).max() <= 1e-10
 
 
 def schrodinger_z(kraus: KrausSet, theory) -> np.ndarray:
@@ -123,11 +127,11 @@ class TestHeisenbergZ:
     def test_matches_schrodinger_oracle(self, kind, n, rng):
         theory = cached_quantum_theory(n)
         kraus = KrausSet(kraus_of_kind(kind, rng, n))
-        assert_allclose(z_from_kraus(kraus, theory).z, schrodinger_z(kraus, theory), rtol=0, atol=1e-12)
+        assert_allclose(z_from_kraus(kraus, theory), schrodinger_z(kraus, theory), rtol=0, atol=1e-12)
 
     def test_no_terms_give_the_zero_map(self):
         z = z_from_kraus(KrausSet(np.zeros((0, 2, 2), dtype=complex)), QT2)
-        assert_allclose(z.z, np.zeros((4, 4)), rtol=0, atol=0)
+        assert_allclose(z, np.zeros((4, 4)), rtol=0, atol=0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(GptError, match="does not match"):
@@ -139,7 +143,7 @@ class TestHeisenbergZ:
         theory = quantum_theory(5)
         ops = 1e6 * random_kraus(rng, 5, terms=3)
         expected = schrodinger_z(KrausSet(ops), theory)
-        got = z_from_kraus(KrausSet(ops), theory).z
+        got = z_from_kraus(KrausSet(ops), theory)
         assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
     def test_z_and_probe_solve_nothing(self, monkeypatch, rng):
@@ -160,18 +164,18 @@ class TestHeisenbergZ:
 class TestZFromUnitary:
     def test_identity(self):
         z = z_from_unitary(np.eye(2, dtype=complex), QT2)
-        assert z.provenance == "from-unitary"
-        assert_allclose(z.z, np.eye(4), atol=1e-12)
+        assert z.dtype == float and z.shape == (4, 4)
+        assert_allclose(z, np.eye(4), atol=1e-12)
 
     def test_swap_unitary_against_operator_oracle(self):
         z = z_from_unitary(PAULI_X, QT2)
         # oracle: conjugate each projector by X and take traces
         for rho in (P1, P2, np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)):
-            lhs = apply_transform(z, p_from_density(rho, build_canonical_frame(2)))
+            lhs = z @ p_from_density(rho, build_canonical_frame(2))
             rhs = p_from_density(PAULI_X @ rho @ PAULI_X.conj().T, build_canonical_frame(2))
             assert_allclose(lhs, rhs, atol=1e-12)
         # p1 and p2 swap; the x entry is fixed for X-symmetric states
-        p = apply_transform(z, np.array([1.0, 0.0, 0.5, 0.5]))
+        p = z @ np.array([1.0, 0.0, 0.5, 0.5])
         assert_allclose(p[:2], [0.0, 1.0], atol=1e-12)
 
     def test_phase_gate_rotates_xy_plane(self, rng):
@@ -179,28 +183,15 @@ class TestZFromUnitary:
         z = z_from_unitary(u, QT2)
         for _ in range(10):
             rho = random_density(rng, 2)
-            lhs = apply_transform(z, p_from_density(rho, build_canonical_frame(2)))
+            lhs = z @ p_from_density(rho, build_canonical_frame(2))
             rhs = p_from_density(u @ rho @ u.conj().T, build_canonical_frame(2))
             assert_allclose(lhs, rhs, atol=1e-12)
-        basis = apply_transform(z, np.array([1.0, 0.0, 0.5, 0.5]))
+        basis = z @ np.array([1.0, 0.0, 0.5, 0.5])
         assert_allclose(basis[:2], [1.0, 0.0], atol=1e-12)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(GptError):
             z_from_unitary(np.diag([1.0, 0.5]), QT2)
-
-
-class TestApplyTransform:
-    def test_identity_leaves_p(self):
-        p = np.array([0.3, 0.2, 0.4, 0.1])
-        assert_allclose(apply_transform(np.eye(4), p), p)
-
-    def test_zero_gives_null_state(self):
-        assert_allclose(apply_transform(np.zeros((4, 4)), np.ones(4)), np.zeros(4))
-
-    def test_projection_annihilates_other_basis_state(self):
-        z = z_from_kraus(KrausSet(P1), QT2)
-        assert_allclose(apply_transform(z, QT2.basis_p[1]), np.zeros(4), atol=1e-12)
 
 
 class TestTraceConditions:
@@ -437,7 +428,7 @@ class TestContinuityProbe:
             psi = haar_state(rng, 2)
             p = p_from_density(np.outer(psi, psi.conj()), build_canonical_frame(2))
             r0 = r_from_p(p, QT2.d)
-            moved = apply_transform(z, p)
+            moved = z @ p
             r1 = r_from_p(moved, QT2.d)
             for r in (r0, r1):  # pure and normalised: r^T D r = 1 and r_I . D r = 1
                 assert r @ QT2.d @ r == pytest.approx(1.0, abs=PURITY_TOL)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -37,9 +38,9 @@ QT3 = quantum_theory(3)
 
 def basis_experiment(prep, shots, seed):
     return Experiment(
+        theory=QT2,
         preparation=prep,
         partition=tuple(QT2.basis_r),
-        r_identity=QT2.r_identity,
         shots=shots,
         seed=seed,
     )
@@ -49,9 +50,9 @@ class TestExperimentValidation:
     def test_partition_must_sum_to_identity(self):
         with pytest.raises(InvalidExperimentError):
             Experiment(
+                theory=QT2,
                 preparation=QT2.basis_p[0],
                 partition=(QT2.basis_r[0],),
-                r_identity=QT2.r_identity,
                 shots=10,
                 seed=0,
             )
@@ -68,14 +69,19 @@ class TestExperimentValidation:
 
     def test_partition_vector_shorter_than_the_identity_rejected(self):
         with pytest.raises(InvalidExperimentError, match="partition vector has shape \\(3,\\)"):
-            Experiment(preparation=QT2.basis_p[0], partition=tuple(QT2.basis_r[:, :3]),
-                       r_identity=QT2.r_identity, shots=10, seed=0)
+            Experiment(theory=QT2, preparation=QT2.basis_p[0], partition=tuple(QT2.basis_r[:, :3]),
+                       shots=10, seed=0)
 
     def test_ragged_partition_rejected(self):
         partition = [QT2.basis_r[0].tolist(), [*QT2.basis_r[1].tolist(), 0.0]]
         with pytest.raises(InvalidExperimentError, match="partition vector has shape \\(5,\\)"):
-            Experiment(preparation=QT2.basis_p[0], partition=partition,
-                       r_identity=QT2.r_identity, shots=10, seed=0)
+            Experiment(theory=QT2, preparation=QT2.basis_p[0], partition=partition, shots=10, seed=0)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 9), (9, 9)])
+    def test_transform_that_is_not_k_by_k_rejected(self, shape):
+        with pytest.raises(InvalidExperimentError, match=re.escape(f"transform has shape {shape}, not (4, 4)")):
+            Experiment(theory=QT2, preparation=QT2.basis_p[0], partition=tuple(QT2.basis_r),
+                       shots=10, seed=0, transform=np.zeros(shape))
 
     def test_preparation_of_the_wrong_length_rejected(self):
         with pytest.raises(InvalidExperimentError, match="preparation has shape \\(9,\\)"):
@@ -95,17 +101,17 @@ class TestExperimentValidation:
 class TestSimulate:
     def test_basis_state_always_hits_its_outcome(self):
         counts = simulate(basis_experiment(QT2.basis_p[0], shots=10_000, seed=3))
-        assert counts.counts[1] == 10_000
-        assert counts.counts[0] == 0
+        assert counts[1] == 10_000
+        assert counts[0] == 0
 
     def test_null_state_gives_all_nulls(self):
         counts = simulate(basis_experiment(np.zeros(4), shots=5_000, seed=3))
-        assert counts.counts[0] == 5_000
+        assert counts[0] == 5_000
 
     def test_equal_mixture_concentrates_at_half(self):
         prep = mix([QT2.basis_p[0], QT2.basis_p[1]], [0.5, 0.5])
         counts = simulate(basis_experiment(prep, shots=1_000_000, seed=11))
-        freqs = counts.frequencies()
+        freqs = counts / 1_000_000
         assert abs(freqs[1] - 0.5) < 0.005
         assert abs(freqs[2] - 0.5) < 0.005
 
@@ -113,14 +119,14 @@ class TestSimulate:
         prep = mix([QT2.basis_p[0], QT2.basis_p[1]], [0.3, 0.7])
         a = simulate(basis_experiment(prep, shots=100_000, seed=99))
         b = simulate(basis_experiment(prep, shots=100_000, seed=99))
-        assert (a.counts == b.counts).all()
+        assert (a == b).all()
         c = simulate(basis_experiment(prep, shots=100_000, seed=98))
-        assert (a.counts != c.counts).any()
+        assert (a != c).any()
 
     def test_subnormalized_state_feeds_null_outcome(self):
         prep = 0.25 * QT2.basis_p[0]
         counts = simulate(basis_experiment(prep, shots=1_000_000, seed=5))
-        assert abs(counts.frequencies()[0] - 0.75) < 0.005
+        assert abs(counts[0] / 1_000_000 - 0.75) < 0.005
 
     def test_coin_flip_preparation_matches_mixture(self):
         # two-stage sampling: flip, then measure the chosen preparation
@@ -132,43 +138,40 @@ class TestSimulate:
         counts_b = simulate(
             basis_experiment(QT2.basis_p[1], shots=shots - n_a, seed=derive_seed(17, 2))
         )
-        two_stage = (counts_a.counts + counts_b.counts) / shots
+        two_stage = (counts_a + counts_b) / shots
 
         mixed = mix([QT2.basis_p[0], QT2.basis_p[1]], [lam, 1.0 - lam])
         direct = simulate(basis_experiment(mixed, shots=shots, seed=derive_seed(17, 3)))
         envelope = 5.0 / np.sqrt(shots)
-        assert np.abs(two_stage - direct.frequencies()).max() < envelope
+        assert np.abs(two_stage - direct / shots).max() < envelope
 
     def test_three_outcomes_with_null_match_their_probabilities(self):
         shots = 1_000_000
         prep = 0.9 * mix(list(QT3.basis_p), [0.5, 0.3, 0.2])
-        exp = Experiment(preparation=prep, partition=tuple(QT3.basis_r),
-                         r_identity=QT3.r_identity, shots=shots, seed=21)
+        exp = Experiment(theory=QT3, preparation=prep, partition=tuple(QT3.basis_r), shots=shots, seed=21)
         probs = np.array([0.1, 0.45, 0.27, 0.18])
         assert harness.outcome_probabilities(exp) == pytest.approx(probs)
         sigma = np.sqrt(probs * (1.0 - probs) / shots)
-        assert (np.abs(simulate(exp).frequencies() - probs) < 5.0 * sigma).all()
+        assert (np.abs(simulate(exp) / shots - probs) < 5.0 * sigma).all()
 
     def test_probabilities_up_to_one_plus_atol_are_normalised(self):
         # numpy's multinomial refuses a probability above 1; outcome_probabilities allows 1 + ATOL
         prep = (1.0 + 0.9 * ATOL) * QT2.basis_p[0]
         counts = simulate(basis_experiment(prep, shots=1_000, seed=4))
-        assert counts.counts.tolist() == [0, 1_000, 0]
+        assert counts.tolist() == [0, 1_000, 0]
 
     def test_clipped_branches_summing_past_one_plus_atol_are_normalised(self):
         # two branches at -0.9 ATOL clip to 0 and lift the null to 0.9 ATOL: the sum is 1 + 1.8 ATOL
         r_id = QT2.r_identity
         partition = ((1.0 + 0.9 * ATOL) * r_id, -0.9 * ATOL * r_id, -0.9 * ATOL * r_id)
-        exp = Experiment(preparation=QT2.basis_p[0], partition=partition,
-                         r_identity=r_id, shots=1_000, seed=4)
+        exp = Experiment(theory=QT2, preparation=QT2.basis_p[0], partition=partition, shots=1_000, seed=4)
         assert harness.outcome_probabilities(exp).sum() > 1.0 + 1.5 * ATOL
-        assert simulate(exp).counts.tolist() == [0, 1_000, 0, 0]
+        assert simulate(exp).tolist() == [0, 1_000, 0, 0]
 
     def test_zero_shots_give_zero_counts(self):
         prep = mix([QT2.basis_p[0], QT2.basis_p[1]], [0.5, 0.5])
         counts = simulate(basis_experiment(prep, shots=0, seed=1))
-        assert counts.counts.tolist() == [0, 0, 0]
-        assert counts.frequencies().tolist() == [0.0, 0.0, 0.0]
+        assert counts.dtype == np.int64 and counts.tolist() == [0, 0, 0]
 
 
 class TestAxiomSuite:
@@ -735,14 +738,14 @@ class TestClassicalExperiments:
     def test_classical_basis_measurement(self):
         theory = classical_theory(3)
         exp = Experiment(
+            theory=theory,
             preparation=theory.basis_p[2],
             partition=tuple(theory.basis_r),
-            r_identity=theory.r_identity,
             shots=1000,
             seed=0,
         )
         counts = simulate(exp)
-        assert counts.counts[3] == 1000
+        assert counts[3] == 1000
 
 
 class TestBuildExperiment:
@@ -759,6 +762,15 @@ class TestBuildExperiment:
         code, report = run_report(config, tmp_path / "out")
         [section] = report["pipelines"]
         assert (code, section["status"], section["details"]) == (1, "error", {"error": message})
+
+    def test_boolean_in_a_partition_file_is_a_section_error(self, tmp_path):
+        (tmp_path / "part.json").write_text(json.dumps({"vectors": [[1, 0, 0, 0], [0, True, 0, 0]]}))
+        config = tmp_path / "r.cfg"
+        config.write_text("[simulate s]\nn = 2\npartition = file:part.json\nshots = 10\n")
+        code, report = run_report(config, tmp_path / "out")
+        [section] = report["pipelines"]
+        assert (code, section["status"], section["details"]) == (
+            1, "error", {"error": "malformed numeric array: true or false entry"})
 
     @pytest.mark.parametrize("key, value", [("preparation", "file:x.op.json"), ("transform", "unitary:x.op.json")])
     def test_classical_operator_inputs_are_refused_by_the_theory(self, tmp_path, monkeypatch, key, value):
@@ -784,6 +796,6 @@ class TestBuildExperiment:
             "partition": "basis",
             "shots": 100,
         }
-        exp, _ = build_experiment(params, seed=0, base=tmp_path)
+        exp = build_experiment(params, seed=0, base=tmp_path)
         counts = simulate(exp)
-        assert counts.counts[2] == 100
+        assert counts[2] == 100
