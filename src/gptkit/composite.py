@@ -3,7 +3,8 @@
 The matrix form is used because local transformations, each a K x K
 array Z, act two-sidedly: p_tilde -> Z_A p_tilde Z_B^T. A state is read
 from its operator through the two theories' closed-form conversions, with
-no projector block; a flattening adapter supports rank counting.
+no projector block. The rank of two frames' product fiducials decides
+local tomography.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .frames import ATOL
+from .frames import FiducialFrame
 from .states import Theory
 
 
@@ -60,22 +61,15 @@ def joint_normalization(pt: np.ndarray, r_identity_a: np.ndarray, r_identity_b: 
     )
 
 
-def dof_count_check(d_a: np.ndarray, d_b: np.ndarray) -> int:
-    """Rank of the span of product states built from fiducial-state pairs.
+def dof_count_check(frame_a: FiducialFrame, frame_b: FiducialFrame) -> int:
+    """Rank of the product fiducials {P_i (x) Q_j} of two frames, as real vectors.
 
-    The fiducial p-vectors are the columns of each D matrix, so the
-    K_A * K_B flattened outer products are the columns of kron(D_A, D_B);
-    their rank is returned (K_A * K_B when both fiducial sets are
-    independent). It is computed as rank(D_A) * rank(D_B), which equals
-    rank(kron(D_A, D_B)) and needs no SVD of the K_A K_B x K_A K_B matrix.
-    A D is a Gram matrix, so each rank is read from its eigenvalues
-    (``matrix_rank(hermitian=True)``, the SVD's tolerance rule); a D whose
-    asymmetry exceeds ``ATOL`` is refused.
+    Local tomography (Hardy's axiom 4, K_AB = K_A K_B) holds exactly when
+    this rank is the composite's K(N_A N_B); real units fall short of it
+    (Hardy & Wootters, arXiv:1005.4870: 9 product fiducials against
+    K(4) = 10). Herm(A) (x)_R Herm(B) embeds in Herm(AB), so the rank is
+    rank(C_A) * rank(C_B), C being each frame's ``hermitian_coordinates``:
+    an SVD of each (K, N^2) block, and none of the (N_A N_B)^2 products.
     """
-    ranks = 1
-    for name, d in (("D_A", d_a), ("D_B", d_b)):
-        d = np.asarray(d, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1] or np.abs(d - d.T).max(initial=0.0) > ATOL:
-            raise DimensionError(f"{name} of shape {d.shape} is not symmetric to {ATOL}")
-        ranks *= int(np.linalg.matrix_rank(d, hermitian=True))
-    return ranks
+    return int(np.linalg.matrix_rank(frame_a.hermitian_coordinates())) * int(
+        np.linalg.matrix_rank(frame_b.hermitian_coordinates()))

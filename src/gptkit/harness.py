@@ -275,15 +275,16 @@ def _subspace_check(theory: Theory) -> CheckResult:
 
 
 def _composite_check(theory: Theory) -> CheckResult:
-    other = theory_by_name(theory.name, min(theory.dimension, 2))
-    rank = dof_count_check(theory.d, other.d)
-    expected = theory.k * other.k
-    ok = rank == expected
+    """Axiom 4 at 2 x 2, whatever the theory's dimension: the rank of the
+    product fiducials of two dimension-2 frames against K(4)."""
+    frame = build_canonical_frame(2, theory.units)
+    rank = dof_count_check(frame, frame)
+    expected = len(canonical_labels(4, theory.units))
     return CheckResult(
         name="axiom4-composite-dof",
-        status="pass" if ok else "fail",
+        status="pass" if rank == expected else "fail",
         max_deviation=float(abs(rank - expected)),
-        witnesses={"rank": rank, "expected": expected},
+        witnesses={"rank": rank, "expected": expected, "dimensions": [2, 2]},
     )
 
 
@@ -612,8 +613,9 @@ def _run_composite_pipeline(params: dict[str, Any], seed: int, base: Path, out_d
         u = np.kron(ua, ub)
         right = composite_from_density(u @ rho @ u.conj().T, ta, tb)
         worst = max(worst, float(np.abs(left - right).max()))
-    rank = dof_count_check(ta.d, tb.d)
-    ok = worst <= PSD_TOL * max(1.0, np.abs(pt).max()) and rank == ta.k * tb.k
+    rank = dof_count_check(build_canonical_frame(na), build_canonical_frame(nb))
+    expected = len(canonical_labels(na * nb))
+    ok = worst <= PSD_TOL * max(1.0, np.abs(pt).max()) and rank == expected
     return {
         "status": "pass" if ok else "fail",
         "max_deviation": worst,
@@ -622,7 +624,7 @@ def _run_composite_pipeline(params: dict[str, Any], seed: int, base: Path, out_d
             "joint_normalization": joint_normalization(pt, ta.r_identity, tb.r_identity),
             "transform_law_deviation": worst,
             "dof_rank": rank,
-            "dof_expected": ta.k * tb.k,
+            "dof_expected": expected,
         },
     }
 

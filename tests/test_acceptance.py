@@ -266,7 +266,8 @@ def test_criterion_07_composite_law_and_dof():
                 evolved = evolved + m @ rho @ m.conj().T
         operator_side = composite_from_density(evolved, QT2, QT2)
         worst = max(worst, float(np.abs(vector_side - operator_side).max()))
-    rank = dof_count_check(QT2.d, QT2.d)
+    frame = build_canonical_frame(2)
+    rank = dof_count_check(frame, frame)
     elapsed = time.monotonic() - start
     ok = worst <= 1e-10 and rank == 16 and elapsed < 30.0
     report_line(

@@ -269,9 +269,14 @@ def test_classical_commands_build_no_projector_block(tmp_path, capsys, monkeypat
     # N = 1000 is past the N = 406 a classical projector block admits. Quantum
     # conversions and operator preparations go through Theory.r_of and
     # Theory.operator_of, so they read no projector block either. Only the
-    # axiom-3 reference, in axioms, builds a frame: one of a subspace's size.
-    def refuse(*args):
-        raise AssertionError("a command built the projector block")
+    # axiom-3 reference, in axioms, builds a frame of a subspace's size, and
+    # the axiom-4 check one of dimension 2, whatever the command's dimension.
+    original = gptkit.harness.build_canonical_frame
+
+    def refuse(n, units="xy"):
+        if n != 2:
+            raise AssertionError("a command built the projector block")
+        return original(n, units)
 
     monkeypatch.chdir(tmp_path)
     for module in (gptkit.cli, gptkit.harness):

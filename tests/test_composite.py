@@ -4,11 +4,12 @@ from numpy.testing import assert_allclose
 
 from gptkit import (
     DimensionError,
+    FiducialFrame,
     GptError,
     KrausSet,
     Theory,
     build_canonical_frame,
-    classical_theory,
+    canonical_labels,
     composite_from_density,
     dof_count_check,
     joint_normalization,
@@ -144,50 +145,77 @@ class TestConditionalState:
         assert float(QT2.r_identity @ pt[:, 0]) == pytest.approx(0.5, abs=1e-12)
 
 
+def exact_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination over Python ints."""
+    m = [list(row) for row in rows]
+    rank, previous = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        for i in range(rank + 1, len(m)):
+            lead = m[i][col]
+            quotients = [divmod(top[col] * x - lead * y, previous) for x, y in zip(m[i], top)]
+            assert all(r == 0 for _, r in quotients)  # Bareiss divisions are exact
+            m[i] = [q for q, _ in quotients]
+        previous = top[col]
+        rank += 1
+    return rank
+
+
+def product_coordinates(na: int, nb: int, units: str) -> list[list[int]]:
+    """The integer coordinates 4 (Re + Im)(P_i (x) Q_j) of every product of
+    two canonical frames' projectors, one row per pair (i, j)."""
+    pa = build_canonical_frame(na, units).projectors
+    pb = build_canonical_frame(nb, units).projectors
+    products = np.einsum("iab,jcd->ijacbd", pa, pb).reshape(len(pa) * len(pb), -1)
+    coordinates = 4 * (products.real + products.imag)
+    integers = np.rint(coordinates).astype(np.int64)
+    assert np.array_equal(integers, coordinates)
+    return integers.tolist()
+
+
 class TestDofCount:
     def test_two_qubits(self):
-        assert dof_count_check(QT2.d, QT2.d) == 16
+        frame = build_canonical_frame(2)
+        assert dof_count_check(frame, frame) == 16
 
     def test_qubit_with_trivial_side(self):
-        t1 = quantum_theory(1)
-        assert dof_count_check(QT2.d, t1.d) == 4
+        assert dof_count_check(build_canonical_frame(2), build_canonical_frame(1)) == 4
 
     def test_classical_pair(self):
-        ca, cb = classical_theory(2), classical_theory(2)
-        assert dof_count_check(ca.d, cb.d) == 4
+        frame = build_canonical_frame(2, "")
+        assert dof_count_check(frame, frame) == 4
 
-    def test_matches_rank_of_kronecker_product(self, rng):
-        for _ in range(40):
-            (ka, kb), (ra, rb) = rng.integers(1, 7, size=2), rng.integers(0, 7, size=2)
-            ga, gb = rng.standard_normal((ka, ra)), rng.standard_normal((kb, rb))
-            a, b = ga @ ga.T, gb @ gb.T  # symmetric, like every Gram matrix D
-            expected = np.linalg.matrix_rank(np.kron(a, b))
-            assert dof_count_check(a, b) == expected == min(ka, ra) * min(kb, rb)
-
-    @pytest.mark.parametrize("build", [classical_theory, quantum_theory])
-    def test_equals_the_svd_rank_product(self, build):
-        other = build(2).d
+    @pytest.mark.parametrize("units", ["", "xy"], ids=["classical", "quantum"])
+    def test_equals_the_svd_rank_product(self, units):
+        other = build_canonical_frame(2, units)
         for n in range(1, 9):
-            d = build(n).d
-            svd_rank = np.linalg.matrix_rank(d) * np.linalg.matrix_rank(other)
-            assert dof_count_check(d, other) == svd_rank == len(d) * len(other)
+            frame = build_canonical_frame(n, units)
+            svd_rank = np.linalg.matrix_rank(frame.hermitian_coordinates()) * np.linalg.matrix_rank(
+                other.hermitian_coordinates())
+            assert dof_count_check(frame, other) == svd_rank == frame.k * other.k
 
     def test_duplicated_fiducial_drops_the_rank(self):
-        d = QT2.d.copy()
-        d[3, :] = d[0, :]  # fiducial 4 replaced by fiducial 1, in its row and its column
-        d[:, 3] = d[:, 0]
-        assert np.array_equal(d, d.T)
-        assert dof_count_check(d, QT2.d) == 3 * 4
+        frame = build_canonical_frame(2)
+        projectors = frame.projectors.copy()
+        projectors[3] = projectors[0]  # fiducial 4 replaced by fiducial 1
+        repeated = FiducialFrame(dimension=2, projectors=projectors, labels=frame.labels)
+        assert dof_count_check(repeated, frame) == 3 * 4
+        assert dof_count_check(frame, repeated) == 4 * 3
 
-    @pytest.mark.parametrize("case", ["skew", "rect"])
-    def test_non_symmetric_input_is_refused(self, case):
-        d = QT2.d.copy()
-        if case == "skew":
-            d[0, 1] += 1e-9
-        else:
-            d = d[:3]
-        with pytest.raises(DimensionError, match="not symmetric"):
-            dof_count_check(QT2.d, d)
+    # units -> the rank at 2 x 2, 2 x 3 and 3 x 3; real units ("x") fall short of K(N_A N_B)
+    RANK_TABLE = {"xy": (16, 36, 81), "x": (9, 18, 36), "": (4, 6, 9)}
+
+    @pytest.mark.parametrize("units", list(RANK_TABLE), ids=["xy", "x", "no-units"])
+    def test_rank_equals_the_exact_product_rank(self, units):
+        for (na, nb), expected in zip([(2, 2), (2, 3), (3, 3)], self.RANK_TABLE[units], strict=True):
+            rank = dof_count_check(build_canonical_frame(na, units), build_canonical_frame(nb, units))
+            assert rank == exact_rank(product_coordinates(na, nb, units)) == expected
+            k_ab = len(canonical_labels(na * nb, units))
+            assert (rank == k_ab) == (units != "x")
 
 
 class TestEntanglementWitness:

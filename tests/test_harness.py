@@ -18,6 +18,7 @@ from gptkit import (
     Experiment,
     GptError,
     InvalidExperimentError,
+    Theory,
     check_frequency_convergence,
     check_subspace_axiom,
     classical_theory,
@@ -260,17 +261,36 @@ class TestAxiomSuite:
         assert result.max_deviation > 0.05
 
     def test_quantum_n16_suite_builds_no_frame(self, monkeypatch):
-        # the axiom-3 reference is the one frame the suite builds, at a subspace's size
+        # the frames the suite builds are the axiom-3 references, at a subspace's
+        # size, and the axiom-4 frame at dimension 2
         original, sizes = gptkit.axioms.build_canonical_frame, []
 
         def record(n, units="xy"):
             sizes.append(n)
             return original(n, units)
 
-        monkeypatch.setattr(gptkit.axioms, "build_canonical_frame", record)
+        for module in (gptkit.axioms, harness):
+            monkeypatch.setattr(module, "build_canonical_frame", record)
         report = run_axiom_suite("quantum", 16, seed=3)
         assert [c.status for c in report.checks] == ["pass"] * 7
         assert set(sizes) == {2, 3}
+
+    def test_quantum_n16_suite_has_no_k_sized_linear_algebra(self, monkeypatch):
+        """No decomposition or solve in the n = 16 suite gets a matrix with a
+        side above N = 16, such as D at K = 256."""
+        sides = {}
+
+        def recording(name, original):
+            def record(a, *args, **kwargs):
+                sides.setdefault(name, []).append(max(np.shape(a)[-2:]))
+                return original(a, *args, **kwargs)
+            return record
+
+        for name in ("eigvalsh", "eigh", "svd", "matrix_rank", "solve"):
+            monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+        run_axiom_suite("quantum", 16, seed=0)
+        assert "matrix_rank" in sides  # the axiom-4 rank goes through the patched functions
+        assert {name: max(found) for name, found in sides.items() if max(found) > 16} == {}
 
     def test_classical_d_off_the_identity_fails_the_subspace_check(self):
         d = np.eye(3)
@@ -357,10 +377,12 @@ SUITE_CHECKS = {
 }
 
 # Row -> (theory, n, mutation of the theory, status of each of SUITE_CHECKS).
-# Known gaps, cells that no mutant of D can turn to fail: axioms 2 and 4 and
-# measurement linearity read no entry of D that a mutant moves (rebuilt on an
-# operational K by ROADMAP item 3), and the transform pipeline's
-# "completely_positive" is true for every Kraus input (ROADMAP item 1).
+# Known gaps, cells that no mutant of D can turn to fail: axiom 2 and measurement
+# linearity read no entry of D that a mutant moves (rebuilt on an operational K by
+# ROADMAP item 2), and the transform pipeline's "completely_positive" is true for
+# every Kraus input (ROADMAP item 6). Axiom 4 reads the dimension-2 frame, not D,
+# so the D mutants leave it passing; its negative control is
+# test_real_units_fail_axiom4.
 VERDICT_ROWS = {
     "quantum-3": ("quantum", 3, None, "pass pass pass pass pass pass"),
     "quantum-16": ("quantum", 16, None, "pass pass pass pass pass pass"),
@@ -397,6 +419,19 @@ def strict_json(payload):
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")
     return json.loads(serialize.dumps(payload), parse_constant=refuse)
+
+
+def test_real_units_fail_axiom4():
+    """Real units ("x") have 3 fiducials at N = 2, so 9 product fiducials
+    against the composite's K(4) = 10: no local tomography (Hardy & Wootters,
+    arXiv:1005.4870)."""
+    d = gptkit.bloch.build_general_d(3, "x")
+    basis_r = np.eye(3, len(d))
+    real = Theory(name="real", units="x", d=d, r_identity=basis_r.sum(axis=0),
+                  basis_r=basis_r, basis_p=d[:3].copy())
+    result = strict_json(harness._composite_check(real).to_json())
+    assert (result["status"], result["max_deviation"]) == ("fail", 1.0)
+    assert result["witnesses"] == {"rank": 9, "expected": 10, "dimensions": [2, 2]}
 
 
 FAIL_CELLS = [(row, check) for row, check, status in VERDICT_CELLS if status == "fail"]
