@@ -61,12 +61,10 @@ from .frames import (
 )
 from .axioms import (
     BasisReport,
-    FrequencyReport,
     LinearityReport,
     MultiplicativityCheck,
     SubspaceReport,
     check_basis_distinguishability,
-    check_frequency_convergence,
     check_linearity,
     check_subspace_axiom,
     fit_power_law,

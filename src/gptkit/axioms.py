@@ -1,8 +1,8 @@
 """Numerical checks for the consequences of the five axioms.
 
-These are pure functions over tables, matrices and prepared count data;
-the orchestration that feeds them (simulation, suite reports) lives in
-the harness module.
+These are pure functions over tables and matrices; the orchestration
+that feeds them (simulation, suite reports) and the axiom-1 judgement of
+the simulated counts live in the harness module.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import numpy as np
 from .errors import GptError, MonotonicityError, NoSignatureError
 from .frames import (
     ATOL,
-    FREQUENCY_ENVELOPE,
-    FREQUENCY_PASS_FRACTION,
     LINEARITY_BLOCK_ENTRIES,
     LINEARITY_SAMPLES,
     LINEARITY_TOL,
@@ -62,16 +60,15 @@ def fit_power_law(table: dict[int, int]) -> int | None:
     """The unique integer r with K(N) = N^r across the table, or None.
 
     A strictly increasing completely multiplicative table is always a
-    pure power; a table failing either hypothesis returns None (after a
-    MonotonicityError for non-monotone input, which violates the
-    precondition rather than merely failing the fit).
+    pure power, and N^r is itself completely multiplicative, so a table
+    that is not returns None from the final comparison with N^r. Non-
+    monotone input raises MonotonicityError: it violates the precondition
+    rather than merely failing the fit.
     """
     n_max = _validate_table(table)
     ks = [table[n] for n in range(1, n_max + 1)]
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise MonotonicityError("table is not strictly increasing")
-    if not is_completely_multiplicative(table).ok:
-        return None
     if n_max == 1:
         return None  # a single entry fixes no exponent
     r = round(np.log(table[2]) / np.log(2.0))
@@ -196,54 +193,6 @@ def check_basis_distinguishability(theory: Theory) -> BasisReport:
         np.abs(theory.basis_r.sum(axis=0) - theory.r_identity).max(),
     )
     return BasisReport(max_deviation=float(np.max(deviations)), tolerance=ATOL)
-
-
-@dataclass(frozen=True)
-class FrequencyScale:
-    shots: int
-    bound: float
-    max_deviation: float
-    pass_fraction: float
-
-
-@dataclass(frozen=True)
-class FrequencyReport:
-    p_true: float
-    scales: tuple[FrequencyScale, ...]
-    min_pass_fraction: float
-
-    @property
-    def passed(self) -> bool:
-        return all(s.pass_fraction >= self.min_pass_fraction for s in self.scales)
-
-
-def check_frequency_convergence(counts_by_shots: dict[int, list[int]], p_true: float) -> FrequencyReport:
-    """Check binomial concentration of observed frequencies.
-
-    ``counts_by_shots`` maps a shot count n to per-trial success counts;
-    at each scale the fraction of trials with |count/n - p_true| below
-    ``FREQUENCY_ENVELOPE``/sqrt(n) must reach ``FREQUENCY_PASS_FRACTION``.
-    """
-    if not counts_by_shots:
-        raise GptError("no simulation counts supplied")
-    scales = []
-    for shots in sorted(counts_by_shots):
-        counts = np.asarray(counts_by_shots[shots], dtype=float)
-        if counts.size == 0:
-            raise GptError(f"no trials recorded at n = {shots}")
-        bound = FREQUENCY_ENVELOPE / np.sqrt(shots)
-        devs = np.abs(counts / shots - p_true)
-        scales.append(
-            FrequencyScale(
-                shots=shots,
-                bound=float(bound),
-                max_deviation=float(devs.max()),
-                pass_fraction=float((devs < bound).mean()),
-            )
-        )
-    return FrequencyReport(
-        p_true=p_true, scales=tuple(scales), min_pass_fraction=FREQUENCY_PASS_FRACTION
-    )
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ import numpy as np
 from . import serialize
 from .axioms import (
     check_basis_distinguishability,
-    check_frequency_convergence,
     check_linearity,
     check_subspace_axiom,
     fit_power_law,
@@ -56,8 +55,9 @@ from .dynamics import (
 )
 from .errors import GptError, InvalidExperimentError
 from .frames import (
-    ATOL, COMPOSITE_LAW_SAMPLES, CONTINUITY_PAIRS, CONTINUITY_STEPS, FREQUENCY_SCALES,
-    FREQUENCY_TRIALS, POWER_LAW_N_MAX, PSD_TOL, build_canonical_frame, canonical_labels,
+    ATOL, COMPOSITE_LAW_SAMPLES, CONTINUITY_PAIRS, CONTINUITY_STEPS, FREQUENCY_ENVELOPE,
+    FREQUENCY_PASS_FRACTION, FREQUENCY_SCALES, FREQUENCY_TRIALS, POWER_LAW_N_MAX, PSD_TOL,
+    build_canonical_frame, canonical_labels,
 )
 from .serialize import _float_array, _number, _required, _seed
 from .states import Theory, mix, quantum_theory, theory_by_name
@@ -196,49 +196,45 @@ def _frequency_check(theory: Theory, seed: int) -> CheckResult:
     """Axiom 1: basis-measurement frequencies of four target probabilities
     converge as 1/sqrt(shots). Every trial at every scale is drawn in one
     exact multinomial call from one seeded stream; the counts come out as
-    (target, scale, trial, outcome)."""
+    (target, scale, trial, outcome) and are judged in one pass: at each
+    target and scale, the share of trials whose frequency of outcome 1 lies
+    within ``FREQUENCY_ENVELOPE``/sqrt(shots) of the target must reach
+    ``FREQUENCY_PASS_FRACTION``."""
     basis_p = [theory.basis_p[i] for i in range(min(2, theory.dimension))]
     if len(basis_p) == 1:  # n = 1 has a single basis state; mix with null
         basis_p.append(np.zeros_like(basis_p[0]))
     partition = tuple(theory.basis_r) if theory.dimension > 1 else (theory.r_identity,)
     targets = (0.0, 0.25, 0.5, 1.0)
     stream_seed = derive_seed(seed, 1)
-    probs = []
-    for p_true in targets:
-        exp = Experiment(
-            theory=theory,
-            preparation=mix(basis_p, [p_true, 1.0 - p_true]),
-            partition=partition,
-            shots=max(FREQUENCY_SCALES),
-            seed=stream_seed,
-        )
-        try:
-            row = outcome_probabilities(exp)
-        except InvalidExperimentError as exc:  # the basis states of D give no valid probabilities
-            return CheckResult(name="axiom1-frequency-convergence", status="fail",
-                               max_deviation=None, witnesses={"reason": str(exc)})
-        probs.append(row / row.sum())  # normalised as in simulate
-    shots = np.repeat(FREQUENCY_SCALES, FREQUENCY_TRIALS).reshape(len(FREQUENCY_SCALES), FREQUENCY_TRIALS)
-    counts = np.random.default_rng(stream_seed).multinomial(
-        shots, np.array(probs)[:, np.newaxis, np.newaxis, :]
-    )
-    worst = 0.0
-    reports = {}
-    ok = True
-    for t_idx, p_true in enumerate(targets):
-        counts_by_shots = {n: counts[t_idx, s_idx, :, 1] for s_idx, n in enumerate(FREQUENCY_SCALES)}
-        report = check_frequency_convergence(counts_by_shots, p_true)
-        ok = ok and report.passed
-        worst = max(worst, max(s.max_deviation for s in report.scales))
-        reports[str(p_true)] = {
-            str(s.shots): {"max_deviation": s.max_deviation, "bound": s.bound}
-            for s in report.scales
-        }
+    try:
+        probs = np.array([
+            outcome_probabilities(Experiment(theory=theory, preparation=mix(basis_p, [p_true, 1.0 - p_true]),
+                                             partition=partition, shots=max(FREQUENCY_SCALES), seed=stream_seed))
+            for p_true in targets
+        ])
+    except InvalidExperimentError as exc:  # the basis states of D give no valid probabilities
+        return CheckResult(name="axiom1-frequency-convergence", status="fail",
+                           max_deviation=None, witnesses={"reason": str(exc)})
+    probs /= probs.sum(axis=1, keepdims=True)  # normalised as in simulate
+    scales = np.array(FREQUENCY_SCALES)
+    shots = np.repeat(scales, FREQUENCY_TRIALS).reshape(len(scales), FREQUENCY_TRIALS)
+    counts = np.random.default_rng(stream_seed).multinomial(shots, probs[:, np.newaxis, np.newaxis, :])
+    bounds = FREQUENCY_ENVELOPE / np.sqrt(scales)
+    devs = np.abs(counts[..., 1] / scales[:, np.newaxis] - np.array(targets)[:, np.newaxis, np.newaxis])
+    ok = ((devs < bounds[:, np.newaxis]).mean(axis=2) >= FREQUENCY_PASS_FRACTION).all()
+    worst = devs.max(axis=2)
     return CheckResult(
         name="axiom1-frequency-convergence",
         status="pass" if ok else "fail",
-        max_deviation=worst,
-        witnesses={"targets": reports, "trials": FREQUENCY_TRIALS},
+        max_deviation=float(worst.max()),
+        witnesses={
+            "targets": {
+                str(p_true): {str(n): {"max_deviation": dev, "bound": bound}
+                              for n, dev, bound in zip(FREQUENCY_SCALES, row, bounds.tolist())}
+                for p_true, row in zip(targets, worst.tolist())
+            },
+            "trials": FREQUENCY_TRIALS,
+        },
     )
 
 
@@ -327,6 +323,21 @@ def _basis_check(theory: Theory) -> CheckResult:
                        max_deviation=basis.max_deviation)
 
 
+def _linearity_check(theory: Theory, seed: int) -> CheckResult:
+    rng = np.random.default_rng(derive_seed(seed, 6))
+    pool = [theory.basis_p[i] for i in range(theory.dimension)]
+    pool.append(np.zeros(theory.k))
+    if theory.dimension >= 2:
+        pool.append(mix(pool[:2], [0.5, 0.5]))
+    linearity = check_linearity(np.vstack([theory.basis_r, theory.r_identity]), pool, rng)
+    return CheckResult(
+        name="measurement-linearity",
+        status="pass" if linearity.passed else "fail",
+        max_deviation=max(linearity.max_affine_deviation, linearity.max_homogeneity_deviation),
+        witnesses={"samples": linearity.samples},
+    )
+
+
 def run_axiom_suite(theory_name: str, n: int, seed: int) -> SuiteReport:
     """Run every axiom check against one theory instance, at the sample budgets in ``frames``.
 
@@ -335,13 +346,6 @@ def run_axiom_suite(theory_name: str, n: int, seed: int) -> SuiteReport:
     as an overall pass (the asymmetry is the point).
     """
     theory = theory_by_name(theory_name, n)
-    rng = np.random.default_rng(derive_seed(seed, 6))
-    pool = [theory.basis_p[i] for i in range(theory.dimension)]
-    pool.append(np.zeros(theory.k))
-    if theory.dimension >= 2:
-        pool.append(mix(pool[:2], [0.5, 0.5]))
-    linearity = check_linearity(np.vstack([theory.basis_r, theory.r_identity]), pool, rng)
-
     checks = (
         _frequency_check(theory, seed),
         _power_law_check(theory),
@@ -349,12 +353,7 @@ def run_axiom_suite(theory_name: str, n: int, seed: int) -> SuiteReport:
         _composite_check(theory),
         _continuity_check(theory, seed),
         _basis_check(theory),
-        CheckResult(
-            name="measurement-linearity",
-            status="pass" if linearity.passed else "fail",
-            max_deviation=max(linearity.max_affine_deviation, linearity.max_homogeneity_deviation),
-            witnesses={"samples": linearity.samples},
-        ),
+        _linearity_check(theory, seed),
     )
     return SuiteReport(theory=theory_name, dimension=n, seed=seed, checks=checks)
 
@@ -568,7 +567,8 @@ def _run_bloch_pipeline(params: dict[str, Any], seed: int, base: Path, out_dir: 
         rec = recover_phases(d)
         details["phases"] = {"phi3": rec.phi3, "phi4": rec.phi4}
         details["projectors"] = serialize.complex_to_json(frame_from_phases(rec).projectors)
-    consistent = inside == (surface.kind is SurfaceKind.ELLIPSOID)
+    # a degenerate surface lies on the boundary, to PSD_TOL, so either side of the bounds fits it
+    consistent = surface.kind is SurfaceKind.DEGENERATE or inside == (surface.kind is SurfaceKind.ELLIPSOID)
     return {"status": "pass" if consistent else "fail", "max_deviation": 0.0, "details": details}
 
 

@@ -13,7 +13,6 @@ from gptkit import (
     build_general_d,
     build_canonical_frame,
     check_basis_distinguishability,
-    check_frequency_convergence,
     check_linearity,
     check_subspace_axiom,
     classical_theory,
@@ -66,6 +65,11 @@ class TestPowerLaw:
 
     def test_real_hilbert_fails(self):
         assert fit_power_law(table(lambda n: n * (n + 1) // 2, 6)) is None
+
+    def test_increasing_table_with_a_broken_product_fails(self):
+        t = table(lambda n: n * n, 6)
+        t[6] = 35  # K(6) != K(2) K(3), yet the table still increases
+        assert fit_power_law(t) is None
 
     def test_cubic_table(self):
         assert fit_power_law(table(lambda n: n**3, 5)) == 3
@@ -256,31 +260,6 @@ class TestBasisDistinguishability:
             basis_p=theory.basis_p,
         )
         assert not check_basis_distinguishability(broken).passed
-
-
-class TestFrequencyConvergence:
-    def test_binomial_counts_concentrate(self, rng):
-        counts = {
-            n: list(rng.binomial(n, 0.5, size=40)) for n in (10**3, 10**4, 10**5, 10**6)
-        }
-        report = check_frequency_convergence(counts, 0.5)
-        assert report.passed
-        for scale in report.scales:
-            assert scale.max_deviation < scale.bound
-
-    def test_zero_probability_is_exact(self):
-        counts = {1000: [0] * 10, 10**6: [0] * 10}
-        report = check_frequency_convergence(counts, 0.0)
-        assert report.passed
-        assert all(s.max_deviation == 0.0 for s in report.scales)
-
-    def test_unit_probability_is_exact(self):
-        counts = {1000: [1000] * 10}
-        assert check_frequency_convergence(counts, 1.0).passed
-
-    def test_biased_counts_fail(self):
-        counts = {10**6: [450_000] * 20}  # 0.45 vs bound 0.005 around 0.5
-        assert not check_frequency_convergence(counts, 0.5).passed
 
 
 class TestLinearity:

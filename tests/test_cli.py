@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gptkit.bloch
 import gptkit.cli
 import gptkit.harness
 import gptkit.states
@@ -466,6 +467,26 @@ class TestBloch:
         payload = json.loads(out)
         projectors = serialize.complex_from_json(payload["projectors"])
         assert_allclose(projectors[3], [[0.5, -0.5j], [0.5j, 0.5]], atol=1e-12)
+
+    @pytest.mark.parametrize("c, kind, inside", [
+        ("1e-12", "degenerate", True), ("5e-11", "degenerate", True), ("0.99999999999", "degenerate", True),
+        ("0", "degenerate", False), ("0.5", "ellipsoid", True), ("1", "degenerate", False),
+    ])
+    def test_a_degenerate_surface_fits_either_side_of_the_bounds(self, capsys, c, kind, inside):
+        """Within PSD_TOL of c_- or c_+ the surface is degenerate, which is
+        consistent with c lying strictly inside the bounds or on them."""
+        code, out, _ = run_cli(capsys, "bloch", "--a", "0.5", "--b", "0.5", "--c", c)
+        payload = json.loads(out)
+        assert (code, payload["classification"], payload["inside_bounds"]) == (0, kind, inside)
+        assert gptkit.harness.PIPELINES["bloch"]({"a": 0.5, "b": 0.5, "c": c}, 0, Path(), Path())["status"] == "pass"
+
+    @pytest.mark.parametrize("c, kind", [("0.001", "ellipsoid"), ("0.5", "hyperboloid")])
+    def test_a_classification_on_the_wrong_side_of_the_bounds_fails(self, capsys, monkeypatch, c, kind):
+        real = gptkit.harness.classify_surface
+        monkeypatch.setattr(gptkit.harness, "classify_surface",
+                            lambda a: dataclasses.replace(real(a), kind=gptkit.bloch.SurfaceKind(kind)))
+        code, out, _ = run_cli(capsys, "bloch", "--a", "0.3", "--b", "0.6", "--c", c)
+        assert (code, json.loads(out)["classification"]) == (1, kind)
 
     def test_boundary_projectors_are_an_input_error(self, capsys):
         code, _, err = run_cli(

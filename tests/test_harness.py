@@ -19,7 +19,6 @@ from gptkit import (
     GptError,
     InvalidExperimentError,
     Theory,
-    check_frequency_convergence,
     check_subspace_axiom,
     classical_theory,
     derive_seed,
@@ -374,28 +373,29 @@ SUITE_CHECKS = {
     "a4": harness._composite_check,
     "a5": lambda theory: harness._continuity_check(theory, seed=0),
     "basis": harness._basis_check,
+    "linearity": lambda theory: harness._linearity_check(theory, seed=0),
 }
 
 # Row -> (theory, n, mutation of the theory, status of each of SUITE_CHECKS).
-# Known gaps, cells that no mutant of D can turn to fail: axiom 2 and measurement
-# linearity read no entry of D that a mutant moves (rebuilt on an operational K by
-# ROADMAP item 2), and the transform pipeline's "completely_positive" is true for
-# every Kraus input (ROADMAP item 6). Axiom 4 reads the dimension-2 frame, not D,
-# so the D mutants leave it passing; its negative control is
-# test_real_units_fail_axiom4.
+# Known gaps show as cells: no mutant of D turns the axiom-2 or the linearity
+# column to fail, since neither reads an entry of D that a mutant moves (both are
+# rebuilt on an operational K by ROADMAP item 2). The transform pipeline's
+# "completely_positive" is true for every Kraus input (ROADMAP item 6). Axiom 4
+# reads the dimension-2 frame, not D, so the D mutants leave it passing; its
+# negative control is test_real_units_fail_axiom4.
 VERDICT_ROWS = {
-    "quantum-3": ("quantum", 3, None, "pass pass pass pass pass pass"),
-    "quantum-16": ("quantum", 16, None, "pass pass pass pass pass pass"),
-    "classical-3": ("classical", 3, None, "pass pass pass pass expected-fail pass"),
-    "overlap-quantum-3": ("quantum", 3, in_d(overlap_mutant), "pass pass fail pass fail pass"),
-    "overlap-quantum-16": ("quantum", 16, in_d(overlap_mutant), "pass pass fail pass fail pass"),
-    "basis-quantum-3": ("quantum", 3, in_d(basis_mutant), "pass pass fail pass fail fail"),
-    "basis-quantum-16": ("quantum", 16, in_d(basis_mutant), "pass pass fail pass fail fail"),
-    "basis-classical-3": ("classical", 3, in_d(basis_mutant), "pass pass fail pass expected-fail fail"),
-    "built-basis-quantum-3": ("quantum", 3, in_builder(basis_mutant), "fail pass fail pass fail fail"),
-    "built-basis-quantum-16": ("quantum", 16, in_builder(basis_mutant), "fail pass fail pass fail fail"),
+    "quantum-3": ("quantum", 3, None, "pass pass pass pass pass pass pass"),
+    "quantum-16": ("quantum", 16, None, "pass pass pass pass pass pass pass"),
+    "classical-3": ("classical", 3, None, "pass pass pass pass expected-fail pass pass"),
+    "overlap-quantum-3": ("quantum", 3, in_d(overlap_mutant), "pass pass fail pass fail pass pass"),
+    "overlap-quantum-16": ("quantum", 16, in_d(overlap_mutant), "pass pass fail pass fail pass pass"),
+    "basis-quantum-3": ("quantum", 3, in_d(basis_mutant), "pass pass fail pass fail fail pass"),
+    "basis-quantum-16": ("quantum", 16, in_d(basis_mutant), "pass pass fail pass fail fail pass"),
+    "basis-classical-3": ("classical", 3, in_d(basis_mutant), "pass pass fail pass expected-fail fail pass"),
+    "built-basis-quantum-3": ("quantum", 3, in_builder(basis_mutant), "fail pass fail pass fail fail pass"),
+    "built-basis-quantum-16": ("quantum", 16, in_builder(basis_mutant), "fail pass fail pass fail fail pass"),
     "built-basis-classical-3": ("classical", 3, in_builder(basis_mutant),
-                                "fail pass fail pass expected-fail fail"),
+                                "fail pass fail pass expected-fail fail pass"),
 }
 VERDICT_CELLS = [(row, check, status) for row, (*_, statuses) in VERDICT_ROWS.items()
                  for check, status in zip(SUITE_CHECKS, statuses.split(), strict=True)]
@@ -503,29 +503,39 @@ class TestFrequencyCheck:
             million = scales[str(10**6)]
             assert million["max_deviation"] > million["bound"]
 
-    def test_counts_are_one_draw_in_target_scale_trial_order(self, monkeypatch):
-        seen = []
-
-        def recording(counts_by_shots, p_true):
-            seen.append((p_true, counts_by_shots))
-            return check_frequency_convergence(counts_by_shots, p_true)
-
-        monkeypatch.setattr(harness, "check_frequency_convergence", recording)
-        harness._frequency_check(QT2, seed=11)
+    def test_witnesses_are_one_draw_in_target_scale_trial_order(self):
+        """The witnesses are the worst deviation per target and scale of one
+        multinomial draw, indexed (target, scale, trial, outcome)."""
         scales, trials = harness.FREQUENCY_SCALES, harness.FREQUENCY_TRIALS
-        targets = [p for p, _ in seen]
+        targets = [0.0, 0.25, 0.5, 1.0]
         probs = np.array([[0.0, p, 1.0 - p] for p in targets])
         shots = np.repeat(scales, trials).reshape(len(scales), trials)
-        expected = np.random.default_rng(derive_seed(11, 1)).multinomial(shots, probs[:, None, None, :])
-        assert targets == [0.0, 0.25, 0.5, 1.0]
-        for t_idx, (p_true, counts_by_shots) in enumerate(seen):
-            assert list(counts_by_shots) == list(scales)
-            for s_idx, n in enumerate(scales):
-                assert np.array_equal(counts_by_shots[n], expected[t_idx, s_idx, :, 1])
-                if 0.0 < p_true < 1.0:
-                    assert len(set(counts_by_shots[n].tolist())) > 1
+        counts = np.random.default_rng(derive_seed(11, 1)).multinomial(shots, probs[:, None, None, :])
+        result = harness._frequency_check(QT2, seed=11)
+        assert result.witnesses == {
+            "targets": {
+                str(p): {str(n): {"max_deviation": float(np.abs(counts[t, s, :, 1] / n - p).max()),
+                                  "bound": harness.FREQUENCY_ENVELOPE / np.sqrt(n)}
+                         for s, n in enumerate(scales)}
+                for t, p in enumerate(targets)
+            },
+            "trials": trials,
+        }
+        assert result.max_deviation == max(
+            scale["max_deviation"] for target in result.witnesses["targets"].values() for scale in target.values())
+
+    @pytest.mark.parametrize("name, n", [("quantum", 1), ("quantum", 3), ("classical", 2)])
+    def test_certain_targets_are_exact_and_bounds_shrink_as_one_over_root_shots(self, name, n):
+        targets = harness._frequency_check(theory_by_name(name, n), seed=2).witnesses["targets"]
+        assert list(targets) == ["0.0", "0.25", "0.5", "1.0"]
+        for p, scales in targets.items():
+            assert list(scales) == [str(n) for n in harness.FREQUENCY_SCALES]
+            for shots, scale in scales.items():
+                assert scale["bound"] == harness.FREQUENCY_ENVELOPE / np.sqrt(int(shots))
+                if p in ("0.0", "1.0"):
+                    assert scale["max_deviation"] == 0.0
                 else:
-                    assert set(counts_by_shots[n].tolist()) == {int(p_true * n)}
+                    assert 0.0 < scale["max_deviation"] < scale["bound"]
 
     def test_same_seed_same_witnesses_other_seed_other_witnesses(self):
         first = harness._frequency_check(QT3, seed=5).to_json()

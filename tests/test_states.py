@@ -387,9 +387,12 @@ class TestNamedTolerances:
         assert gptkit.axioms.check_basis_distinguishability(theory).tolerance == f.ATOL
         linearity = gptkit.axioms.check_linearity(theory.r_identity, list(theory.basis_p), rng)
         assert (linearity.samples, linearity.tolerance) == (f.LINEARITY_SAMPLES, f.LINEARITY_TOL)
-        frequency = gptkit.axioms.check_frequency_convergence({100: [50]}, 0.5)
-        assert frequency.min_pass_fraction == f.FREQUENCY_PASS_FRACTION
-        assert frequency.scales[0].bound == f.FREQUENCY_ENVELOPE / 10.0
+        assert suite["axiom1-frequency-convergence"]["targets"]["0.5"]["1000"]["bound"] == (
+            f.FREQUENCY_ENVELOPE / np.sqrt(1_000))
+        assert all(getattr(h, name) is getattr(f, name) for name in ("FREQUENCY_ENVELOPE", "FREQUENCY_PASS_FRACTION"))
+        assert h._frequency_check(theory, seed=1).status == "pass"
+        budget(FREQUENCY_PASS_FRACTION=1.01)  # no share of trials reaches it
+        assert h._frequency_check(theory, seed=1).status == "fail"
         probe = gptkit.dynamics.continuity_probe(theory, theory.basis_r[0], theory.basis_r[0], steps=3)
         assert probe.tolerance == f.PURITY_TOL
         update = gptkit.dynamics.check_measurement_update(
