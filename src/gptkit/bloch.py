@@ -199,6 +199,7 @@ def build_general_d(n: int, units: str = "xy") -> np.ndarray:
     share = np.zeros((n, k))  # share[a, j] = 1 / (2 |support j|) for each index a in support j
     share[first, np.arange(k)] = share[second, np.arange(k)] = 0.5 / (1.0 + (first != second))
     d = share[first]
-    d += share[second]  # row i: 2 share summed over support i / |support i| (a basis index is read twice)
+    for a in range(n):  # row i: 2 share summed over support i / |support i| (a basis index is read twice)
+        d[second == a] += share[a]  # one group of rows at a time, so D is the only K x K array
     np.fill_diagonal(d, 1.0)
     return d

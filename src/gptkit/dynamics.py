@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, GptError
-from .frames import PSD_TOL, PURITY_TOL, canonical_vectors
+from .frames import HEISENBERG_BLOCK_ENTRIES, PSD_TOL, PURITY_TOL, canonical_vectors
 from .states import Theory, r_from_p  # r_from_p unused: bench/test_bench.py asserts that gptkit.dynamics binds it
 
 
@@ -56,19 +56,26 @@ def z_from_kraus(kraus: KrausSet, theory: Theory) -> np.ndarray:
     row k of Z is the r-vector of $^dag(P_k) = sum_l M_l^dag P_k M_l. With
     P_k = |u_k><u_k| / <u_k|u_k> (``canonical_vectors``) each term is the
     rank-one dyad of w = M_l^dag u_k, and ``Theory.r_of`` reads the rows
-    off the entries, so no solve against D is needed. A Z with a
+    off the entries, so no solve against D is needed. The rows are read in
+    blocks of ``HEISENBERG_BLOCK_ENTRIES`` operator entries straight into
+    Z, so the build holds Z and one block at a time. A Z with a
     non-finite entry (Kraus entries near the float limit overflow) is a
     ``GptError``.
     """
-    theory.require_operator_form()  # r_of would refuse too, but only after the K x N x N block
+    theory.require_operator_form()  # r_of would refuse too, but only after w and a first block
     n = theory.dimension
     if kraus.dimension != n:
         raise DimensionError(f"Kraus dimension {kraus.dimension} does not match frame dimension {n}")
     vectors = canonical_vectors(n)
     norms = np.einsum("ki,ki->k", vectors.conj(), vectors).real
     w = vectors @ kraus.operators.conj()  # w[l, k] = M_l^dag u_k, as a row
-    heisenberg = np.einsum("lki,lkj->kij", w, w.conj()) / norms[:, None, None]
-    z = theory.r_of(heisenberg)
+    z = np.empty((theory.k, theory.k))
+    step = max(1, HEISENBERG_BLOCK_ENTRIES // n**2)
+    for lo in range(0, theory.k, step):
+        rows = slice(lo, lo + step)
+        heisenberg = np.einsum("lki,lkj->kij", w[:, rows], w[:, rows].conj())
+        heisenberg /= norms[rows, None, None]
+        z[rows] = theory.r_of(heisenberg)
     if not np.isfinite(z).all():
         raise GptError("Z contains non-finite entries")
     return z

@@ -47,6 +47,10 @@ SUBSPACE_CHUNK_ENTRIES = 2**22
 # Entries of the (draws, K) mixtures that check_linearity evaluates at once: blocks this small
 # reuse the same few pages, where one (LINEARITY_SAMPLES, K) temporary faults in fresh ones
 LINEARITY_BLOCK_ENTRIES = 2**13
+# Complex entries of the (rows, N, N) Heisenberg block that z_from_kraus fills Z from at once:
+# Z is then its only K x K array, and a block is 256 KB at any N, so the build's peak is Z plus
+# a constant (64 rows, 4 blocks, at N = 16)
+HEISENBERG_BLOCK_ENTRIES = 2**14
 
 PAIR_UNITS = {"x": 1, "y": 1j}  # unit u -> the coefficient of |n> in |m> + u|n>
 

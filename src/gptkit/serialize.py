@@ -6,8 +6,9 @@ are only written; vector, operator and Kraus files are also read.
 Complex scalars are encoded as two-element [re, im] arrays; real matrices
 are row-major arrays of arrays. The payload builders hand their matrices
 and vectors to ``dumps`` as float64 arrays, and ``dumps`` writes each file
-by one orjson call. Frame files use the ``.frame.json`` extension and
-D-matrix files ``.dmat.json`` by convention.
+by one orjson call, whose bytes ``write_json`` streams to the file. Frame
+files use the ``.frame.json`` extension and D-matrix files ``.dmat.json``
+by convention.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 import orjson
@@ -103,23 +104,29 @@ def dumps(payload: dict) -> str:
     quote follows it, so no string is touched. A payload that orjson
     cannot write as json does is written by json itself.
     """
+    return "".join(str(piece, "ascii") for piece in _spliced(payload))
+
+
+def _spliced(payload: dict) -> Iterator[bytes | memoryview]:
+    """The ASCII pieces of ``dumps(payload)``, in order: slices of orjson's
+    output and json's texts of the marked floats between them."""
     texts: list[str] = []
     try:
         raw = orjson.dumps(_marked(payload, texts), option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
     except TypeError:  # _marked's refusals, ints beyond 64 bits
-        return json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
-    pieces, done, at = [], 0, -1
-    with memoryview(raw) as view:
+        yield json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist).encode()
+    else:
+        view, done, at = memoryview(raw), 0, -1
         for text in texts:
             at = raw.index(b"e", at + 1)  # every e outside a string is in a marker or in true/false
             while not (raw.startswith(b"1e300", at - 1)
                        and (raw.startswith((b"\n", b",\n"), at + 4) or at + 4 == len(raw))):
                 at = raw.index(b"e", at + 1)
-            pieces += str(view[done:at - 1], "ascii"), text
+            yield view[done:at - 1]
+            yield text.encode()
             done = at + 4
-        pieces += str(view[done:], "ascii"), "\n"
-    del raw  # freed before the join
-    return "".join(pieces)
+        yield view[done:]
+    yield b"\n"
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # repr's text -> json's
@@ -156,11 +163,11 @@ def _marked(value: Any, texts: list[str]) -> Any:
     if type(value) is np.ndarray:
         if value.dtype != np.float64 or value.ndim == 0:
             return _marked(value.tolist(), texts)
-        magnitude = np.abs(value)
-        flagged = (magnitude < 1e-4) & (value != 0) | ~(magnitude < 1e16)
+        flagged = (value > -1e-4) & (value < 1e-4) & (value != 0) | ~((value > -1e16) & (value < 1e16))
         if flagged.any():
             texts += map(_json_float, value[flagged].tolist())  # C order, as orjson writes them
-            value = np.where(flagged, 1e300, value)
+            value = np.array(value, order="C")
+            value[flagged] = 1e300
         return np.ascontiguousarray(value)
     if isinstance(value, float):  # np.float64 too
         if value != 0 and abs(value) < 1e-4 or not abs(value) < 1e16:
@@ -173,7 +180,13 @@ def _marked(value: Any, texts: list[str]) -> Any:
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(dumps(payload))
+    """Write ``dumps(payload)`` to ``path``, piece by piece from orjson's
+    output, with no copy of the whole text."""
+    pieces = _spliced(payload)
+    first = next(pieces)  # the whole orjson (or json) call, so a payload neither writes leaves no file
+    with open(path, "wb") as file:
+        file.write(first)
+        file.writelines(pieces)
 
 
 def read_json(path: str | Path) -> dict:

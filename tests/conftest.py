@@ -8,6 +8,7 @@ seeds are fixed per test.
 from __future__ import annotations
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,17 @@ def cached_quantum_theory(n: int) -> Theory:
     """``quantum_theory(n)``, built once per test session (n = 24 costs about
     a second)."""
     return quantum_theory(n)
+
+
+def traced_peak(func, *args):
+    """``func(*args)`` and the peak of the memory it allocated, as tracemalloc
+    reports it (numpy reports its array buffers there)."""
+    tracemalloc.start()
+    try:
+        result = func(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

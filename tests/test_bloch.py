@@ -22,7 +22,7 @@ from gptkit import (
     r_from_p,
     recover_phases,
 )
-from conftest import haar_state
+from conftest import haar_state, traced_peak
 
 DHALFS = d2_assemble(D2Params(0.5, 0.5, 0.5))
 
@@ -207,6 +207,12 @@ class TestBuildGeneralD:
     def test_matches_frame_gram(self, n):
         d = build_general_d(n)
         assert np.abs(d - gram_matrix(build_canonical_frame(n))).max() <= 1e-12
+
+    def test_peak_memory_is_one_d(self):
+        """The shared-index terms are added in place, group by group, so D
+        is the only K x K array the build makes."""
+        d, peak = traced_peak(build_general_d, 32)
+        assert peak <= 1.25 * d.nbytes
 
     def test_n2_is_dhalfs(self):
         assert_allclose(build_general_d(2), DHALFS)

@@ -93,6 +93,11 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
             "NaN or infinite entry",
         ),
         (
+            {"op.json": {"dimension": 2, "matrix": [[[1, 1e-6], [0, 0]], [[0, 0], [1, 0]]]}},
+            ["convert", "--from", "rho", "--in", "op.json", "--to", "p"],
+            "operator is not Hermitian",
+        ),
+        (
             {"e.cfg": "[experiment]\nn = 2\npreparation = mix:nan\n"},
             ["simulate", "--config", "e.cfg", "--seed", "1"],
             "mix = 'nan' is not a number",
@@ -144,6 +149,7 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     ],
     ids=["convert-dimension", "simulate-partition-vector", "simulate-preparation-length",
          "convert-dimension-above-k", "convert-nan-vector", "convert-infinite-operator",
+         "convert-imaginary-diagonal-operator",
          "simulate-nan-mix", "simulate-preparation-dimension", "simulate-preparation-kind",
          "simulate-boolean-numbers", "convert-boolean-dimension", "convert-boolean-vector",
          "transform-boolean-kraus", "simulate-boolean-partition"],

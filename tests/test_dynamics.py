@@ -37,6 +37,7 @@ from conftest import (
     random_density,
     random_kraus,
     random_trace_preserving_kraus,
+    traced_peak,
 )
 
 QT2 = quantum_theory(2)
@@ -145,6 +146,25 @@ class TestHeisenbergZ:
         expected = schrodinger_z(KrausSet(ops), theory)
         got = z_from_kraus(KrausSet(ops), theory)
         assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_blocks_keep_the_bits(self, rows, rng, monkeypatch):
+        """Each entry of Z goes through the same arithmetic in any block of
+        rows, so Z equals the one-block build bit for bit."""
+        theory = cached_quantum_theory(8)
+        kraus = KrausSet(kraus_of_kind("cptp-l4", rng, 8))
+        monkeypatch.setattr(gptkit.dynamics, "HEISENBERG_BLOCK_ENTRIES", theory.k * 64)
+        whole = z_from_kraus(kraus, theory)
+        monkeypatch.setattr(gptkit.dynamics, "HEISENBERG_BLOCK_ENTRIES", rows * 64)
+        assert z_from_kraus(kraus, theory).tobytes() == whole.tobytes()
+
+    def test_peak_memory_is_z_and_one_block(self, rng):
+        """Z is filled in row blocks, so the build holds about Z and one
+        Heisenberg block: no (K, N, N) block or K x N^2 temporary of r_of."""
+        theory = cached_quantum_theory(24)
+        kraus = KrausSet(random_kraus(rng, 24, terms=2))
+        z, peak = traced_peak(z_from_kraus, kraus, theory)
+        assert peak <= 2 * z.nbytes
 
     def test_z_and_probe_solve_nothing(self, monkeypatch, rng):
         def refuse(*args, **kwargs):

@@ -117,6 +117,13 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
 
 
+def assert_file_is_printout(path, payload) -> None:
+    """``write_json`` streams the file from orjson's bytes; they must be the
+    printout's text, byte for byte."""
+    serialize.write_json(path, payload)
+    assert path.read_bytes() == serialize.dumps(payload).encode()
+
+
 class TestDumps:
     """``dumps`` writes a payload by one orjson call; its text must stay
     ``json.dumps(payload, indent=2, sort_keys=True)`` byte for byte."""
@@ -157,8 +164,9 @@ class TestDumps:
             {"del\x7f": 1e-7, "v": "\x7f"},
         ],
     )
-    def test_matches_json_dumps(self, payload):
+    def test_matches_json_dumps(self, payload, tmp_path):
         assert serialize.dumps(payload) == json_text(payload)
+        assert_file_is_printout(tmp_path / "x.json", payload)
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_number_arrays_match_json_dumps_at_any_depth(self, depth, rng):
@@ -255,7 +263,7 @@ class TestDumps:
             assert (handed[flagged] == 1e300).all()
 
     @pytest.mark.parametrize("payload", [{"x": [2**64, 1e-7]}, {"é": 1e-7}, {1: 0.5}, {"x": "\ud800"}])
-    def test_refused_payloads_go_to_json(self, payload, monkeypatch):
+    def test_refused_payloads_go_to_json(self, payload, monkeypatch, tmp_path):
         """What orjson cannot write as json does (ints beyond 64 bits, non-ASCII
         or non-str keys, a lone surrogate) is written by json itself."""
         calls = []
@@ -263,7 +271,15 @@ class TestDumps:
             dumps=lambda *args, **kwargs: calls.append(args) or json.dumps(*args, **kwargs)))
         assert serialize.dumps(payload) == json_text(payload)
         assert len(calls) == 1
+        assert_file_is_printout(tmp_path / "x.json", payload)
+
+    def test_unwritable_payload_leaves_no_file(self, tmp_path):
+        """json refuses a set, and write_json raises before it opens the file."""
+        with pytest.raises(TypeError):
+            serialize.write_json(tmp_path / "x.json", {"x": {1.0}})
+        assert not (tmp_path / "x.json").exists()
 
     @given(st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=5))
-    def test_matches_json_dumps_on_any_object(self, payload):
+    def test_matches_json_dumps_on_any_object(self, tmp_path_factory, payload):
         assert serialize.dumps(payload) == json_text(payload)
+        assert_file_is_printout(tmp_path_factory.getbasetemp() / "any.json", payload)

@@ -118,9 +118,13 @@ class TestROf:
     def test_empty_stack(self):
         assert QT2.r_of(np.zeros((0, 2, 2))).shape == (0, 4)
 
-    def test_non_hermitian_operator_rejected(self):
+    @pytest.mark.parametrize("op", [
+        [[0.0, 1.0], [0.0, 0.0]],
+        [[1.0 + 1e-6j, 0.0], [0.0, 1.0]],  # the only skew is 2 Im rho_00, on the diagonal
+    ])
+    def test_non_hermitian_operator_rejected(self, op):
         with pytest.raises(GptError, match="not Hermitian"):
-            QT2.r_of(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            QT2.r_of(np.array(op))
 
     @pytest.mark.parametrize("scale", [1e5, 1e8, 1e300])
     def test_hermitian_tolerance_grows_with_the_entries(self, scale):
