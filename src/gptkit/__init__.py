@@ -60,10 +60,7 @@ from .frames import (
     signature_from_table,
 )
 from .axioms import (
-    BasisReport,
-    LinearityReport,
     MultiplicativityCheck,
-    SubspaceReport,
     check_basis_distinguishability,
     check_linearity,
     check_subspace_axiom,

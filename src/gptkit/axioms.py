@@ -1,23 +1,23 @@
 """Numerical checks for the consequences of the five axioms.
 
-These are pure functions over tables and matrices; the orchestration
-that feeds them (simulation, suite reports) and the axiom-1 judgement of
-the simulated counts live in the harness module.
+These are pure functions over tables and matrices. The subspace, basis
+and linearity checks return plain deviations; the orchestration that
+feeds them (simulation, suite reports), every pass/fail verdict against
+its tolerance and the axiom-1 judgement of the simulated counts live in
+the harness module.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GptError, MonotonicityError, NoSignatureError
 from .frames import (
-    ATOL,
     LINEARITY_BLOCK_ENTRIES,
     LINEARITY_SAMPLES,
-    LINEARITY_TOL,
     SUBSPACE_CHUNK_ENTRIES,
     build_canonical_frame,
     canonical_labels,
@@ -77,43 +77,24 @@ def fit_power_law(table: dict[int, int]) -> int | None:
     return int(r)
 
 
-@dataclass(frozen=True)
-class SubspaceReport:
-    """Axiom-3 behaviour of a basis subset W.
-
-    ``submatrix_deviation`` compares the restricted D against the
-    canonical D of dimension |W|; ``disjoint_probability`` is the largest
-    probability any disjoint-subspace fiducial assigns to a W-supported
-    witness state.
-    """
-
-    subset: tuple[int, ...]
-    fiducial_indices: tuple[int, ...]
-    submatrix_deviation: float
-    disjoint_probability: float
-    tolerance: float
-    violations: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def check_subspace_axiom(theory: Theory, subsets: Sequence[set[int]]) -> list[SubspaceReport]:
-    """Verify that each basis subset W behaves as a lower-dimensional system.
+def check_subspace_axiom(theory: Theory, subsets: Sequence[Iterable[int]]) -> np.ndarray:
+    """Measure how far each basis subset W is from a lower-dimensional system.
 
     The fiducials supported inside W, taken in canonical order of the
-    mapped indices, must reproduce the D of dimension |W| over the theory's
+    mapped indices, should reproduce the D of dimension |W| over the theory's
     units, taken from its projectors (``gram_matrix``), a route independent
     of the subspace rules that build a theory's D. Fiducials of disjoint
-    subspaces must assign probability zero to every state supported in W
+    subspaces should assign probability zero to every state supported in W
     (witnessed by the fiducial states of W, i.e. the corresponding columns
-    of D). Both hold to ``ATOL``.
+    of D).
 
-    Returns one report per subset, in order. The fiducial support and one
-    reference D per subset size are built once; the subsets of one size,
-    which select equally many fiducials, are then read out of D together,
-    in chunks of rows of at most ``SUBSPACE_CHUNK_ENTRIES`` entries.
+    Returns a float array of shape (len(subsets), 2): for each subset, in
+    order, the largest deviation of the restricted D from the reference and
+    the largest probability a disjoint fiducial assigns to a W-supported
+    witness state. The fiducial support and one reference D per subset size
+    are built once; the subsets of one size, which select equally many
+    fiducials, are then read out of D together, in chunks of rows of at most
+    ``SUBSPACE_CHUNK_ENTRIES`` entries.
     """
     n = theory.dimension
     ws = []
@@ -127,9 +108,7 @@ def check_subspace_axiom(theory: Theory, subsets: Sequence[set[int]]) -> list[Su
     for row, w in enumerate(ws):
         groups.setdefault(len(w), []).append(row)
     d = np.asarray(theory.d, dtype=float)
-    sub_dev = np.empty(len(ws))
-    dis_dev = np.empty(len(ws))
-    fiducials: dict[int, tuple[int, ...]] = {}
+    deviations = np.empty((len(ws), 2))
     for m, group in groups.items():
         reference = gram_matrix(build_canonical_frame(m, theory.units))
         k_in = len(reference)
@@ -142,86 +121,37 @@ def check_subspace_axiom(theory: Theory, subsets: Sequence[set[int]]) -> list[Su
                 members[at, list(ws[row])] = True
             in_w = members[:, support]  # (rows, 2, K)
             inside = np.nonzero(in_w.all(axis=1))[1].reshape(len(rows), k_in, 1)
-            fiducials.update(zip(rows, map(tuple, inside[:, :, 0].tolist())))
             disjoint = np.nonzero(~in_w.any(axis=1))[1]
             disjoint = disjoint.reshape(len(rows), len(disjoint) // len(rows), 1)
             inside_t = inside.transpose(0, 2, 1)
-            sub_dev[rows] = np.abs(d[inside, inside_t] - reference).max(axis=(1, 2))
-            dis_dev[rows] = np.abs(d[disjoint, inside_t]).max(axis=(1, 2), initial=0.0)
-
-    reports = []
-    for row, w in enumerate(ws):
-        sub, dis = float(sub_dev[row]), float(dis_dev[row])
-        violations = []
-        if not sub <= ATOL:
-            violations.append(f"restricted D deviates from canonical by {sub:.3g}")
-        if not dis <= ATOL:
-            violations.append(f"disjoint fiducial sees W-supported state with probability {dis:.3g}")
-        reports.append(
-            SubspaceReport(
-                subset=w,
-                fiducial_indices=fiducials[row],
-                submatrix_deviation=sub,
-                disjoint_probability=dis,
-                tolerance=ATOL,
-                violations=tuple(violations),
-            )
-        )
-    return reports
+            deviations[rows, 0] = np.abs(d[inside, inside_t] - reference).max(axis=(1, 2))
+            deviations[rows, 1] = np.abs(d[disjoint, inside_t]).max(axis=(1, 2), initial=0.0)
+    return deviations
 
 
-@dataclass(frozen=True)
-class BasisReport:
-    """Basis distinguishability: ``max_deviation`` is the larger of
-    max |r_m . p_n - delta_mn| over basis pairs and max |sum_m r_m - r_I|."""
-
-    max_deviation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation <= self.tolerance
-
-
-def check_basis_distinguishability(theory: Theory) -> BasisReport:
-    """Check that basis measurements and states satisfy r_m . p_n = delta_mn
-    and that the basis measurements sum to the identity measurement, to
-    ``ATOL``."""
+def check_basis_distinguishability(theory: Theory) -> float:
+    """The larger of max |r_m . p_n - delta_mn| over basis pairs and
+    max |sum_m r_m - r_I|: zero when basis measurements and states are
+    perfectly distinguishable and the basis measurements sum to the identity
+    measurement."""
     probs = theory.basis_r @ theory.d @ theory.basis_r.T
     deviations = (
         np.abs(probs - np.eye(theory.dimension)).max(),
         np.abs(theory.basis_r.sum(axis=0) - theory.r_identity).max(),
     )
-    return BasisReport(max_deviation=float(np.max(deviations)), tolerance=ATOL)
+    return float(np.max(deviations))
 
 
-@dataclass(frozen=True)
-class LinearityReport:
-    samples: int
-    max_affine_deviation: float
-    max_homogeneity_deviation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.max_affine_deviation <= self.tolerance
-            and self.max_homogeneity_deviation <= self.tolerance
-        )
-
-
-def check_linearity(
-    r_m: np.ndarray, states: list[np.ndarray], rng: np.random.Generator
-) -> LinearityReport:
-    """Exercise the affine and homogeneity identities of p -> r_m . p.
+def check_linearity(r_m: np.ndarray, states: list[np.ndarray], rng: np.random.Generator) -> float:
+    """The largest deviation from the affine and homogeneity identities of p -> r_m . p.
 
     ``r_m`` is one measurement (K,) or a stack (M, K). All
     ``LINEARITY_SAMPLES`` draws (two pool states, a weight lambda in
     [0, 1) and a scale nu in [0, 2)) are made in one batch and applied to
     every measurement, in blocks of draws of at most
     ``LINEARITY_BLOCK_ENTRIES`` mixture entries. Both identities hold
-    exactly for a linear functional; ``LINEARITY_TOL`` only absorbs
-    floating-point rounding.
+    exactly for a linear functional, so the deviation is rounding alone;
+    a NaN anywhere makes it NaN.
     """
     if len(states) < 2:
         raise GptError("need at least two states to form mixtures")
@@ -241,9 +171,4 @@ def check_linearity(
         expected = weight * f[a] + (1.0 - weight) * f[b]
         affine = np.maximum(affine, np.abs(mixed @ r_t - expected).max(initial=0.0))  # NaN stays NaN
         homog = np.maximum(homog, np.abs((scale * pool[a]) @ r_t - scale * f[a]).max(initial=0.0))
-    return LinearityReport(
-        samples=LINEARITY_SAMPLES,
-        max_affine_deviation=float(affine),
-        max_homogeneity_deviation=float(homog),
-        tolerance=LINEARITY_TOL,
-    )
+    return float(np.maximum(affine, homog))

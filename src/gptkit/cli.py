@@ -72,11 +72,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _params(args: argparse.Namespace, *names: str) -> dict:
-    """The given flags as pipeline parameters, leaving out unset ones."""
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-
-
 def _run(kind: str, args: argparse.Namespace, params: dict, base: Path = Path(),
          rows: Callable[[dict], list[list]] | None = None) -> int:
     """Run the harness pipeline ``kind`` and emit its details (CSV ``rows(details)``
@@ -87,20 +82,12 @@ def _run(kind: str, args: argparse.Namespace, params: dict, base: Path = Path(),
     return 0 if outcome["status"] in OK_STATUSES else 1
 
 
-def _cmd_bloch(args: argparse.Namespace) -> int:
-    return _run("bloch", args, _params(args, "a", "b", "c", "projectors"))
-
-
-def _cmd_transform(args: argparse.Namespace) -> int:
-    return _run("transform", args, _params(args, "unitary", "kraus"))
-
-
-def _cmd_composite(args: argparse.Namespace) -> int:
-    return _run("composite", args, _params(args, "rho", "na", "nb"))
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    return _run("verify", args, _params(args, "theory", "n"))
+def _cmd_pipeline(args: argparse.Namespace) -> int:
+    """Run the pipeline named by the subcommand; each set flag but --out and
+    --seed is the section key of the same name."""
+    params = {name: value for name, value in vars(args).items()
+              if value is not None and name not in ("command", "func", "out", "seed")}
+    return _run(args.command, args, params)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -155,24 +142,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--to", dest="dst", choices=["rho", "p", "r"], required=True)
     p_conv.add_argument("--theory", choices=list(THEORY_UNITS), default="quantum")
 
-    p_bloch = command("bloch", _cmd_bloch, "classify the N=2 D-matrix family at (a, b, c)")
+    p_bloch = command("bloch", _cmd_pipeline, "classify the N=2 D-matrix family at (a, b, c)")
     p_bloch.add_argument("--a", type=float, required=True)
     p_bloch.add_argument("--b", type=float, required=True)
     p_bloch.add_argument("--c", type=float, required=True)
     p_bloch.add_argument("--projectors", action="store_true", help="recover projectors as JSON")
 
-    p_tr = command("transform", _cmd_transform, "convert an operator map to Z and run checks")
+    p_tr = command("transform", _cmd_pipeline, "convert an operator map to Z and run checks")
     group = p_tr.add_mutually_exclusive_group(required=True)
     group.add_argument("--kraus", default=None)
     group.add_argument("--unitary", default=None)
 
-    p_comp = command("composite", _cmd_composite, "joint fiducial probabilities of a bipartite state")
+    p_comp = command("composite", _cmd_pipeline, "joint fiducial probabilities of a bipartite state")
     p_comp.add_argument("--rho", required=True)
     p_comp.add_argument("--na", type=int, required=True)
     p_comp.add_argument("--nb", type=int, required=True)
     p_comp.add_argument("--seed", type=int, default=0)
 
-    p_ver = command("verify", _cmd_verify, "run the axiom suite against a theory instance")
+    p_ver = command("verify", _cmd_pipeline, "run the axiom suite against a theory instance")
     p_ver.add_argument("--theory", choices=list(THEORY_UNITS), required=True)
     p_ver.add_argument("--n", type=int, required=True)
     p_ver.add_argument("--seed", type=int, default=0)

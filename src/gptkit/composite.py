@@ -3,8 +3,8 @@
 The matrix form is used because local transformations, each a K x K
 array Z, act two-sidedly: p_tilde -> Z_A p_tilde Z_B^T. A state is read
 from its operator through the two theories' closed-form conversions, with
-no projector block. The rank of two frames' product fiducials decides
-local tomography.
+no projector block. The rank of two canonical frames' product fiducials,
+counted without building either frame, decides local tomography.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .frames import FiducialFrame
+from .frames import build_canonical_frame
 from .states import Theory
 
 
@@ -61,15 +61,23 @@ def joint_normalization(pt: np.ndarray, r_identity_a: np.ndarray, r_identity_b: 
     )
 
 
-def dof_count_check(frame_a: FiducialFrame, frame_b: FiducialFrame) -> int:
-    """Rank of the product fiducials {P_i (x) Q_j} of two frames, as real vectors.
+def dof_count_check(units: str, na: int, nb: int) -> int:
+    """Rank of the product fiducials {P_i (x) Q_j} of the canonical frames of
+    dimensions ``na`` and ``nb`` over ``units``, as real vectors.
 
     Local tomography (Hardy's axiom 4, K_AB = K_A K_B) holds exactly when
     this rank is the composite's K(N_A N_B); real units fall short of it
     (Hardy & Wootters, arXiv:1005.4870: 9 product fiducials against
     K(4) = 10). Herm(A) (x)_R Herm(B) embeds in Herm(AB), so the rank is
-    rank(C_A) * rank(C_B), C being each frame's ``hermitian_coordinates``:
-    an SVD of each (K, N^2) block, and none of the (N_A N_B)^2 products.
+    rank(C_A) * rank(C_B), C being each frame's ``hermitian_coordinates``.
+    Neither frame is built: the basis projectors span the N diagonal
+    coordinates, and the projectors of each pair, less their diagonal part,
+    lie on that pair's two off-diagonal coordinates alone, so at dimension N
+    rank(C) = N + N(N - 1)/2 (r_2 - 2), with r_2 the rank of the dimension-2
+    frame's C, the one SVD made.
     """
-    return int(np.linalg.matrix_rank(frame_a.hermitian_coordinates())) * int(
-        np.linalg.matrix_rank(frame_b.hermitian_coordinates()))
+    if min(na, nb) < 1:
+        raise DimensionError(f"dimensions must be positive integers, got {na} and {nb}")
+    r_2 = int(np.linalg.matrix_rank(build_canonical_frame(2, units).hermitian_coordinates()))
+    rank_a, rank_b = (n + n * (n - 1) // 2 * (r_2 - 2) for n in (na, nb))
+    return rank_a * rank_b

@@ -21,7 +21,7 @@ from .errors import DegenerateFrameError, DimensionError, GptError, NoSignatureE
 
 # The tolerance and sample budget of every check in gptkit, one constant per
 # meaning. The checks read these names, and no argument, flag or config key
-# sets them; each report records the tolerance or budget its check used.
+# sets them; the suite compares the axioms checks' deviations with them.
 ATOL = 1e-12  # identities that hold exactly up to rounding
 PSD_TOL = 1e-10  # eigenvalue signs, and operator identities after products
 PURITY_TOL = 1e-9  # purities r^T D r, and values that come out of a solve against D

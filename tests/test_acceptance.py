@@ -266,8 +266,7 @@ def test_criterion_07_composite_law_and_dof():
                 evolved = evolved + m @ rho @ m.conj().T
         operator_side = composite_from_density(evolved, QT2, QT2)
         worst = max(worst, float(np.abs(vector_side - operator_side).max()))
-    frame = build_canonical_frame(2)
-    rank = dof_count_check(frame, frame)
+    rank = dof_count_check("xy", 2, 2)
     elapsed = time.monotonic() - start
     ok = worst <= 1e-10 and rank == 16 and elapsed < 30.0
     report_line(

@@ -9,9 +9,9 @@ from gptkit.frames import LINEARITY_SAMPLES
 from gptkit import (
     GptError,
     MonotonicityError,
-    SubspaceReport,
     build_general_d,
     build_canonical_frame,
+    canonical_labels,
     check_basis_distinguishability,
     check_linearity,
     check_subspace_axiom,
@@ -90,7 +90,7 @@ class TestPowerLaw:
 
 
 def per_subset_oracle(theory, subset):
-    """The one-subset axiom-3 check, written out directly: the fiducials
+    """The one-subset axiom-3 deviations, written out directly: the fiducials
     supported inside W by np.isin, D restricted with np.ix_, and the
     reference D built for |W| over the theory's units."""
     w = tuple(sorted(subset))
@@ -101,21 +101,9 @@ def per_subset_oracle(theory, subset):
     inside = np.flatnonzero(in_w.all(axis=0))
     disjoint = np.flatnonzero(~in_w.any(axis=0))
     d = np.asarray(theory.d, dtype=float)
-    sub_dev = float(np.abs(d[np.ix_(inside, inside)] - reference).max())
-    dis_dev = float(np.abs(d[np.ix_(disjoint, inside)]).max(initial=0.0))
-    violations = []
-    if not sub_dev <= 1e-12:
-        violations.append(f"restricted D deviates from canonical by {sub_dev:.3g}")
-    if not dis_dev <= 1e-12:
-        violations.append(f"disjoint fiducial sees W-supported state with probability {dis_dev:.3g}")
-    return SubspaceReport(
-        subset=w,
-        fiducial_indices=tuple(inside.tolist()),
-        submatrix_deviation=sub_dev,
-        disjoint_probability=dis_dev,
-        tolerance=1e-12,
-        violations=tuple(violations),
-    )
+    sub_dev = np.abs(d[np.ix_(inside, inside)] - reference).max()
+    dis_dev = np.abs(d[np.ix_(disjoint, inside)]).max(initial=0.0)
+    return sub_dev, dis_dev
 
 
 def singles_pairs_and_triple(n):
@@ -126,41 +114,41 @@ def singles_pairs_and_triple(n):
 class TestSubspaceAxiom:
     def test_pair_restriction_equals_dhalfs(self):
         theory = quantum_theory(3)
-        [report] = check_subspace_axiom(theory, [{0, 1}])
-        assert report.passed
-        assert report.submatrix_deviation <= 1e-12
-        sub = theory.d[np.ix_(report.fiducial_indices, report.fiducial_indices)]
-        assert np.abs(sub - DHALFS).max() <= 1e-12
+        [[sub_dev, dis_dev]] = check_subspace_axiom(theory, [{0, 1}])
+        assert sub_dev <= 1e-12 and dis_dev <= 1e-12
+        inside = [k for k, (_, i, j) in enumerate(canonical_labels(3)) if {i, j} <= {0, 1}]
+        assert np.abs(theory.d[np.ix_(inside, inside)] - DHALFS).max() <= 1e-12
 
     def test_single_basis_state_invisible_to_disjoint_fiducials(self):
         theory = quantum_theory(3)
-        [report] = check_subspace_axiom(theory, [{0}])
-        assert report.passed
+        [[sub_dev, dis_dev]] = check_subspace_axiom(theory, [{0}])
+        assert sub_dev <= 1e-12
         # direct oracle: tr(P_23x |1><1|) = 0
         p23x = build_canonical_frame(3).projectors[7]
         rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
         assert abs(np.trace(p23x @ rho)) <= 1e-15
-        assert report.disjoint_probability <= 1e-12
+        assert dis_dev <= 1e-12
 
     def test_full_set_restriction_is_d_itself(self):
-        [report] = check_subspace_axiom(quantum_theory(3), [{0, 1, 2}])
-        assert report.passed
-        assert report.fiducial_indices == tuple(range(9))
+        theory = quantum_theory(3)
+        [[sub_dev, dis_dev]] = check_subspace_axiom(theory, [{0, 1, 2}])
+        assert sub_dev == np.abs(theory.d - gram_matrix(build_canonical_frame(3))).max() <= 1e-12
+        assert dis_dev == 0.0  # no fiducial is disjoint from the whole basis
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_every_pair_behaves_two_dimensionally(self, n):
         pairs = [{i, j} for i in range(n) for j in range(i + 1, n)]
-        reports = check_subspace_axiom(quantum_theory(n), pairs)
-        assert [r.subset for r in reports] == [tuple(sorted(w)) for w in pairs]
-        assert all(r.passed for r in reports)
+        deviations = check_subspace_axiom(quantum_theory(n), pairs)
+        assert deviations.shape == (len(pairs), 2)
+        assert deviations.max() <= 1e-12
 
     def test_corrupted_d_detected(self):
         theory = quantum_theory(3)
         d = theory.d.copy()
         d[3, 4] = 0.75
         d[4, 3] = 0.75
-        [report] = check_subspace_axiom(dataclasses.replace(theory, d=d), [{0, 1}])
-        assert not report.passed
+        [[sub_dev, _]] = check_subspace_axiom(dataclasses.replace(theory, d=d), [{0, 1}])
+        assert sub_dev == pytest.approx(0.25)
 
     def test_invalid_subset_rejected(self):
         with pytest.raises(GptError):
@@ -172,27 +160,28 @@ class TestSubspaceAxiom:
             check_subspace_axiom(quantum_theory(3), subsets)
 
     def test_no_subsets_give_no_reports(self):
-        assert check_subspace_axiom(quantum_theory(3), []) == []
+        assert check_subspace_axiom(quantum_theory(3), []).shape == (0, 2)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_classical_subsets_pass_against_the_identity(self, n):
         subsets = [{i, j} for i in range(n) for j in range(i, n)]
-        reports = check_subspace_axiom(classical_theory(n), subsets)
-        assert len(reports) == len(subsets)
-        for subset, report in zip(subsets, reports):
-            assert report.passed
-            assert report.fiducial_indices == tuple(sorted(subset))
+        deviations = check_subspace_axiom(classical_theory(n), subsets)
+        assert deviations.shape == (len(subsets), 2)
+        assert not deviations.any()  # the identity D is exact
 
-    @pytest.mark.parametrize(
-        "entry, violation",
-        [((0, 1), "restricted D deviates"), ((2, 0), "disjoint fiducial")],
-    )
-    def test_classical_d_off_the_identity_fails(self, entry, violation):
+    @pytest.mark.parametrize("entry, column", [((0, 1), 0), ((2, 0), 1)], ids=["restricted", "disjoint"])
+    def test_classical_d_off_the_identity_fails(self, entry, column):
         d = np.eye(3)
         d[entry] = d[entry[::-1]] = 0.1
-        [report] = check_subspace_axiom(dataclasses.replace(classical_theory(3), d=d), [{0, 1}])
-        assert not report.passed
-        assert report.violations[0].startswith(violation)
+        [row] = check_subspace_axiom(dataclasses.replace(classical_theory(3), d=d), [{0, 1}])
+        assert row[column] == pytest.approx(0.1)
+        assert row[1 - column] == 0.0
+
+    def test_nan_entry_gives_a_nan_deviation(self):
+        d = quantum_theory(3).d.copy()
+        d[0, -1] = d[-1, 0] = np.nan  # basis fiducial 1 against the {2, 3} y fiducial
+        deviations = check_subspace_axiom(dataclasses.replace(quantum_theory(3), d=d), [{0, 1}, {1, 2}])
+        assert np.isnan(deviations[1, 1]) and not np.isnan(np.delete(deviations.ravel(), 3)).any()
 
     @pytest.mark.parametrize(
         "name, n", [("quantum", n) for n in range(1, 7)] + [("classical", n) for n in range(1, 5)]
@@ -209,43 +198,43 @@ class TestSubspaceAxiom:
             if entry is not None:
                 d[entry] += 0.3  # one entry, so D is no longer symmetric
             corrupted = dataclasses.replace(theory, d=d)
-            expected = [per_subset_oracle(corrupted, w) for w in subsets]
-            assert check_subspace_axiom(corrupted, subsets) == expected
-            failing.append(sum(not r.passed for r in expected))
+            expected = np.array([per_subset_oracle(corrupted, w) for w in subsets])
+            assert np.array_equal(check_subspace_axiom(corrupted, subsets), expected)
+            failing.append(int((expected > 1e-12).any(axis=1).sum()))
         assert failing[0] == 0 and max(failing[1:]) > 0
 
     @pytest.mark.parametrize("name", ["quantum", "classical"])
     def test_chunked_reads_equal_one_chunk(self, name, monkeypatch):
         """Subsets of one size are read in chunks of rows under
-        SUBSPACE_CHUNK_ENTRIES; two pair rows per chunk give the same reports."""
+        SUBSPACE_CHUNK_ENTRIES; two pair rows per chunk give the same deviations."""
         theory = theory_by_name(name, 6)
         subsets = singles_pairs_and_triple(6)
         one_chunk = check_subspace_axiom(theory, subsets)
         k_in = len(build_general_d(2, theory.units))
         monkeypatch.setattr(axioms, "SUBSPACE_CHUNK_ENTRIES", 2 * theory.k * (k_in + 1))
-        assert check_subspace_axiom(theory, subsets) == one_chunk
+        assert np.array_equal(check_subspace_axiom(theory, subsets), one_chunk)
 
     def test_corrupted_entry_in_the_last_chunk_fails(self, monkeypatch):
         """One D entry read only by the last pair {4, 5}, alone in the last
-        of eight chunks, fails that pair and no other."""
+        of eight chunks, moves that pair's disjoint probability and nothing else."""
         theory = quantum_theory(6)
         pairs = [{i, j} for i in range(6) for j in range(i + 1, 6)]
         monkeypatch.setattr(axioms, "SUBSPACE_CHUNK_ENTRIES", 2 * theory.k * (4 + 1))
         d = theory.d.copy()
         d[0, build_canonical_frame(6).labels.index(("y", 4, 5))] = 0.25  # basis fiducial 0 is disjoint from {4, 5}
-        reports = check_subspace_axiom(dataclasses.replace(theory, d=d), pairs)
-        assert [r.passed for r in reports] == [True] * 14 + [False]
-        assert reports[-1].violations[0].startswith("disjoint fiducial")
-        assert check_subspace_axiom(theory, pairs)[-1].passed
+        deviations = check_subspace_axiom(dataclasses.replace(theory, d=d), pairs)
+        assert deviations[-1, 1] == 0.25
+        assert deviations[:-1].max() <= 1e-12 and deviations[-1, 0] <= 1e-12
+        assert check_subspace_axiom(theory, pairs)[-1].max() <= 1e-12
 
 
 class TestBasisDistinguishability:
     def test_quantum_qubit(self):
-        assert check_basis_distinguishability(quantum_theory(2)).passed
+        assert check_basis_distinguishability(quantum_theory(2)) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_classical_any_dimension(self, n):
-        assert check_basis_distinguishability(classical_theory(n)).passed
+        assert check_basis_distinguishability(classical_theory(n)) == 0.0
 
     def test_perturbed_basis_fails(self):
         theory = quantum_theory(2)
@@ -259,7 +248,7 @@ class TestBasisDistinguishability:
             basis_r=basis_r,
             basis_p=theory.basis_p,
         )
-        assert not check_basis_distinguishability(broken).passed
+        assert check_basis_distinguishability(broken) >= 0.05  # the basis no longer sums to r_I
 
 
 class TestLinearity:
@@ -272,40 +261,33 @@ class TestLinearity:
     def test_affine_and_homogeneous_to_rounding(self, rng):
         theory = quantum_theory(2)
         for r_m in list(theory.basis_r) + [theory.r_identity]:
-            report = check_linearity(r_m, self._pool(theory), rng)
-            assert report.passed
+            assert check_linearity(r_m, self._pool(theory), rng) <= 1e-14
 
     def test_stack_matches_each_row(self):
         theory = quantum_theory(3)
         stack = np.vstack([theory.basis_r, theory.r_identity])
-        report = check_linearity(stack, self._pool(theory), np.random.default_rng(4))
+        deviation = check_linearity(stack, self._pool(theory), np.random.default_rng(4))
         rows = [check_linearity(r_m, self._pool(theory), np.random.default_rng(4)) for r_m in stack]
-        assert report.passed
-        assert all(row.passed for row in rows)
-        assert (report.samples, report.tolerance) == (rows[0].samples, rows[0].tolerance)
-        for name in ("max_affine_deviation", "max_homogeneity_deviation"):
-            expected = max(getattr(row, name) for row in rows)
-            assert getattr(report, name) == pytest.approx(expected, abs=report.tolerance)
+        assert isinstance(deviation, float)
+        assert deviation == pytest.approx(max(rows), abs=1e-14)
 
     @pytest.mark.parametrize("n", [3, 16])
     def test_blocks_match_one_batch(self, n, monkeypatch):
         theory = quantum_theory(n)
         stack = np.vstack([theory.basis_r, theory.r_identity])
         batch_size = LINEARITY_SAMPLES * theory.k
-        reports = []
+        deviations = []
         for entries in (batch_size, 7 * theory.k, 1):  # one block, blocks of 7 draws, one draw each
             monkeypatch.setattr(axioms, "LINEARITY_BLOCK_ENTRIES", entries)
-            reports.append(check_linearity(stack, self._pool(theory), np.random.default_rng(5)))
+            deviations.append(check_linearity(stack, self._pool(theory), np.random.default_rng(5)))
         # the pool is dyadic, so every block size evaluates both identities exactly
-        assert all(r.max_affine_deviation == r.max_homogeneity_deviation == 0.0 for r in reports)
+        assert deviations == [0.0, 0.0, 0.0]
 
     def test_blocks_keep_a_nan_deviation(self):
         theory = quantum_theory(2)
         r_m = theory.r_identity.copy()
         r_m[-1] = np.nan
-        report = check_linearity(r_m, self._pool(theory), np.random.default_rng(5))
-        assert np.isnan(report.max_affine_deviation)
-        assert not report.passed
+        assert np.isnan(check_linearity(r_m, self._pool(theory), np.random.default_rng(5)))
 
     def test_edge_mixing_weights(self):
         theory = quantum_theory(2)

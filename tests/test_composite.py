@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gptkit.composite
+from gptkit import harness, serialize
 from gptkit import (
     DimensionError,
-    FiducialFrame,
     GptError,
     KrausSet,
     Theory,
@@ -179,32 +180,42 @@ def product_coordinates(na: int, nb: int, units: str) -> list[list[int]]:
 
 class TestDofCount:
     def test_two_qubits(self):
-        frame = build_canonical_frame(2)
-        assert dof_count_check(frame, frame) == 16
+        assert dof_count_check("xy", 2, 2) == 16
 
     def test_qubit_with_trivial_side(self):
-        assert dof_count_check(build_canonical_frame(2), build_canonical_frame(1)) == 4
+        assert dof_count_check("xy", 2, 1) == dof_count_check("xy", 1, 2) == 4
 
     def test_classical_pair(self):
-        frame = build_canonical_frame(2, "")
-        assert dof_count_check(frame, frame) == 4
+        assert dof_count_check("", 2, 2) == 4
 
-    @pytest.mark.parametrize("units", ["", "xy"], ids=["classical", "quantum"])
+    @pytest.mark.parametrize("units", ["", "x", "y", "xy", "yx"])
     def test_equals_the_svd_rank_product(self, units):
+        """The counted rank against the SVD ranks of the built frames'
+        Hermitian coordinates."""
         other = build_canonical_frame(2, units)
         for n in range(1, 9):
             frame = build_canonical_frame(n, units)
             svd_rank = np.linalg.matrix_rank(frame.hermitian_coordinates()) * np.linalg.matrix_rank(
                 other.hermitian_coordinates())
-            assert dof_count_check(frame, other) == svd_rank == frame.k * other.k
+            assert dof_count_check(units, n, 2) == svd_rank == frame.k * other.k
 
-    def test_duplicated_fiducial_drops_the_rank(self):
-        frame = build_canonical_frame(2)
-        projectors = frame.projectors.copy()
-        projectors[3] = projectors[0]  # fiducial 4 replaced by fiducial 1
-        repeated = FiducialFrame(dimension=2, projectors=projectors, labels=frame.labels)
-        assert dof_count_check(repeated, frame) == 3 * 4
-        assert dof_count_check(frame, repeated) == 4 * 3
+    def test_composite_pipeline_builds_only_the_dimension_2_frame(self, monkeypatch, tmp_path):
+        sizes, original = [], gptkit.composite.build_canonical_frame
+
+        def record(n, units="xy"):
+            sizes.append(n)
+            return original(n, units)
+
+        for module in (gptkit.composite, harness):
+            monkeypatch.setattr(module, "build_canonical_frame", record)
+        serialize.write_json(tmp_path / "rho.json", serialize.operator_to_dict(np.eye(6) / 6))
+        outcome = harness.PIPELINES["composite"]({"rho": "rho.json", "na": 6, "nb": 1}, 0, tmp_path, tmp_path)
+        assert (outcome["status"], outcome["details"]["dof_rank"], sizes) == ("pass", 36, [2])
+
+    @pytest.mark.parametrize("na, nb", [(0, 2), (2, 0), (-1, 1)])
+    def test_non_positive_dimension_rejected(self, na, nb):
+        with pytest.raises(DimensionError, match="positive"):
+            dof_count_check("xy", na, nb)
 
     # units -> the rank at 2 x 2, 2 x 3 and 3 x 3; real units ("x") fall short of K(N_A N_B)
     RANK_TABLE = {"xy": (16, 36, 81), "x": (9, 18, 36), "": (4, 6, 9)}
@@ -212,7 +223,7 @@ class TestDofCount:
     @pytest.mark.parametrize("units", list(RANK_TABLE), ids=["xy", "x", "no-units"])
     def test_rank_equals_the_exact_product_rank(self, units):
         for (na, nb), expected in zip([(2, 2), (2, 3), (3, 3)], self.RANK_TABLE[units], strict=True):
-            rank = dof_count_check(build_canonical_frame(na, units), build_canonical_frame(nb, units))
+            rank = dof_count_check(units, na, nb)
             assert rank == exact_rank(product_coordinates(na, nb, units)) == expected
             k_ab = len(canonical_labels(na * nb, units))
             assert (rank == k_ab) == (units != "x")

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 import gptkit.axioms
 import gptkit.bloch
+import gptkit.composite
 import gptkit.dynamics
 import gptkit.states
 
@@ -268,7 +269,7 @@ class TestAxiomSuite:
             sizes.append(n)
             return original(n, units)
 
-        for module in (gptkit.axioms, harness):
+        for module in (gptkit.axioms, gptkit.composite, harness):
             monkeypatch.setattr(module, "build_canonical_frame", record)
         report = run_axiom_suite("quantum", 16, seed=3)
         assert [c.status for c in report.checks] == ["pass"] * 7
@@ -294,15 +295,14 @@ class TestAxiomSuite:
     def test_classical_d_off_the_identity_fails_the_subspace_check(self):
         d = np.eye(3)
         d[0, 1] = d[1, 0] = 0.1
-        result = harness._subspace_check(dataclasses.replace(classical_theory(3), d=d))
+        result = harness._subspace_check(dataclasses.replace(classical_theory(3), d=d), seed=0)
         assert result.status == "fail"
         assert result.max_deviation == pytest.approx(0.1)
         assert result.witnesses["subsets"] == [[1, 2], [1, 3], [2, 3]]
 
     def test_classical_subspace_check_reads_check_subspace_axiom(self, monkeypatch, budget):
         def off_identity(*args, **kwargs):
-            reports = check_subspace_axiom(*args, **kwargs)
-            return [dataclasses.replace(report, violations=("forced",)) for report in reports]
+            return check_subspace_axiom(*args, **kwargs) + 0.1
 
         monkeypatch.setattr(harness, "check_subspace_axiom", off_identity)
         budget(CONTINUITY_STEPS=20)
@@ -310,6 +310,12 @@ class TestAxiomSuite:
         subspaces = next(c for c in report.checks if c.name == "axiom3-subspaces")
         assert subspaces.status == "fail"
         assert not report.passed
+
+    def test_suite_runs_the_check_table_in_order(self, monkeypatch):
+        report = run_axiom_suite("quantum", 2, seed=4)
+        assert [c.name for c in report.checks] == [c(QT2, 4).name for c in harness.SUITE_CHECKS]
+        monkeypatch.setattr(harness, "SUITE_CHECKS", harness.SUITE_CHECKS[::-1])
+        assert run_axiom_suite("quantum", 2, seed=4).checks == report.checks[::-1]
 
     def test_report_serializes(self):
         report = run_axiom_suite("classical", 2, seed=5)
@@ -365,16 +371,14 @@ def in_builder(mutant):
     return mutate
 
 
-# The suite's check helpers, each giving one check's result on a theory.
-SUITE_CHECKS = {
-    "a1": lambda theory: harness._frequency_check(theory, seed=0),
-    "a2": harness._power_law_check,
-    "a3": harness._subspace_check,
-    "a4": harness._composite_check,
-    "a5": lambda theory: harness._continuity_check(theory, seed=0),
-    "basis": harness._basis_check,
-    "linearity": lambda theory: harness._linearity_check(theory, seed=0),
-}
+def nan_mutant(d):
+    """A NaN entry between basis fiducial 1 and the last pair fiducial."""
+    d[0, -1] = d[-1, 0] = np.nan
+
+
+# The suite's checks, each mapping (theory, seed) to its result, by column name.
+COLUMNS = ("a1", "a2", "a3", "a4", "a5", "basis", "linearity")
+SUITE_CHECKS = dict(zip(COLUMNS, harness.SUITE_CHECKS, strict=True))
 
 # Row -> (theory, n, mutation of the theory, status of each of SUITE_CHECKS).
 # Known gaps show as cells: no mutant of D turns the axiom-2 or the linearity
@@ -396,6 +400,7 @@ VERDICT_ROWS = {
     "built-basis-quantum-16": ("quantum", 16, in_builder(basis_mutant), "fail pass fail pass fail fail pass"),
     "built-basis-classical-3": ("classical", 3, in_builder(basis_mutant),
                                 "fail pass fail pass expected-fail fail pass"),
+    "nan-quantum-3": ("quantum", 3, in_d(nan_mutant), "pass pass fail pass fail fail pass"),
 }
 VERDICT_CELLS = [(row, check, status) for row, (*_, statuses) in VERDICT_ROWS.items()
                  for check, status in zip(SUITE_CHECKS, statuses.split(), strict=True)]
@@ -405,7 +410,7 @@ VERDICT_CELLS = [(row, check, status) for row, (*_, statuses) in VERDICT_ROWS.it
                          ids=[f"{row}-{check}" for row, check, _ in VERDICT_CELLS])
 def test_verdict_matrix(row, check, status):
     """Each suite check judges the theory's D, not the code that built it."""
-    assert SUITE_CHECKS[check](row_theory(row)).status == status
+    assert SUITE_CHECKS[check](row_theory(row), 0).status == status
 
 
 def row_theory(row):
@@ -429,7 +434,7 @@ def test_real_units_fail_axiom4():
     basis_r = np.eye(3, len(d))
     real = Theory(name="real", units="x", d=d, r_identity=basis_r.sum(axis=0),
                   basis_r=basis_r, basis_p=d[:3].copy())
-    result = strict_json(harness._composite_check(real).to_json())
+    result = strict_json(harness._composite_check(real, 0).to_json())
     assert (result["status"], result["max_deviation"]) == ("fail", 1.0)
     assert result["witnesses"] == {"rank": 9, "expected": 10, "dimensions": [2, 2]}
 
@@ -439,17 +444,33 @@ FAIL_CELLS = [(row, check) for row, check, status in VERDICT_CELLS if status == 
 
 @pytest.mark.parametrize("row, check", FAIL_CELLS, ids=[f"{row}-{check}" for row, check in FAIL_CELLS])
 def test_failed_check_is_strict_json(row, check):
-    """A failed check writes a number or null as its deviation, never NaN."""
-    result = strict_json(SUITE_CHECKS[check](row_theory(row)).to_json())
+    """A failed check writes a number or null as its deviation, never NaN;
+    on a D with a NaN entry it writes null, with a reason."""
+    result = strict_json(SUITE_CHECKS[check](row_theory(row), 0).to_json())
     assert result["status"] == "fail"
+    if row.startswith("nan-"):
+        assert result["max_deviation"] is None
     if result["max_deviation"] is None:
         assert result["witnesses"]["reason"]
+
+
+def test_nan_d_verify_worst_is_finite_in_any_check_order(monkeypatch):
+    """On a D with a NaN entry the verify pipeline's deviation is the largest
+    finite one, whatever order the checks run in."""
+    monkeypatch.setattr(harness, "theory_by_name", lambda name, n: row_theory("nan-quantum-3"))
+    outcomes = []
+    for checks in (harness.SUITE_CHECKS, harness.SUITE_CHECKS[::-1]):
+        monkeypatch.setattr(harness, "SUITE_CHECKS", checks)
+        outcomes.append(strict_json(harness.PIPELINES["verify"]({"n": 3}, 0, Path(), Path())))
+    deviations = [c["max_deviation"] for c in outcomes[0]["details"]["checks"]]
+    assert deviations.count(None) == 3
+    assert outcomes[0]["max_deviation"] == outcomes[1]["max_deviation"] == max(d for d in deviations if d is not None)
 
 
 @pytest.mark.parametrize("fit, reason", [(3, "exponent 3, expected 2"), (None, "no K = N^r fits the table")])
 def test_failed_power_law_has_a_reason_and_no_deviation(monkeypatch, fit, reason):
     monkeypatch.setattr(harness, "fit_power_law", lambda table: fit)
-    result = strict_json(harness._power_law_check(QT2).to_json())
+    result = strict_json(harness._power_law_check(QT2, 0).to_json())
     assert (result["status"], result["max_deviation"]) == ("fail", None)
     assert result["witnesses"]["reason"] == reason
 

@@ -373,7 +373,7 @@ class TestNamedTolerances:
         params = list(inspect.signature(gptkit.harness.run_axiom_suite).parameters)
         assert params == ["theory_name", "n", "seed"]
 
-    def test_reports_state_the_constant_their_check_read(self, rng, budget):
+    def test_reports_state_the_constant_their_check_read(self, monkeypatch, budget):
         f, h = gptkit.frames, gptkit.harness
         assert (f.ATOL, f.PSD_TOL, f.PURITY_TOL, f.LINEARITY_TOL) == (1e-12, 1e-10, 1e-9, 1e-14)
         budgets = ("FREQUENCY_SCALES", "FREQUENCY_TRIALS", "CONTINUITY_PAIRS", "CONTINUITY_STEPS",
@@ -387,10 +387,7 @@ class TestNamedTolerances:
         assert suite["axiom5-continuity"] == {"pairs": f.CONTINUITY_PAIRS, "steps": f.CONTINUITY_STEPS}
         assert suite["measurement-linearity"] == {"samples": f.LINEARITY_SAMPLES}
         theory = quantum_theory(2)
-        assert gptkit.axioms.check_subspace_axiom(theory, [{0, 1}])[0].tolerance == f.ATOL
-        assert gptkit.axioms.check_basis_distinguishability(theory).tolerance == f.ATOL
-        linearity = gptkit.axioms.check_linearity(theory.r_identity, list(theory.basis_p), rng)
-        assert (linearity.samples, linearity.tolerance) == (f.LINEARITY_SAMPLES, f.LINEARITY_TOL)
+        assert all(getattr(h, name) is getattr(f, name) for name in ("ATOL", "LINEARITY_TOL", "LINEARITY_SAMPLES"))
         assert suite["axiom1-frequency-convergence"]["targets"]["0.5"]["1000"]["bound"] == (
             f.FREQUENCY_ENVELOPE / np.sqrt(1_000))
         assert all(getattr(h, name) is getattr(f, name) for name in ("FREQUENCY_ENVELOPE", "FREQUENCY_PASS_FRACTION"))
@@ -403,3 +400,9 @@ class TestNamedTolerances:
             [(gptkit.dynamics.KrausSet(np.eye(2, dtype=complex)), theory.r_identity)],
             theory, list(theory.basis_p))
         assert update.tolerance == f.PSD_TOL
+        checks = (h._subspace_check, h._basis_check, h._linearity_check)
+        assert [check(theory, 1).status for check in checks] == ["pass"] * 3
+        monkeypatch.setattr(h, "ATOL", -1.0)  # no deviation is within a negative tolerance
+        assert [check(theory, 1).status for check in checks] == ["fail", "fail", "pass"]
+        monkeypatch.setattr(h, "LINEARITY_TOL", -1.0)
+        assert [check(theory, 1).status for check in checks] == ["fail"] * 3
