@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import GptError, MonotonicityError, NoSignatureError
 from .frames import (
-    LINEARITY_BLOCK_ENTRIES,
-    LINEARITY_SAMPLES,
+    LINEARITY_PAIRS,
     SUBSPACE_CHUNK_ENTRIES,
     build_canonical_frame,
     canonical_labels,
@@ -108,6 +107,7 @@ def check_subspace_axiom(theory: Theory, subsets: Sequence[Iterable[int]]) -> np
     for row, w in enumerate(ws):
         groups.setdefault(len(w), []).append(row)
     d = np.asarray(theory.d, dtype=float)
+    abs_d = np.abs(d)
     deviations = np.empty((len(ws), 2))
     for m, group in groups.items():
         reference = gram_matrix(build_canonical_frame(m, theory.units))
@@ -117,15 +117,14 @@ def check_subspace_axiom(theory: Theory, subsets: Sequence[Iterable[int]]) -> np
         for lo in range(0, len(group), step):
             rows = group[lo:lo + step]
             members = np.zeros((len(rows), n), dtype=bool)
-            for at, row in enumerate(rows):
-                members[at, list(ws[row])] = True
+            members[np.arange(len(rows))[:, None], [ws[row] for row in rows]] = True
             in_w = members[:, support]  # (rows, 2, K)
-            inside = np.nonzero(in_w.all(axis=1))[1].reshape(len(rows), k_in, 1)
-            disjoint = np.nonzero(~in_w.any(axis=1))[1]
-            disjoint = disjoint.reshape(len(rows), len(disjoint) // len(rows), 1)
-            inside_t = inside.transpose(0, 2, 1)
-            deviations[rows, 0] = np.abs(d[inside, inside_t] - reference).max(axis=(1, 2))
-            deviations[rows, 1] = np.abs(d[disjoint, inside_t]).max(axis=(1, 2), initial=0.0)
+            inside = np.nonzero(in_w.all(axis=1))[1].reshape(len(rows), k_in)
+            deviations[rows, 0] = np.abs(d[inside[:, :, None], inside[:, None, :]] - reference).max(axis=(1, 2))
+            # every fiducial's largest |D| entry on each row's inside columns, (K, rows), then the
+            # largest over the fiducials disjoint from W; a NaN read stays NaN, a masked one is 0
+            cols = abs_d[:, inside.T.ravel()].reshape(theory.k, k_in, len(rows)).max(axis=1)
+            deviations[rows, 1] = np.where(in_w.any(axis=1).T, 0.0, cols).max(axis=0)
     return deviations
 
 
@@ -142,33 +141,30 @@ def check_basis_distinguishability(theory: Theory) -> float:
     return float(np.max(deviations))
 
 
-def check_linearity(r_m: np.ndarray, states: list[np.ndarray], rng: np.random.Generator) -> float:
-    """The largest deviation from the affine and homogeneity identities of p -> r_m . p.
+def check_linearity(theory: Theory, rng: np.random.Generator) -> float:
+    """The largest deviation from Hardy's trace formula r_M . p_rho = tr(M rho)
+    over ``LINEARITY_PAIRS`` random (measurement, state) pairs.
 
-    ``r_m`` is one measurement (K,) or a stack (M, K). All
-    ``LINEARITY_SAMPLES`` draws (two pool states, a weight lambda in
-    [0, 1) and a scale nu in [0, 2)) are made in one batch and applied to
-    every measurement, in blocks of draws of at most
-    ``LINEARITY_BLOCK_ENTRIES`` mixture entries. Both identities hold
-    exactly for a linear functional, so the deviation is rounding alone;
-    a NaN anywhere makes it NaN.
+    Each of M and rho is G G^dag / tr(G G^dag) for a complex Gaussian N x N
+    G, drawn in one batch as (pair, M or rho, Re or Im) and diagonal for the
+    classical theory, whose r-vectors are those diagonals; the quantum
+    r-vectors come from ``Theory.r_of``. The probability r_M . (D r_rho)
+    reads the theory's D, so a D off the projectors' Gram matrix shows here.
+    Each deviation is measured in units of K eps |r_M|_1 max|D r_rho|, the
+    rounding scale of that product; a NaN anywhere makes it NaN.
     """
-    if len(states) < 2:
-        raise GptError("need at least two states to form mixtures")
-    r_t = np.atleast_2d(np.asarray(r_m, dtype=float)).T
-    pool = np.stack([np.asarray(p, dtype=float) for p in states])
-    f = pool @ r_t
-
-    ia, ib = rng.integers(0, len(states), size=(2, LINEARITY_SAMPLES))
-    lam = rng.random((LINEARITY_SAMPLES, 1))
-    nu = 2.0 * rng.random((LINEARITY_SAMPLES, 1))
-    affine = homog = 0.0
-    step = max(1, LINEARITY_BLOCK_ENTRIES // pool.shape[1])
-    for lo in range(0, LINEARITY_SAMPLES, step):
-        block = slice(lo, lo + step)
-        a, b, weight, scale = ia[block], ib[block], lam[block], nu[block]
-        mixed = weight * pool[a] + (1.0 - weight) * pool[b]
-        expected = weight * f[a] + (1.0 - weight) * f[b]
-        affine = np.maximum(affine, np.abs(mixed @ r_t - expected).max(initial=0.0))  # NaN stays NaN
-        homog = np.maximum(homog, np.abs((scale * pool[a]) @ r_t - scale * f[a]).max(initial=0.0))
-    return float(np.maximum(affine, homog))
+    n, k = theory.dimension, theory.k
+    gauss = rng.standard_normal((LINEARITY_PAIRS, 2, 2) + ((n, n) if theory.units else (n,)))
+    g = gauss[:, :, 0] + 1j * gauss[:, :, 1]
+    if theory.units:
+        ops = g @ g.conj().swapaxes(-1, -2)
+        ops /= np.trace(ops, axis1=-2, axis2=-1).real[..., None, None]
+        r_m, r_rho = theory.r_of(ops.reshape(-1, n, n)).reshape(LINEARITY_PAIRS, 2, k).swapaxes(0, 1)
+        traces = np.einsum("mij,mij->m", ops[:, 0], ops[:, 1].conj()).real  # tr(M rho), M Hermitian
+    else:
+        diagonals = g.real**2 + g.imag**2
+        r_m, r_rho = (diagonals / diagonals.sum(axis=-1, keepdims=True)).swapaxes(0, 1)
+        traces = np.einsum("mi,mi->m", r_m, r_rho)
+    p_rho = r_rho @ theory.d.T
+    scale = k * np.finfo(float).eps * np.abs(r_m).sum(axis=1) * np.abs(p_rho).max(axis=1)
+    return float((np.abs(np.einsum("mk,mk->m", r_m, p_rho) - traces) / scale).max())

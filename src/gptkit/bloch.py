@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, GptError, PhaseRecoveryError
-from .frames import ATOL, PSD_TOL, FiducialFrame, canonical_labels, check_frame_entries
+from .frames import ATOL, PSD_TOL, FiducialFrame, canonical_labels, check_frame_entries, frame_size
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def build_general_d(n: int, units: str = "xy") -> np.ndarray:
     A D of more than ``MAX_FRAME_ENTRIES`` entries is refused before any
     label is made.
     """
-    k = n + len(units) * (n * (n - 1) // 2)
+    k = frame_size(n, units)
     check_frame_entries(n, "D", k, k)
     first, second = np.array([label[1:] for label in canonical_labels(n, units)]).T  # support indices
     share = np.zeros((n, k))  # share[a, j] = 1 / (2 |support j|) for each index a in support j

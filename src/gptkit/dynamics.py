@@ -260,8 +260,12 @@ def continuity_probe(theory: Theory, r_a: np.ndarray, r_b: np.ndarray,
                      steps: int) -> PathReport | tuple[PathReport, ...]:
     """Probe for continuous paths of pure states from r_a to r_b: one pair
     (K,) gives one ``PathReport``, a stack of m pairs (m, K) a tuple of m,
-    from one ``operator_of``, one stacked ``eigh`` and one ``r_of`` call
-    for the stack. An impure endpoint anywhere is a ``GptError``.
+    from one ``operator_of`` and one ``r_of`` call for the stack. An impure
+    endpoint anywhere is a ``GptError``: a quantum endpoint's operator rho
+    must be idempotent (Frobenius norm of rho^2 - rho) and of unit trace to
+    ``PURITY_TOL``, since a Hermitian idempotent of trace 1 is a rank-1
+    projector |psi><psi|, and psi is then rho's column at its largest
+    diagonal entry, normalised.
 
     For the quantum theory (pair units 1 and i) the probe follows the
     great circle through the endpoint state vectors. With the phase of
@@ -302,10 +306,14 @@ def continuity_probe(theory: Theory, r_a: np.ndarray, r_b: np.ndarray,
         weights, span = np.broadcast_to(np.stack([1.0 - ts, ts], axis=1), (m, steps + 1, 2)), pairs
     else:
         n = theory.dimension
-        eigvals, eigvecs = np.linalg.eigh(theory.operator_of(pairs.reshape(-1, theory.k)))
-        if not np.abs(eigvals - np.eye(n)[-1]).max(initial=0.0) <= PURITY_TOL:  # spectrum (0, ..., 0, 1)
+        rhos = theory.operator_of(pairs.reshape(-1, theory.k))  # exactly Hermitian
+        idempotence = np.linalg.norm(rhos @ rhos - rhos, axis=(1, 2))  # Frobenius norms
+        traces = np.trace(rhos, axis1=1, axis2=2).real
+        if not ((idempotence <= PURITY_TOL) & (np.abs(traces - 1.0) <= PURITY_TOL)).all():
             raise GptError("endpoint is not a pure state (rank-1, trace-1) to tolerance")
-        psi_a, psi_b = eigvecs[:, :, -1].reshape(m, 2, n).swapaxes(0, 1)
+        # rho = |psi><psi|, so its column at its largest diagonal entry is psi times a nonzero scalar
+        columns = rhos[np.arange(2 * m), :, np.diagonal(rhos, axis1=1, axis2=2).real.argmax(axis=1)]
+        psi_a, psi_b = (columns / np.linalg.norm(columns, axis=1, keepdims=True)).reshape(m, 2, n).swapaxes(0, 1)
         overlap = _rowdot(psi_a.conj(), psi_b)
         cos_ab = np.hypot(overlap.real, overlap.imag)  # |overlap|, rounded as Python's abs rounds a complex
         # an orthogonal pair (cos_ab = 0) keeps psi_b's phase

@@ -27,8 +27,8 @@ PSD_TOL = 1e-10  # eigenvalue signs, and operator identities after products
 PURITY_TOL = 1e-9  # purities r^T D r, and values that come out of a solve against D
 INDEPENDENCE_RTOL = 1e-9  # smallest/largest singular value of a frame's projectors
 GRAM_SINGULAR_TOL = 1e-9  # smallest singular value of a D matrix
-LINEARITY_TOL = 1e-14  # affine and homogeneity identities of a measurement
-LINEARITY_SAMPLES = 1000  # random mixtures and scalings per linearity check
+LINEARITY_RTOL = 4.0  # r_M^T D r_rho = tr(M rho), in units of K eps |r_M|_1 max|D r_rho|
+LINEARITY_PAIRS = 16  # random (measurement, state) pairs per linearity check
 FREQUENCY_ENVELOPE = 5.0  # frequency bound at n shots: FREQUENCY_ENVELOPE / sqrt(n)
 FREQUENCY_PASS_FRACTION = 0.95  # share of trials that must fall inside that bound
 POWER_LAW_N_MAX = 6  # dimensions 1..N_max of the power-law table
@@ -44,9 +44,6 @@ MAX_FRAME_ENTRIES = 2**26
 # D entries (and index entries) that check_subspace_axiom reads out of D at once: a group of
 # equal-sized subsets is read in chunks of rows, so its memory does not grow with their number
 SUBSPACE_CHUNK_ENTRIES = 2**22
-# Entries of the (draws, K) mixtures that check_linearity evaluates at once: blocks this small
-# reuse the same few pages, where one (LINEARITY_SAMPLES, K) temporary faults in fresh ones
-LINEARITY_BLOCK_ENTRIES = 2**13
 # Complex entries of the (rows, N, N) Heisenberg block that z_from_kraus fills Z from at once:
 # Z is then its only K x K array, and a block is 256 KB at any N, so the build's peak is Z plus
 # a constant (64 rows, 4 blocks, at N = 16)
@@ -70,6 +67,13 @@ def check_frame_entries(n: int, what: str, *shape: int) -> None:
     if prod(shape) > MAX_FRAME_ENTRIES:
         raise DimensionError(f"dimension {n} needs {' x '.join(map(str, shape))} {what} entries, "
                              f"more than MAX_FRAME_ENTRIES = {MAX_FRAME_ENTRIES}")
+
+
+def frame_size(n: int, units: str = "xy") -> int:
+    """K, the number of entries of the canonical frame of dimension n over
+    ``units``: N basis projectors and one projector per unit on each pair,
+    ``len(canonical_labels(n, units))`` with no label built."""
+    return n + len(units) * (n * (n - 1) // 2)
 
 
 def canonical_labels(n: int, units: str = "xy") -> tuple[Label, ...]:
@@ -181,7 +185,7 @@ def build_canonical_frame(n: int, units: str = "xy") -> FiducialFrame:
     Hermitian, idempotent and of unit trace by construction, and independent
     because ``canonical_labels`` admits only distinct units.
     """
-    check_frame_entries(n, "projector", n + len(units) * (n * (n - 1) // 2), n, n)
+    check_frame_entries(n, "projector", frame_size(n, units), n, n)
     vectors = canonical_vectors(n, units)
     # dividing the dyads by the exact squared norms (1 or 2) keeps the
     # entries (and hence D) exactly representable

@@ -147,7 +147,8 @@ def _marked(value: Any, texts: list[str]) -> Any:
     """``value`` for orjson to write as json does.
 
     Dict items come in sorted key order; tuples and arrays of any dtype but
-    float64 become lists, and a 0-d array its scalar; a float64 array
+    float64 become lists, and a 0-d array its scalar; a list or tuple of
+    ints alone is handed over as a list, unvisited; a float64 array
     becomes C-contiguous. Each float whose token orjson writes differently
     (nonzero with |x| < 1e-4, |x| >= 1e16, NaN and inf) becomes 1e300, and
     json's text of it is appended to ``texts`` in output order. A key that
@@ -159,6 +160,8 @@ def _marked(value: Any, texts: list[str]) -> Any:
             raise TypeError("a key that orjson does not write as json does")
         return {key: _marked(item, texts) for key, item in sorted(value.items())}
     if isinstance(value, (list, tuple)):
+        if all(type(item) is int for item in value):  # orjson writes them as json does, or refuses
+            return list(value)
         return [_marked(item, texts) for item in value]
     if type(value) is np.ndarray:
         if value.dtype != np.float64 or value.ndim == 0:

@@ -441,6 +441,34 @@ class TestContinuityProbe:
         with pytest.raises(GptError):
             continuity_probe(QT2, mixed, np.array([1.0, 0.0, 0.0, 0.0]), steps=10)
 
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_unit_purity_endpoint_that_is_not_idempotent_rejected(self, side, rng):
+        """Eigenvalues (2/3, 2/3, -1/3): tr rho = 1 and tr rho^2 = 1, so
+        r^T D r = 1, but rho^2 != rho, so it is no pure state."""
+        theory = quantum_theory(3)
+        u = haar_unitary(rng, 3)
+        fake = theory.r_of((u * np.array([2.0, 2.0, -1.0]) / 3.0) @ u.conj().T)
+        assert fake @ theory.d @ fake == pytest.approx(1.0, abs=1e-12)
+        assert theory.r_identity @ theory.d @ fake == pytest.approx(1.0, abs=1e-12)
+        pure = theory.basis_r[0]
+        r_a, r_b = (fake, pure) if side == "a" else (pure, fake)
+        with pytest.raises(GptError, match="not a pure"):
+            continuity_probe(theory, r_a, r_b, steps=10)
+
+    @pytest.mark.parametrize("scale, accepted", [(1e-11, True), (-1e-11, True), (1e-8, False), (-1e-8, False)])
+    def test_endpoint_purity_reads_purity_tol(self, scale, accepted, rng):
+        """(1 + s) |psi><psi| is off idempotence and unit trace by about s:
+        within PURITY_TOL = 1e-9 it is accepted, beyond it refused."""
+        theory = cached_quantum_theory(4)
+        psi = haar_state(rng, 4)
+        r_a = theory.r_of((1.0 + scale) * np.outer(psi, psi.conj()))
+        if accepted:
+            report = continuity_probe(theory, r_a, theory.basis_r[1], steps=10)
+            assert report.max_deviation <= 1e-10 and report.endpoint_deviation <= 1e-12
+        else:
+            with pytest.raises(GptError, match="not a pure"):
+                continuity_probe(theory, r_a, theory.basis_r[1], steps=10)
+
     def test_unitary_transforms_preserve_purity_and_mu(self, rng):
         for _ in range(20):
             u = haar_unitary(rng, 2)
@@ -515,6 +543,11 @@ class TestContinuityProbeStack:
         (r_a if side == "a" else r_b)[row] = theory.r_identity / 3  # the maximally mixed state
         with pytest.raises(GptError, match="not a pure"):
             continuity_probe(theory, r_a, r_b, steps=10)
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_an_empty_stack_gives_an_empty_tuple(self, n):
+        theory = cached_quantum_theory(n)
+        assert continuity_probe(theory, np.zeros((0, theory.k)), np.zeros((0, theory.k)), steps=10) == ()
 
     @pytest.mark.parametrize("m", [0, 1, 4])
     def test_a_stack_gives_a_tuple_and_one_pair_one_report(self, m):

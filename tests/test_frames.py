@@ -129,6 +129,11 @@ class TestUnitSets:
         table = {n: len(canonical_labels(n, units)) for n in range(1, 7)}
         assert signature_from_table(table) == Signature(counts)
 
+    @pytest.mark.parametrize("units", UNIT_SETS)
+    def test_frame_size_counts_the_labels(self, units):
+        assert [frames.frame_size(n, units) for n in range(1, 9)] == [
+            len(canonical_labels(n, units)) for n in range(1, 9)]
+
     def test_real_table_is_n_choose_2_plus_n(self):
         # the real_table of acceptance criterion 9
         assert {n: len(canonical_labels(n, "x")) for n in range(1, 7)} == {

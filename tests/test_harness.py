@@ -381,26 +381,27 @@ COLUMNS = ("a1", "a2", "a3", "a4", "a5", "basis", "linearity")
 SUITE_CHECKS = dict(zip(COLUMNS, harness.SUITE_CHECKS, strict=True))
 
 # Row -> (theory, n, mutation of the theory, status of each of SUITE_CHECKS).
-# Known gaps show as cells: no mutant of D turns the axiom-2 or the linearity
-# column to fail, since neither reads an entry of D that a mutant moves (both are
-# rebuilt on an operational K by ROADMAP item 2). The transform pipeline's
-# "completely_positive" is true for every Kraus input (ROADMAP item 6). Axiom 4
-# reads the dimension-2 frame, not D, so the D mutants leave it passing; its
-# negative control is test_real_units_fail_axiom4.
+# Known gaps show as cells: no mutant of D turns the axiom-2 column to fail, since
+# it counts frame labels and reads no entry of D (ROADMAP item 14). Linearity is
+# Hardy's trace formula r_M . D r_rho = tr(M rho), so every D mutant fails it.
+# The transform pipeline's "completely_positive" is true for every Kraus input
+# (ROADMAP item 6). Axiom 4 reads the dimension-2 frame, not D, so the D mutants
+# leave it passing; its negative control is test_real_units_fail_axiom4.
 VERDICT_ROWS = {
     "quantum-3": ("quantum", 3, None, "pass pass pass pass pass pass pass"),
     "quantum-16": ("quantum", 16, None, "pass pass pass pass pass pass pass"),
     "classical-3": ("classical", 3, None, "pass pass pass pass expected-fail pass pass"),
-    "overlap-quantum-3": ("quantum", 3, in_d(overlap_mutant), "pass pass fail pass fail pass pass"),
-    "overlap-quantum-16": ("quantum", 16, in_d(overlap_mutant), "pass pass fail pass fail pass pass"),
-    "basis-quantum-3": ("quantum", 3, in_d(basis_mutant), "pass pass fail pass fail fail pass"),
-    "basis-quantum-16": ("quantum", 16, in_d(basis_mutant), "pass pass fail pass fail fail pass"),
-    "basis-classical-3": ("classical", 3, in_d(basis_mutant), "pass pass fail pass expected-fail fail pass"),
-    "built-basis-quantum-3": ("quantum", 3, in_builder(basis_mutant), "fail pass fail pass fail fail pass"),
-    "built-basis-quantum-16": ("quantum", 16, in_builder(basis_mutant), "fail pass fail pass fail fail pass"),
+    "overlap-quantum-3": ("quantum", 3, in_d(overlap_mutant), "pass pass fail pass fail pass fail"),
+    "overlap-quantum-16": ("quantum", 16, in_d(overlap_mutant), "pass pass fail pass fail pass fail"),
+    "basis-quantum-3": ("quantum", 3, in_d(basis_mutant), "pass pass fail pass fail fail fail"),
+    "basis-quantum-16": ("quantum", 16, in_d(basis_mutant), "pass pass fail pass fail fail fail"),
+    "basis-classical-3": ("classical", 3, in_d(basis_mutant), "pass pass fail pass expected-fail fail fail"),
+    "built-basis-quantum-3": ("quantum", 3, in_builder(basis_mutant), "fail pass fail pass fail fail fail"),
+    "built-basis-quantum-16": ("quantum", 16, in_builder(basis_mutant), "fail pass fail pass fail fail fail"),
     "built-basis-classical-3": ("classical", 3, in_builder(basis_mutant),
-                                "fail pass fail pass expected-fail fail pass"),
-    "nan-quantum-3": ("quantum", 3, in_d(nan_mutant), "pass pass fail pass fail fail pass"),
+                                "fail pass fail pass expected-fail fail fail"),
+    "nan-quantum-3": ("quantum", 3, in_d(nan_mutant), "pass pass fail pass fail fail fail"),
+    "nan-classical-3": ("classical", 3, in_d(nan_mutant), "pass pass fail pass fail fail fail"),
 }
 VERDICT_CELLS = [(row, check, status) for row, (*_, statuses) in VERDICT_ROWS.items()
                  for check, status in zip(SUITE_CHECKS, statuses.split(), strict=True)]
@@ -463,8 +464,47 @@ def test_nan_d_verify_worst_is_finite_in_any_check_order(monkeypatch):
         monkeypatch.setattr(harness, "SUITE_CHECKS", checks)
         outcomes.append(strict_json(harness.PIPELINES["verify"]({"n": 3}, 0, Path(), Path())))
     deviations = [c["max_deviation"] for c in outcomes[0]["details"]["checks"]]
-    assert deviations.count(None) == 3
+    assert deviations.count(None) == 4
     assert outcomes[0]["max_deviation"] == outcomes[1]["max_deviation"] == max(d for d in deviations if d is not None)
+
+
+def test_verify_at_n_16_decomposes_no_matrix_beyond_9_by_9(monkeypatch):
+    """Every eigh, eigvalsh and svd call of the quantum n = 16 suite, also the
+    one inside matrix_rank, is on one matrix of side at most 9 (the axiom-3
+    reference at |W| = 3): no K x K or stacked decomposition is made."""
+    shapes = []
+    modules = [np.linalg] + ([np.linalg._linalg] if hasattr(np.linalg, "_linalg") else [])
+    for name in ("eigh", "eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def record(a, *args, _original=original, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+        for module in modules:
+            monkeypatch.setattr(module, name, record)
+    assert run_axiom_suite("quantum", 16, 0).passed
+    assert shapes and all(len(shape) == 2 and max(shape) <= 9 for shape in shapes), shapes
+
+
+def test_nan_classical_continuity_nulls_its_witness():
+    """On a classical D with a NaN entry the segment's purities are NaN: axiom 5
+    fails, rather than passing as the expected failure, and the midpoint purity
+    is written as null, named in the reason."""
+    result = strict_json(harness._continuity_check(row_theory("nan-classical-3"), 0).to_json())
+    assert (result["status"], result["max_deviation"]) == ("fail", None)
+    assert result["witnesses"]["midpoint_purity"] is None
+    assert result["witnesses"]["reason"] == "the deviation is nan, midpoint_purity is nan, not a finite number"
+
+
+@pytest.mark.parametrize("witnesses, reason", [
+    ({"ratio": float("inf"), "count": 3}, "ratio is inf, not a finite number"),
+    ({"ratio": np.float64("nan"), "note": "x"}, "ratio is nan, not a finite number"),
+])
+def test_non_finite_witness_floats_are_null(witnesses, reason):
+    result = harness.CheckResult(name="c", status="pass", max_deviation=0.5, witnesses=witnesses)
+    assert result.max_deviation == 0.5
+    assert strict_json(result.to_json())["witnesses"] == {
+        **{k: v for k, v in witnesses.items() if k != "ratio"}, "ratio": None, "reason": reason}
 
 
 @pytest.mark.parametrize("fit, reason", [(3, "exponent 3, expected 2"), (None, "no K = N^r fits the table")])

@@ -107,6 +107,7 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(st.floats(), min_size=1, max_size=4)
     | st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.integers(), min_size=1, max_size=4)
+    | st.lists(st.integers(), max_size=4)
     | st.dictionaries(MARKER_TEXTS, inner, max_size=4),
     max_leaves=20,
 )
@@ -261,6 +262,27 @@ class TestDumps:
             assert handed.dtype == np.float64
             assert_array_equal(handed[~flagged], matrix[~flagged])
             assert (handed[flagged] == 1e300).all()
+
+    def test_int_lists_are_handed_over_unvisited(self, monkeypatch):
+        """A list or tuple of ints alone, such as the axiom-3 ``subsets``
+        witness, reaches orjson as a list without a ``_marked`` call per item;
+        a list with a bool or a float in it is visited item by item."""
+        payload = {"subsets": [[1, 2], [1, 3], (2, 3)], "edges": [2**63 - 1, -(2**63), 0], "empty": [],
+                   "bools": [1, True], "floats": [1, 1e-7]}
+        calls = []
+        marked = serialize._marked
+        monkeypatch.setattr(serialize, "_marked", lambda value, texts: calls.append(value) or marked(value, texts))
+        assert serialize.dumps(payload) == json_text(payload)
+        visited = [value for value in calls if type(value) in (int, bool, float)]
+        assert visited == [1, True, 1, 1e-7]
+
+    @pytest.mark.parametrize("payload", [{"x": [1, 2**64]}, {"x": [[-(2**63) - 1], [1, 2]]}])
+    def test_int_lists_beyond_64_bits_go_to_json(self, payload, monkeypatch):
+        calls = []
+        monkeypatch.setattr(serialize, "json", SimpleNamespace(
+            dumps=lambda *args, **kwargs: calls.append(args) or json.dumps(*args, **kwargs)))
+        assert serialize.dumps(payload) == json_text(payload)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("payload", [{"x": [2**64, 1e-7]}, {"é": 1e-7}, {1: 0.5}, {"x": "\ud800"}])
     def test_refused_payloads_go_to_json(self, payload, monkeypatch, tmp_path):

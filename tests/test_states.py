@@ -375,19 +375,20 @@ class TestNamedTolerances:
 
     def test_reports_state_the_constant_their_check_read(self, monkeypatch, budget):
         f, h = gptkit.frames, gptkit.harness
-        assert (f.ATOL, f.PSD_TOL, f.PURITY_TOL, f.LINEARITY_TOL) == (1e-12, 1e-10, 1e-9, 1e-14)
+        assert (f.ATOL, f.PSD_TOL, f.PURITY_TOL, f.LINEARITY_RTOL) == (1e-12, 1e-10, 1e-9, 4.0)
         budgets = ("FREQUENCY_SCALES", "FREQUENCY_TRIALS", "CONTINUITY_PAIRS", "CONTINUITY_STEPS",
-                   "COMPOSITE_LAW_SAMPLES")
+                   "COMPOSITE_LAW_SAMPLES", "LINEARITY_PAIRS")
         assert [getattr(f, name) for name in budgets] == [
-            (1_000, 10_000, 100_000, 1_000_000), 8, 5, 100, 10]
+            (1_000, 10_000, 100_000, 1_000_000), 8, 5, 100, 10, 16]
         assert all(getattr(h, name) is getattr(f, name) for name in budgets)
         budget(FREQUENCY_SCALES=(1_000,))  # the other budgets keep their values
         suite = {c.name: c.witnesses for c in h.run_axiom_suite("quantum", 2, seed=1).checks}
         assert suite["axiom1-frequency-convergence"]["trials"] == f.FREQUENCY_TRIALS
         assert suite["axiom5-continuity"] == {"pairs": f.CONTINUITY_PAIRS, "steps": f.CONTINUITY_STEPS}
-        assert suite["measurement-linearity"] == {"samples": f.LINEARITY_SAMPLES}
+        assert suite["measurement-linearity"] == {"pairs": f.LINEARITY_PAIRS}
+        assert gptkit.axioms.LINEARITY_PAIRS is f.LINEARITY_PAIRS  # the check's draw
         theory = quantum_theory(2)
-        assert all(getattr(h, name) is getattr(f, name) for name in ("ATOL", "LINEARITY_TOL", "LINEARITY_SAMPLES"))
+        assert all(getattr(h, name) is getattr(f, name) for name in ("ATOL", "LINEARITY_RTOL"))
         assert suite["axiom1-frequency-convergence"]["targets"]["0.5"]["1000"]["bound"] == (
             f.FREQUENCY_ENVELOPE / np.sqrt(1_000))
         assert all(getattr(h, name) is getattr(f, name) for name in ("FREQUENCY_ENVELOPE", "FREQUENCY_PASS_FRACTION"))
@@ -404,5 +405,5 @@ class TestNamedTolerances:
         assert [check(theory, 1).status for check in checks] == ["pass"] * 3
         monkeypatch.setattr(h, "ATOL", -1.0)  # no deviation is within a negative tolerance
         assert [check(theory, 1).status for check in checks] == ["fail", "fail", "pass"]
-        monkeypatch.setattr(h, "LINEARITY_TOL", -1.0)
+        monkeypatch.setattr(h, "LINEARITY_RTOL", -1.0)
         assert [check(theory, 1).status for check in checks] == ["fail"] * 3
